@@ -30,6 +30,7 @@ from .errors import (
     ContextMismatchError,
     FusionError,
     InconsistentAnnotationError,
+    InconsistentDataError,
     InsufficientDataError,
     NonTransitiveError,
     NoRealRootError,

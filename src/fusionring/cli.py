@@ -356,15 +356,31 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+#: largest accepted --precision; bisection to 2^-BITS costs BITS rounds of
+#: evaluation at ever longer rationals, so unbounded values could stall a call
+MAX_PRECISION_BITS = 1024
+
+
+def _precision_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= bits <= MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"{bits} is outside 0..{MAX_PRECISION_BITS}"
+        )
+    return bits
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision",
-        type=int,
+        type=_precision_bits,
         default=64,
         metavar="BITS",
-        help="certified interval width 2^-BITS (default 64)",
+        help=f"certified interval width 2^-BITS, 0..{MAX_PRECISION_BITS} (default 64)",
     )
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"

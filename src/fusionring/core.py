@@ -13,12 +13,14 @@ without overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ContextMismatchError, NotFusionError
 from .report import ValidationReport, Violation
 
 Tensor = tuple[tuple[tuple[int, ...], ...], ...]
+SparseProducts = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,24 @@ class FusionData:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def products(self) -> SparseProducts:
+        """products[i][j] lists the nonzero (k, N[i][j][k]) in ascending k.
+
+        A sparse view of n_tensor, which stays the only source of truth;
+        built on first use and kept on the instance.
+        """
+        # one shared tuple per distinct (k, m) keeps the index small, since
+        # it lives as long as the data
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        return tuple(
+            tuple(
+                tuple(pairs.setdefault((k, m), (k, m)) for k, m in enumerate(row) if m)
+                for row in plane
+            )
+            for plane in self.n_tensor
+        )
 
     @property
     def is_fusion(self) -> bool:
@@ -184,18 +204,17 @@ def multiply(a: MultisetElement, b: MultisetElement) -> MultisetElement:
     """Bilinear extension of the product tensor."""
     data = _same_context(a, b)
     out = [0] * data.rank
-    tensor = data.n_tensor
+    products = data.products
     for i, ai in enumerate(a.coeffs):
         if not ai:
             continue
-        plane = tensor[i]
+        row = products[i]
         for j, bj in enumerate(b.coeffs):
             if not bj:
                 continue
             w = ai * bj
-            for k, m in enumerate(plane[j]):
-                if m:
-                    out[k] += w * m
+            for k, m in row[j]:
+                out[k] += w * m
     return MultisetElement(data, tuple(out))
 
 

@@ -35,6 +35,11 @@ class InconsistentAnnotationError(FusionError):
     """A Galois annotation contradicts the fusion data it decorates."""
 
 
+class InconsistentDataError(FusionError):
+    """Two exact computations that must agree on valid fusion data
+    disagree, so the data violates an axiom the caller did not check."""
+
+
 class ResourceLimitError(FusionError):
     """A brute-force search would exceed its configured candidate budget."""
 

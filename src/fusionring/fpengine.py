@@ -1,9 +1,10 @@
 """Exact Frobenius-Perron machinery.
 
-Left-multiplication matrices, characteristic polynomials by fraction-free
-(Bareiss) elimination over the polynomial ring, Sturm-certified isolation of
-the maximal real root, minimal polynomials, and a deliberately small algebra
-of exact values (rationals and isolated algebraic numbers).
+Left-multiplication matrices read off the sparse product index,
+characteristic polynomials by Hessenberg reduction over the rationals,
+Sturm-certified isolation of the maximal real root, minimal polynomials, and
+a deliberately small algebra of exact values (rationals and isolated
+algebraic numbers).
 
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
@@ -96,50 +97,77 @@ def left_mult_matrix(x: MultisetElement) -> RationalMatrix:
 
 
 def left_mult_matrix_from_coeffs(data: FusionData, coeffs: Sequence[Rat]) -> RationalMatrix:
+    """Matrix of left multiplication by sum_k coeffs[k] * (basis k), read off
+    the sparse product index; entries stay Python ints unless a coefficient
+    is a Fraction."""
     r = data.rank
-    n = data.n_tensor
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            row.append(sum((Fraction(coeffs[k]) * n[k][j][i] for k in range(r)), Fraction(0)))
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows))
+    cols: list[list[Rat]] = [[0] * r for _ in range(r)]
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        for col, pairs in zip(cols, data.products[k]):
+            for i, m in pairs:
+                col[i] += c * m
+    return RationalMatrix(tuple(zip(*cols)))
 
 
 def char_poly(m: RationalMatrix) -> RationalPolynomial:
-    """Monic characteristic polynomial det(tI - M), computed by fraction-free
-    Bareiss elimination in the polynomial ring to keep intermediate growth
-    controlled."""
+    """Monic characteristic polynomial det(tI - M).
+
+    M is first brought to upper Hessenberg form H by similarity transforms
+    over Q (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9): for each column, a nonzero entry on or below the
+    subdiagonal is swapped onto it and the entries below are eliminated,
+    every row operation paired with the inverse column operation; a column
+    that is zero from the subdiagonal down is already reduced.  The leading
+    principal minors p_k = det(tI - H[:k, :k]) then satisfy
+
+        p_k = (t - h[k-1][k-1]) p_{k-1}
+              - sum_{i<k-1} h[i][k-1] * h[i+1][i] ... h[k-1][k-2] * p_i
+
+    and p_n is the result.  O(n^3) scalar Fraction operations.
+    """
     n = m.size
-    t = RationalPolynomial.variable()
-    a: list[list[RationalPolynomial]] = [
-        [
-            (t if i == j else RationalPolynomial.zero())
-            - RationalPolynomial.constant(m.rows[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    sign = 1
-    prev = RationalPolynomial.constant(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
-            if swap is None:
-                return RationalPolynomial.zero()
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lik * a[k][j]).exact_div(prev)
-            row_i[k] = RationalPolynomial.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    h = [list(row) for row in m.rows]
+    for c in range(n - 2):
+        p = c + 1
+        piv = next((i for i in range(p, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != p:
+            h[p], h[piv] = h[piv], h[p]
+            for row in h:
+                row[p], row[piv] = row[piv], row[p]
+        pivot_row = h[p]
+        pivot = pivot_row[c]
+        for i in range(p + 1, n):
+            row_i = h[i]
+            if not row_i[c]:
+                continue
+            u = row_i[c] / pivot
+            for j in range(c, n):
+                if pivot_row[j]:
+                    row_i[j] -= u * pivot_row[j]
+            for row in h:
+                if row[i]:
+                    row[p] += u * row[i]
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[k]
+        nxt = [Fraction(0)] + prev
+        for d, a in enumerate(prev):
+            nxt[d] -= h[k][k] * a
+        sub = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            sub *= h[i + 1][i]
+            if not sub:
+                break
+            w = sub * h[i][k]
+            if w:
+                for d, a in enumerate(polys[i]):
+                    nxt[d] -= w * a
+        polys.append(nxt)
+    return RationalPolynomial(polys[n])
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +332,13 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
 
 @lru_cache(maxsize=512)
 def min_poly(alpha: AlgebraicNumber) -> RationalPolynomial:
-    """Monic irreducible rational polynomial with alpha as a root."""
-    factors = factor_squarefree_rational(alpha.poly)
+    """Monic irreducible rational polynomial with alpha as a root; t - v for
+    a rational point v."""
     if alpha.is_point:
-        for g in factors:
-            if g.evaluate(alpha.value) == 0:
-                return g
-    else:
-        for g in factors:
-            if g.degree >= 1 and count_real_roots(sturm_chain(g), alpha.lo, alpha.hi) == 1:
-                return g
+        return RationalPolynomial((-alpha.value, 1))
+    for g in factor_squarefree_rational(alpha.poly):
+        if g.degree >= 1 and count_real_roots(sturm_chain(g), alpha.lo, alpha.hi) == 1:
+            return g
     raise AssertionError("defining polynomial lost its root")  # pragma: no cover
 
 

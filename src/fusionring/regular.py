@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .core import FusionData, dual_element, multiply
-from .errors import NonTransitiveError
+from .errors import InconsistentDataError, NonTransitiveError
 from .fpengine import (
     DEFAULT_WIDTH,
     AlgebraicNumber,
@@ -79,14 +79,14 @@ def regular_element(
     return ExtendedElement(data, coeffs)
 
 
-def _category_matrix_coeffs(data: FusionData) -> list[Fraction]:
-    s = [Fraction(0)] * data.rank
+def _category_matrix_coeffs(data: FusionData) -> list[Union[int, Fraction]]:
+    s: list[Union[int, Fraction]] = [0] * data.rank
     for i in range(data.rank):
         prod = multiply(data.basis(i), dual_element(data.basis(i)))
         e = data.eps[i]
         for c, m in enumerate(prod.coeffs):
             if m:
-                s[c] += Fraction(m, e)
+                s[c] += m if e == 1 else Fraction(m, e)
     return s
 
 
@@ -189,7 +189,9 @@ def is_invertible(data: FusionData, x: Union[int, str]) -> bool:
         dim = fpdim_element(data.basis(i))
     except NonTransitiveError:
         return invertible
-    assert (dim.cmp_rational(1) == 0) == invertible, (
-        "FPdim(x) = 1 must coincide with invertibility on valid fusion data"
-    )
+    if (dim.cmp_rational(1) == 0) != invertible:
+        raise InconsistentDataError(
+            f"FPdim({data.labels[i]}) = 1 must coincide with invertibility "
+            "on valid fusion data"
+        )
     return invertible

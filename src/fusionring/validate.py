@@ -65,20 +65,33 @@ def check_structural(data: FusionData) -> ValidationReport:
                 Violation("unit_law", (i,), f"{labels[i]}*1 = {right}, expected {labels[i]}")
             )
 
+    # (i*j)*k and i*(j*k) as sparse vectors; only a mismatch walks l
+    products = data.products
     for i in range(r):
+        left_i = products[i]
         for j in range(r):
+            ij = left_i[j]
             for k in range(r):
+                lhs: dict[int, int] = {}
+                for m, a in ij:
+                    for l, b in products[m][k]:
+                        lhs[l] = lhs.get(l, 0) + a * b
+                rhs: dict[int, int] = {}
+                for m, a in products[j][k]:
+                    for l, b in left_i[m]:
+                        rhs[l] = rhs.get(l, 0) + a * b
+                if lhs == rhs:
+                    continue
                 for l in range(r):
-                    lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
-                    rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
-                    if lhs != rhs:
+                    x, y = lhs.get(l, 0), rhs.get(l, 0)
+                    if x != y:
                         violations.append(
                             Violation(
                                 "associativity",
                                 (i, j, k, l),
                                 f"({labels[i]}*{labels[j]})*{labels[k]} and "
                                 f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
-                                f"{labels[l]}: {lhs} vs {rhs}",
+                                f"{labels[l]}: {x} vs {y}",
                             )
                         )
 

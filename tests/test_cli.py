@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
+
+import pytest
 
 import fusionring as fr
-from fusionring.cli import run_command
+from fusionring.cli import MAX_PRECISION_BITS, run_command
 
 
 def run(capsys, *argv):
@@ -208,6 +211,22 @@ def test_precision_changes_only_intervals(capsys):
     _, a, _ = run_json(capsys, "fpdim", "rep_f2_z3", "--category", "--precision", "32")
     _, b, _ = run_json(capsys, "fpdim", "rep_f2_z3", "--category", "--precision", "96")
     assert a == b  # exact rationals are untouched by precision
+
+
+@pytest.mark.parametrize("bits", ["-1", str(MAX_PRECISION_BITS + 1), "many"])
+def test_precision_out_of_range_is_usage_error(capsys, bits):
+    code, out, err = run(capsys, "fpdim", "fib", "--element", "x", "--precision", bits)
+    assert code == 2
+    assert out == ""
+    assert "--precision" in err and "Traceback" not in err
+
+
+def test_precision_zero_is_accepted(capsys):
+    code, doc, _ = run_json(capsys, "fpdim", "fib", "--element", "x", "--precision", "0")
+    assert code == 0
+    assert doc["min_poly"] == [-1, -1, 1]
+    lo, hi = (Fraction(v) for v in doc["interval"])
+    assert 0 < hi - lo <= 1
 
 
 def test_text_format_renders(capsys):

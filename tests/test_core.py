@@ -24,6 +24,21 @@ def test_multiply_unit_law(name):
         assert (x * one).coeffs == x.coeffs
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_products_index_matches_tensor(name):
+    data = fusion_data(name)
+    r = data.rank
+    for i in range(r):
+        for j in range(r):
+            pairs = data.products[i][j]
+            assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+            dense = [0] * r
+            for k, m in pairs:
+                assert m > 0
+                dense[k] = m
+            assert tuple(dense) == data.n_tensor[i][j]
+
+
 def test_multiply_vec_z2_self_inverse():
     data = fusion_data("vec_z2")
     g = data.basis("g")

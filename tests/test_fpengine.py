@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import fusionring as fr
+from fusionring.fpengine import companion_matrix, left_mult_matrix_from_coeffs
 from fusionring.poly import RationalPolynomial as P
-from conftest import FUSION_NAMES, fusion_data
+from fusionring.regular import _category_matrix_coeffs
+from conftest import ALL_NAMES, FUSION_NAMES, fusion_data
 
 
 def golden_ratio_bounds(digits: int) -> tuple[Fraction, Fraction]:
@@ -69,6 +71,102 @@ def test_char_poly_handles_zero_pivots():
     rows = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     p = fr.char_poly(fr.RationalMatrix(tuple(tuple(map(Fraction, r)) for r in rows)))
     assert p.coeffs == P((-1, 0, 0, 1)).coeffs  # t^3 - 1
+
+
+def _matrix(rows) -> fr.RationalMatrix:
+    return fr.RationalMatrix(tuple(tuple(Fraction(v) for v in row) for row in rows))
+
+
+def faddeev_leverrier(m: fr.RationalMatrix) -> tuple[Fraction, ...]:
+    """Reference det(tI - M), ascending: M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k)/k, over Fractions."""
+    a = m.rows
+    n = m.size
+    c = [Fraction(0)] * n + [Fraction(1)]
+    am = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[am[i][j] + (c[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(am[i][i] for i in range(n)) / k
+    return tuple(c)
+
+
+def _random_rational_rows(rng: random.Random, n: int, density: float) -> list[list[Fraction]]:
+    def entry() -> Fraction:
+        if rng.random() < density:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return Fraction(0)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _block_upper_triangular(rng: random.Random, sizes: list[int]) -> list[list[Fraction]]:
+    """Zero below the diagonal blocks, so some subdiagonal column has no
+    pivot and the Hessenberg reduction must skip it."""
+    n = sum(sizes)
+    rows = _random_rational_rows(rng, n, 0.8)
+    start = 0
+    for size in sizes:
+        for i in range(start + size, n):
+            for j in range(start, start + size):
+                rows[i][j] = Fraction(0)
+        start += size
+    return rows
+
+
+@pytest.fixture(scope="module")
+def char_poly_cases():
+    """Random rational matrices, block upper-triangular ones, every builtin's
+    left-multiplication matrices, the eps > 1 category matrices and
+    companion-Kronecker products as mul_algebraic builds them."""
+    rng = random.Random(2024)
+    cases = []
+    for n in range(1, 9):
+        for density in (0.3, 0.7, 1.0):
+            cases.append(_matrix(_random_rational_rows(rng, n, density)))
+    for sizes in ([1, 3], [2, 2, 1], [3, 1, 2, 1], [1, 1, 1, 1], [4, 4]):
+        cases.append(_matrix(_block_upper_triangular(rng, sizes)))
+    for name in ALL_NAMES:
+        data = fusion_data(name)
+        cases.extend(fr.left_mult_matrix(x) for x in data.simples())
+    for name in FUSION_NAMES:
+        data = fusion_data(name)
+        if max(data.eps) > 1:
+            cases.append(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data)))
+    fib = fusion_data("fib")
+    phi = fr.fpdim_element(fib.basis("x"))
+    pa = fr.min_poly(phi)
+    pb = P((-2, 0, 0, 1))  # t^3 - 2
+    cases.append(companion_matrix(pa).kron(companion_matrix(pb)))
+    cases.append(companion_matrix(pa).kron(companion_matrix(pa)))
+    return cases
+
+
+def test_char_poly_matches_faddeev_leverrier(char_poly_cases):
+    for m in char_poly_cases:
+        assert fr.char_poly(m).coeffs == faddeev_leverrier(m)
+
+
+def test_char_poly_matches_sympy(char_poly_cases):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for m in char_poly_cases:
+        rows = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows]
+        expected = sympy.Matrix(rows).charpoly(t).all_coeffs()[::-1]
+        got = fr.char_poly(m).coeffs
+        assert got == tuple(Fraction(int(c.p), int(c.q)) for c in expected)
+
+
+@pytest.mark.parametrize("name", FUSION_NAMES)
+def test_category_matrix_matches_dense_formula(name):
+    data = fusion_data(name)
+    coeffs = _category_matrix_coeffs(data)
+    n, r = data.n_tensor, data.rank
+    dense = tuple(
+        tuple(sum(Fraction(coeffs[k]) * n[k][j][i] for k in range(r)) for j in range(r))
+        for i in range(r)
+    )
+    assert left_mult_matrix_from_coeffs(data, coeffs).rows == dense
 
 
 def test_isolate_rational_roots_collapse():

@@ -146,6 +146,22 @@ def test_is_invertible():
     assert fr.is_invertible(q8, "a") and not fr.is_invertible(q8, "h")
 
 
+def test_is_invertible_raises_on_inconsistent_data():
+    # a broken dual map: g*dual(g) = g*1 = g is not the unit, yet the
+    # product tensor is that of Z/2, so FPdim(g) = 1
+    base = fusion_data("vec_z2")
+    broken = fr.FusionData(
+        labels=base.labels,
+        n_tensor=base.n_tensor,
+        dual=(0, 0),
+        eps=base.eps,
+        endo_degree=base.endo_degree,
+        unit=base.unit,
+    )
+    with pytest.raises(fr.InconsistentDataError):
+        fr.is_invertible(broken, 1)
+
+
 def test_regular_refuses_multifusion():
     with pytest.raises(fr.NotFusionError):
         fr.regular_element(fusion_data("m2_vec"))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 import fusionring as fr
@@ -28,6 +31,46 @@ def test_structural_detects_broken_duality():
     report = fr.check_structural(data)
     assert not report.passed
     assert any(v.rule == "duality" for v in report.violations)
+
+
+def dense_associativity(data):
+    """Reference: the dense O(r^5) associativity loop over (i, j, k, l)."""
+    n, labels, r = data.n_tensor, data.labels, data.rank
+    out = []
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
+        rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
+        if lhs != rhs:
+            out.append(
+                fr.Violation(
+                    "associativity",
+                    (i, j, k, l),
+                    f"({labels[i]}*{labels[j]})*{labels[k]} and "
+                    f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
+                    f"{labels[l]}: {lhs} vs {rhs}",
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize("name", ["fib", "gal7", "jj_bim", "m2_vec", "rep_r_q8", "vec_s3"])
+def test_structural_matches_dense_associativity_reference(name):
+    rng = random.Random(name)
+    data = fusion_data(name)
+    r = data.rank
+    for _ in range(4):
+        i, j, k = (rng.randrange(r) for _ in range(3))
+        delta = -1 if data.n_tensor[i][j][k] and rng.random() < 0.5 else 1
+        data = mutate_tensor(data, i, j, k, delta)
+        got = list(fr.check_structural(data).violations)
+        # associativity violations come after the unit checks and before
+        # the duality checks
+        expected = (
+            [v for v in got if v.rule not in ("associativity", "duality")]
+            + dense_associativity(data)
+            + [v for v in got if v.rule == "duality"]
+        )
+        assert got == expected
 
 
 def test_structural_detects_broken_associativity():
