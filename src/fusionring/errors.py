@@ -46,5 +46,7 @@ class ResourceLimitError(FusionError):
 
 class UnrepresentableError(FusionError):
     """An exact result would need number-field arithmetic outside the
-    supported constructions (rational scaling, companion Kronecker products).
+    supported constructions: rational scaling, and companion Kronecker
+    products up to degree fpengine.MAX_PRODUCT_DEGREE, which also bounds the
+    adjoint-formula check and FPdim transport along an irrational twist.
     """

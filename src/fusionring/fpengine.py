@@ -9,7 +9,8 @@ algebraic numbers).
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
 root.  Rational roots collapse to point intervals, so statements like
-"FPdim(V) = 2 exactly" are plain equalities.
+"FPdim(V) = 2 exactly" are plain equalities.  perron_vector gives the whole
+regular element at once, exactly, in the ring's Perron field.
 """
 
 from __future__ import annotations
@@ -63,19 +64,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    def scale(self, c: Rat) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix(tuple(tuple(c * v for v in row) for row in self.rows))
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.size != other.size:
-            raise ValueError("matrix size mismatch")
-        return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         n, m = self.size, other.size
@@ -253,6 +241,36 @@ def _point(poly: RationalPolynomial, value: Fraction) -> AlgebraicNumber:
     return AlgebraicNumber(poly, value, value)
 
 
+def _bisect(
+    q: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Bisect a sign change of the monic q in (lo, hi) down to `width`; a
+    midpoint that is a root comes back as the point interval (mid, mid).
+
+    Signs come from den^n q(num/den) by homogeneous Horner over the integer
+    form of q, a positive multiple, so no Fraction is built per step."""
+    ints = q.to_integer_coeffs()[::-1]
+
+    def sign(x: Fraction) -> int:
+        acc, power = 0, 1
+        for c in ints:
+            acc = acc * x.numerator + c * power
+            power *= x.denominator
+        return (acc > 0) - (acc < 0)
+
+    sign_lo = sign(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            return mid, mid
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def isolate_max_real_root(
     p: RationalPolynomial, width: Fraction = DEFAULT_WIDTH
 ) -> AlgebraicNumber:
@@ -292,19 +310,11 @@ def isolate_max_real_root(
             lo = mid
         else:
             hi = mid
-    sign_lo = q.evaluate(lo) > 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = q.evaluate(mid)
-        if v == 0:
-            return _point(q, mid)
-        if (v > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    roots = rational_roots_between(q.to_integer_coeffs(), lo, hi)
-    if roots:
-        return _point(q, roots[0])
+    lo, hi = _bisect(q, lo, hi, width)
+    if lo < hi:
+        roots = rational_roots_between(q.to_integer_coeffs(), lo, hi)
+        if roots:
+            return _point(q, roots[0])
     return AlgebraicNumber(q, lo, hi)
 
 
@@ -315,19 +325,8 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
         raise ValueError("target width must be positive")
     if alpha.is_point or alpha.width <= width:
         return alpha
-    q = alpha.poly
-    lo, hi = alpha.lo, alpha.hi
-    sign_lo = q.evaluate(lo) > 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = q.evaluate(mid)
-        if v == 0:
-            return _point(q, mid)
-        if (v > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return AlgebraicNumber(q, lo, hi)
+    lo, hi = _bisect(alpha.poly, alpha.lo, alpha.hi, width)
+    return AlgebraicNumber(alpha.poly, lo, hi)
 
 
 @lru_cache(maxsize=512)
@@ -420,7 +419,11 @@ def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
     return RationalMatrix(tuple(rows))
 
 
-def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber, max_degree: int = 16) -> ExactValue:
+#: largest degree of the companion Kronecker construction in mul_algebraic
+MAX_PRODUCT_DEGREE = 16
+
+
+def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
     """Exact product of two positive algebraic numbers.
 
     The product is a root of the characteristic polynomial of the Kronecker
@@ -432,9 +435,9 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber, max_degree: int = 16) 
     if a.cmp_rational(0) <= 0 or b.cmp_rational(0) <= 0:
         raise UnrepresentableError("products are only formed for positive values")
     pa, pb = min_poly(a), min_poly(b)
-    if pa.degree * pb.degree > max_degree:
+    if pa.degree * pb.degree > MAX_PRODUCT_DEGREE:
         raise UnrepresentableError(
-            f"product would live in degree {pa.degree * pb.degree} > {max_degree}"
+            f"product would live in degree {pa.degree * pb.degree} > {MAX_PRODUCT_DEGREE}"
         )
     prod_poly = char_poly(companion_matrix(pa).kron(companion_matrix(pb))).squarefree_part()
     chain = sturm_chain(prod_poly)
@@ -486,39 +489,6 @@ def reciprocal(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
 
 
 # ---------------------------------------------------------------------------
-# exact intervals (pairs of Fractions) for certified comparisons
-
-Interval = tuple[Fraction, Fraction]
-
-
-def as_interval(v: Union[Rat, AlgebraicNumber], width: Fraction) -> Interval:
-    v = normalize_value(v)
-    if isinstance(v, Fraction):
-        return (v, v)
-    r = refine(v, width)
-    return (r.lo, r.hi)
-
-
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def iv_scale(a: Interval, c: Rat) -> Interval:
-    c = Fraction(c)
-    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def iv_separation(a: Interval, b: Interval) -> Fraction:
-    """Zero when the intervals overlap, else the gap between them."""
-    return max(Fraction(0), a[0] - b[1], b[0] - a[1])
-
-
-# ---------------------------------------------------------------------------
 # Frobenius-Perron dimensions
 
 
@@ -552,3 +522,53 @@ def fpdim_element(
     """
     ensure_fpdim_ready(x.data, waive_transitivity)
     return isolate_max_real_root(char_poly(left_mult_matrix(x)), width)
+
+
+def perron_vector(
+    data: FusionData, *, waive_transitivity: bool = False
+) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
+    """(m, R): the regular element R as the Perron eigenvector of left
+    multiplication L by t = Sum of all simples, normalised to 1 at the unit.
+
+    On transitive data L is strictly positive, so mu = FPdim(t) is a simple
+    eigenvalue; m is its minimal polynomial and each R_X, equal to
+    FPdim(X)/eps_X on valid data, is an element of K = Q[t]/(m) written as a
+    polynomial in mu of degree below deg m.  R is q(L) e_unit, rescaled, for
+    q = char_poly(L)/(t - mu) over K, since (L - mu) q(L) = 0; q comes from
+    synthetic division and q(L) e_unit from the integer vectors L^j e_unit.
+    Raises NonTransitiveError when q(L) e_unit vanishes at the unit, which
+    only waived non-transitive data can do.
+    """
+    ensure_fpdim_ready(data, waive_transitivity)
+    r = data.rank
+    matrix = left_mult_matrix_from_coeffs(data, [1] * r)
+    p = char_poly(matrix)
+    m = min_poly(isolate_max_real_root(p))
+    mu = RationalPolynomial.variable() % m
+    # coefficients of q, highest degree first: q_{k-1} = p_k + mu q_k
+    q = [RationalPolynomial.constant(1)]
+    for c in reversed(p.coeffs[1:-1]):
+        q.append(RationalPolynomial.constant(c) + (mu * q[-1]) % m)
+    rows = [[int(c) for c in row] for row in matrix.rows]
+    krylov = [int(i == data.unit_index) for i in range(r)]
+    vec = [RationalPolynomial.zero()] * r
+    for coeff in reversed(q):
+        vec = [acc + coeff.scale(v) for acc, v in zip(vec, krylov)]
+        krylov = [sum(a * v for a, v in zip(row, krylov)) for row in rows]
+    at_unit = vec[data.unit_index]
+    if at_unit.is_zero:
+        raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")
+    inverse = _field_inverse(at_unit, m)
+    return m, tuple((c * inverse) % m for c in vec)
+
+
+def _field_inverse(a: RationalPolynomial, m: RationalPolynomial) -> RationalPolynomial:
+    """Inverse of a nonzero a in Q[t]/(m), m irreducible, by the extended
+    Euclidean algorithm (each s_i a = r_i mod m)."""
+    r0, r1 = m, a
+    s0, s1 = RationalPolynomial.zero(), RationalPolynomial.constant(1)
+    while r1.degree > 0:
+        quotient, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quotient * s1
+    return s1.scale(1 / r1.coeffs[0]) % m

@@ -11,25 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import FusionData, MultisetElement, multiply
 from .fpengine import (
     AlgebraicNumber,
     ExactValue,
     algebraic_equal,
-    as_interval,
     exact_cmp,
     exact_mul,
     fpdim_element,
-    iv_add,
-    iv_mul,
-    iv_scale,
-    iv_separation,
+    left_mult_matrix_from_coeffs,
     normalize_value,
+    perron_vector,
     reciprocal,
 )
-from .regular import CHECK_TOLERANCE, CHECK_WIDTH, regular_element, fpdim_category
+from .poly import RationalPolynomial
+from .regular import fpdim_category
 from .report import ValidationReport, Violation
 
 Rat = Union[int, Fraction]
@@ -122,31 +120,25 @@ def check_dominant(f: SemiringMorphism) -> bool:
 
 def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     """Certify FPdim(f(x)) = FPdim(D) FPdim(x) for all source simples, and,
-    when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B.
+    when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly.
 
-    Equalities are exact when every quantity involved is rational, otherwise
-    certified at interval width 10^-12 with pass threshold 10^-9.
+    Per simple by exact_cmp against exact_mul(FPdim(D), FPdim(x)), so an
+    irrational twist inherits mul_algebraic's degree cap
+    (UnrepresentableError).  The regular transport is decided in the
+    source's Perron field (fpengine.perron_vector) on w = f(R_A): w must be
+    an eigenvector of the target's L_t, (L w)_t w_u = (L w)_u w_t at each
+    target simple t, which makes it w_u R_B; then
+    Sum_t eps_t w_t^2 = w_u FPdim(D) FPdim(A) fixes the multiple.
     """
     hom = check_homomorphism(f)
     if not hom.passed:
         return hom
     violations: list[Violation] = []
-    src, tgt = f.source, f.target
-    d = f.twist_element()
-    fpdim_d = fpdim_element(d, width=CHECK_WIDTH)
-    src_dims = [fpdim_element(src.basis(x), width=CHECK_WIDTH) for x in range(src.rank)]
-    img_dims = [fpdim_element(f.apply(src.basis(x)), width=CHECK_WIDTH) for x in range(src.rank)]
-
+    src = f.source
+    fpdim_d = fpdim_element(f.twist_element())
     for x in range(src.rank):
-        if fpdim_d.is_point and src_dims[x].is_point and img_dims[x].is_point:
-            ok = img_dims[x].value == fpdim_d.value * src_dims[x].value
-        else:
-            lhs = as_interval(img_dims[x], CHECK_WIDTH)
-            rhs = iv_mul(
-                as_interval(fpdim_d, CHECK_WIDTH), as_interval(src_dims[x], CHECK_WIDTH)
-            )
-            ok = iv_separation(lhs, rhs) <= CHECK_TOLERANCE
-        if not ok:
+        expected = exact_mul(fpdim_d, fpdim_element(src.basis(x)))
+        if exact_cmp(fpdim_element(f.apply(src.basis(x))), expected) != 0:
             violations.append(
                 Violation(
                     "fpdim_transport",
@@ -155,44 +147,38 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
                     f"FPdim({src.labels[x]})",
                 )
             )
-
     if check_dominant(f):
-        reg_src = regular_element(src, width=CHECK_WIDTH)
-        reg_tgt = regular_element(tgt, width=CHECK_WIDTH)
-        cat_src = fpdim_category(src, width=CHECK_WIDTH)
-        cat_tgt = fpdim_category(tgt, width=CHECK_WIDTH)
-        scalar_ivs = iv_mul(
-            as_interval(fpdim_d, CHECK_WIDTH),
-            iv_mul(
-                as_interval(cat_src, CHECK_WIDTH),
-                _inverse_interval(cat_tgt),
-            ),
-        )
-        for t in range(tgt.rank):
-            lhs = (Fraction(0), Fraction(0))
-            for s in range(src.rank):
-                if f.matrix[t][s]:
-                    lhs = iv_add(
-                        lhs, iv_scale(as_interval(reg_src.coeffs[s], CHECK_WIDTH), f.matrix[t][s])
-                    )
-            rhs = iv_mul(scalar_ivs, as_interval(reg_tgt.coeffs[t], CHECK_WIDTH))
-            if iv_separation(lhs, rhs) > CHECK_TOLERANCE:
-                violations.append(
-                    Violation(
-                        "regular_transport",
-                        (t,),
-                        f"f(R_A)[{tgt.labels[t]}] differs from "
-                        f"FPdim(D) (FPdim(A)/FPdim(B)) R_B[{tgt.labels[t]}]",
-                    )
-                )
+        violations += _regular_transport_violations(f)
     return ValidationReport.from_violations(violations)
 
 
-def _inverse_interval(v: AlgebraicNumber) -> tuple[Fraction, Fraction]:
-    iv = as_interval(v, CHECK_WIDTH)
-    if iv[0] <= 0:
-        raise ValueError("interval inversion needs a certified positive value")
-    return (1 / iv[1], 1 / iv[0])
+def _combine(vec: Sequence[RationalPolynomial], coeffs: Iterable[Rat]) -> RationalPolynomial:
+    """Sum_i coeffs[i] vec[i] for elements vec[i] of a Perron field."""
+    return sum((v.scale(c) for v, c in zip(vec, coeffs) if c), RationalPolynomial.zero())
+
+
+def _off_eigenvector(m: RationalPolynomial, v: Sequence, image: Sequence, u: int) -> list[int]:
+    """The i with (M v)_i v_u != (M v)_u v_i in Q[t]/(m), for image = M v:
+    none iff v, nonzero at u, is an eigenvector of M."""
+    return [i for i in range(len(v)) if (image[i] * v[u]) % m != (image[u] * v[i]) % m]
+
+
+def _regular_transport_violations(f: SemiringMorphism) -> list[Violation]:
+    src, tgt = f.source, f.target
+    m, reg = perron_vector(src)
+    w = [_combine(reg, row) for row in f.matrix]
+    lw = [_combine(w, row) for row in left_mult_matrix_from_coeffs(tgt, [1] * tgt.rank).rows]
+    u = tgt.unit_index
+    off = _off_eigenvector(m, w, lw, u)
+    message = "f(R_A) is not an eigenvector of the sum of the target simples at {}"
+    if not off:
+        fpdim_d = _combine(reg, [e * c for e, c in zip(src.eps, f.twist_element().coeffs)])
+        fpdim_a = _combine([(r * r) % m for r in reg], src.eps)
+        lhs = _combine([(c * c) % m for c in w], tgt.eps)
+        if lhs != (((w[u] * fpdim_d) % m) * fpdim_a) % m:
+            off = list(range(tgt.rank))
+            message = "f(R_A)[{0}] differs from FPdim(D) (FPdim(A)/FPdim(B)) R_B[{0}]"
+    return [Violation("regular_transport", (t,), message.format(tgt.labels[t])) for t in off]
 
 
 def _require_positive(name: str, v: ValueLike) -> ExactValue:
@@ -249,35 +235,31 @@ def check_adjoint_matrix(adjoint: SemiringMorphism, fpdim_d: ValueLike) -> Valid
     `adjoint` is the adjoint functor's semiring matrix (source = the twisted
     functor's target, where the formula's FPdim(X) lives).  For every simple
     X the matrix-computed FPdim of the image must equal
-    FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B)) FPdim(X), certified at interval
-    width 10^-12 with pass threshold 10^-9 (exact when rational).
+    FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B)) FPdim(X).  In the target's Perron
+    field the image FPdims v must be an eigenvector of the source's right
+    multiplication by the sum of its simples, which makes v = v_u FPdim;
+    then one exact_cmp checks v_u against the scalar, formed with exact_mul
+    and exact_div, so the check inherits adjoint_fpdim's degree cap
+    (UnrepresentableError).
     """
     src, tgt = adjoint.source, adjoint.target
-    cat_src = fpdim_category(src, width=CHECK_WIDTH)
-    cat_tgt = fpdim_category(tgt, width=CHECK_WIDTH)
-    scalar = iv_mul(
-        as_interval(normalize_value(fpdim_d), CHECK_WIDTH),
-        iv_mul(as_interval(cat_tgt, CHECK_WIDTH), _inverse_interval(cat_src)),
+    m, reg = perron_vector(tgt)
+    fpdims = [r.scale(e) for e, r in zip(tgt.eps, reg)]
+    v = [_combine(fpdims, col) for col in zip(*adjoint.matrix)]
+    t = src.element([1] * src.rank)
+    pv = [_combine(v, multiply(x, t).coeffs) for x in src.simples()]
+    off = _off_eigenvector(m, v, pv, src.unit_index)
+    if not off:
+        scalar = exact_mul(
+            exact_mul(normalize_value(fpdim_d), Fraction(src.endo_degree, tgt.endo_degree)),
+            exact_div(fpdim_category(tgt), fpdim_category(src)),
+        )
+        if exact_cmp(fpdim_element(adjoint.apply(src.one())), scalar) != 0:
+            off = list(range(src.rank))
+    message = "FPdim of the adjoint image of {} disagrees with the transport formula"
+    return ValidationReport.from_violations(
+        [Violation("adjoint_fpdim", (x,), message.format(src.labels[x])) for x in off]
     )
-    scalar = iv_scale(scalar, Fraction(src.endo_degree, tgt.endo_degree))
-    violations: list[Violation] = []
-    for x in range(src.rank):
-        lhs = as_interval(
-            fpdim_element(adjoint.apply(src.basis(x)), width=CHECK_WIDTH), CHECK_WIDTH
-        )
-        rhs = iv_mul(
-            scalar, as_interval(fpdim_element(src.basis(x), width=CHECK_WIDTH), CHECK_WIDTH)
-        )
-        if iv_separation(lhs, rhs) > CHECK_TOLERANCE:
-            violations.append(
-                Violation(
-                    "adjoint_fpdim",
-                    (x,),
-                    f"FPdim of the adjoint image of {src.labels[x]} disagrees "
-                    f"with the transport formula",
-                )
-            )
-    return ValidationReport.from_violations(violations)
 
 
 class MoritaComparison(NamedTuple):

@@ -113,6 +113,9 @@ class RationalPolynomial:
                 rem[i + j] -= f * b
         return RationalPolynomial(q), RationalPolynomial(rem[:dn])
 
+    def __mod__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        return divmod(self, other)[1]
+
     def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
         q, r = divmod(self, other)
         if not r.is_zero:

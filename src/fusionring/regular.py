@@ -19,24 +19,17 @@ from .fpengine import (
     DEFAULT_WIDTH,
     AlgebraicNumber,
     ExactValue,
-    as_interval,
     char_poly,
     ensure_fpdim_ready,
     exact_mul,
     fpdim_element,
     isolate_max_real_root,
-    iv_add,
-    iv_mul,
-    iv_scale,
-    iv_separation,
     left_mult_matrix_from_coeffs,
     min_poly,
+    perron_vector,
 )
 from .poly import RationalPolynomial
 from .report import ValidationReport, Violation
-
-CHECK_WIDTH = Fraction(1, 10**12)
-CHECK_TOLERANCE = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -51,19 +44,6 @@ class ExtendedElement:
         if len(self.coeffs) != self.data.rank:
             raise ValueError("coefficient vector does not match the basis")
 
-    @property
-    def all_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
-
-
-def _per_simple_fpdims(
-    data: FusionData, waive_transitivity: bool, width: Fraction
-) -> list[AlgebraicNumber]:
-    return [
-        fpdim_element(data.basis(i), waive_transitivity=waive_transitivity, width=width)
-        for i in range(data.rank)
-    ]
-
 
 def regular_element(
     data: FusionData,
@@ -72,9 +52,11 @@ def regular_element(
     width: Fraction = DEFAULT_WIDTH,
 ) -> ExtendedElement:
     """The preferred normalization: coordinate of X is FPdim(X)/eps_X."""
-    dims = _per_simple_fpdims(data, waive_transitivity, width)
     coeffs = tuple(
-        exact_mul(Fraction(1, data.eps[i]), dims[i]) for i in range(data.rank)
+        exact_mul(
+            Fraction(1, e), fpdim_element(x, waive_transitivity=waive_transitivity, width=width)
+        )
+        for e, x in zip(data.eps, data.simples())
     )
     return ExtendedElement(data, coeffs)
 
@@ -108,51 +90,41 @@ def verify_regular_eigenproperty(
     *,
     waive_transitivity: bool = False,
 ) -> ValidationReport:
-    """Check x * R = FPdim(x) * R for every simple x.
+    """Check x * R = FPdim(x) * R for every simple x, exactly.
 
-    Exact coefficientwise equality when every FPdim is rational; otherwise a
-    certified-interval comparison at width 10^-12 with pass threshold 10^-9.
+    With R and K from fpengine.perron_vector, the check is
+    (x R)_c == eps_x R_x R_c in K for every x and c: a positive common
+    eigenvector of all left multiplications forces eps_x R_x = FPdim(x).
+    Messages print elements of K as polynomials in t = FPdim(sum of simples)
+    (rationals when K = Q).  Waived non-transitive data whose Perron vector
+    vanishes at the unit fails with one violation at the unit.
     """
-    dims = _per_simple_fpdims(data, waive_transitivity, CHECK_WIDTH)
+    try:
+        m, reg = perron_vector(data, waive_transitivity=waive_transitivity)
+    except NonTransitiveError as exc:
+        if not waive_transitivity:
+            raise
+        return ValidationReport.from_violations(
+            [Violation("regular_eigenproperty", (data.unit_index,), str(exc))]
+        )
     labels = data.labels
     r = data.rank
-    n = data.n_tensor
     violations: list[Violation] = []
-
-    if all(d.is_point for d in dims):
-        reg = [d.value / data.eps[i] for i, d in enumerate(dims)]
-        for x in range(r):
-            for c in range(r):
-                lhs = sum(reg[i] * n[x][i][c] for i in range(r))
-                rhs = dims[x].value * reg[c]
-                if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "regular_eigenproperty",
-                            (x, c),
-                            f"({labels[x]} * R)[{labels[c]}] = {lhs} != "
-                            f"FPdim({labels[x]}) * R[{labels[c]}] = {rhs}",
-                        )
-                    )
-        return ValidationReport.from_violations(violations)
-
-    dim_ivs = [as_interval(d, CHECK_WIDTH) for d in dims]
-    reg_ivs = [iv_scale(dim_ivs[i], Fraction(1, data.eps[i])) for i in range(r)]
     for x in range(r):
+        lhs = [RationalPolynomial.zero()] * r
+        for i, pairs in enumerate(data.products[x]):
+            for c, n in pairs:
+                lhs[c] += reg[i].scale(n)
+        fpdim_x = reg[x].scale(data.eps[x])
         for c in range(r):
-            lhs = (Fraction(0), Fraction(0))
-            for i in range(r):
-                if n[x][i][c]:
-                    lhs = iv_add(lhs, iv_scale(reg_ivs[i], n[x][i][c]))
-            rhs = iv_mul(dim_ivs[x], reg_ivs[c])
-            gap = iv_separation(lhs, rhs)
-            if gap > CHECK_TOLERANCE:
+            rhs = (fpdim_x * reg[c]) % m
+            if lhs[c] != rhs:
                 violations.append(
                     Violation(
                         "regular_eigenproperty",
                         (x, c),
-                        f"({labels[x]} * R)[{labels[c]}] and FPdim({labels[x]}) * "
-                        f"R[{labels[c]}] are separated by more than {CHECK_TOLERANCE}",
+                        f"({labels[x]} * R)[{labels[c]}] = {lhs[c]} != "
+                        f"FPdim({labels[x]}) * R[{labels[c]}] = {rhs}",
                     )
                 )
     return ValidationReport.from_violations(violations)

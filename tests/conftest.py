@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Union
+
 import pytest
 
 import fusionring as fr
+from fusionring.fpengine import AlgebraicNumber, normalize_value, refine
+
+Rat = Union[int, Fraction]
 
 ALL_NAMES = list(fr.list_builtins())
 FUSION_NAMES = [n for n in ALL_NAMES if fr.get_builtin(n).data.is_fusion]
@@ -31,3 +37,37 @@ def mutate_tensor(data, i, j, k, delta):
         endo_degree=data.endo_degree,
         unit=data.unit,
     )
+
+
+# ---------------------------------------------------------------------------
+# exact intervals (pairs of Fractions): an oracle independent of the
+# number-field checks in the package
+
+Interval = tuple[Fraction, Fraction]
+
+
+def as_interval(v: Union[Rat, AlgebraicNumber], width: Fraction) -> Interval:
+    v = normalize_value(v)
+    if isinstance(v, Fraction):
+        return (v, v)
+    r = refine(v, width)
+    return (r.lo, r.hi)
+
+
+def iv_add(a: Interval, b: Interval) -> Interval:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def iv_scale(a: Interval, c: Rat) -> Interval:
+    c = Fraction(c)
+    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
+
+
+def iv_mul(a: Interval, b: Interval) -> Interval:
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(products), max(products))
+
+
+def iv_separation(a: Interval, b: Interval) -> Fraction:
+    """Zero when the intervals overlap, else the gap between them."""
+    return max(Fraction(0), a[0] - b[1], b[0] - a[1])

@@ -16,9 +16,16 @@ import numpy as np
 
 import fusionring as fr
 from fusionring.cli import run_command
-from fusionring.fpengine import as_interval, iv_mul, iv_separation
 from fusionring.poly import RationalPolynomial as P
-from conftest import FUSION_NAMES, RANK2_FUSION_NAMES, fusion_data, mutate_tensor
+from conftest import (
+    FUSION_NAMES,
+    RANK2_FUSION_NAMES,
+    as_interval,
+    fusion_data,
+    iv_mul,
+    iv_separation,
+    mutate_tensor,
+)
 
 WIDTH = Fraction(1, 10**12)
 TOL = Fraction(1, 10**9)
@@ -144,7 +151,7 @@ def test_criterion_8_property_suites():
         for a in range(data.rank):
             assert data.n_tensor[a][data.dual[a]][u] == data.eps[a]
 
-    # regular eigenproperty, exact on rational fixtures, 1e-9 certified on fib
+    # regular eigenproperty, exact in each ring's Perron field (Q(sqrt 5) for fib)
     for data in fixtures.values():
         assert fr.verify_regular_eigenproperty(data).passed
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,25 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def builtin_benchmark_goldens():
+    """(job id, golden) for every benchmark CLI job run on a builtin by name."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    return [
+        pytest.param(job_id, entry, id=job_id)
+        for workload in ("cli-irrational", "cli-pointed")
+        for job_id, entry in sorted(golden[workload].items())
+        if job_id.partition(":")[2] in fr.list_builtins()
+    ]
+
+
+@pytest.mark.parametrize("job_id, golden", builtin_benchmark_goldens())
+def test_builtin_cli_jobs_match_benchmark_goldens(capsys, job_id, golden):
+    cmd, _, name = job_id.partition(":")
+    code, doc, _ = run_json(capsys, cmd, name)
+    assert code == golden["code"]
+    assert doc == golden["output"]
 
 
 def test_fpdim_category_payload(capsys, tmp_path):

@@ -42,8 +42,9 @@ def test_left_mult_matrix_linear():
     a = data.element([rng.randint(0, 3) for _ in range(5)])
     b = data.element([rng.randint(0, 3) for _ in range(5)])
     lhs = fr.left_mult_matrix(a + b)
-    rhs = fr.left_mult_matrix(a) + fr.left_mult_matrix(b)
-    assert lhs.rows == rhs.rows
+    ma, mb = fr.left_mult_matrix(a), fr.left_mult_matrix(b)
+    rhs = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ma.rows, mb.rows))
+    assert lhs.rows == rhs
 
 
 def test_char_poly_examples():
@@ -342,6 +343,11 @@ def test_fpdim_transitivity_gate():
         fr.fpdim_element(broken.basis("e"))
     waived = fr.fpdim_element(broken.basis("e"), waive_transitivity=True)
     assert waived.value == 1
+    # the Perron vector of 1 + e is (0, 1): it vanishes at the unit, so the
+    # waived eigenproperty check fails instead of raising
+    with pytest.raises(fr.NonTransitiveError):
+        fr.verify_regular_eigenproperty(broken)
+    assert not fr.verify_regular_eigenproperty(broken, waive_transitivity=True).passed
 
 
 @pytest.mark.parametrize("name", FUSION_NAMES)

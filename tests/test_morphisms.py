@@ -110,6 +110,51 @@ def test_transport_reports_failures():
     assert not report.passed
 
 
+def test_regular_transport_detects_eps_mismatch():
+    # the same product tensor with eps_v = 4 instead of 2: every FPdim is
+    # carried over, but Sum eps_t w_t^2 = 5 against FPdim(A) = 3 (and back)
+    base = fusion_data("rep_f2_z3")
+    copy = fr.FusionData(
+        labels=base.labels,
+        n_tensor=base.n_tensor,
+        dual=base.dual,
+        eps=(1, 4),
+        endo_degree=1,
+        unit=(0,),
+    )
+    for source, target in ((base, copy), (copy, base)):
+        identity = fr.SemiringMorphism(source, target, ((1, 0), (0, 1)))
+        report = fr.verify_fpdim_transport(identity)
+        assert [(v.rule, v.witness) for v in report.violations] == [
+            ("regular_transport", (0,)),
+            ("regular_transport", (1,)),
+        ]
+
+
+def test_regular_transport_requires_an_eigenvector():
+    # a transitive but non-associative target: b = 1 + 2a + c has b*b = 6b,
+    # so f(1) = b is a dominant homomorphism twisted by D = 6 from the
+    # trivial ring with FPdim(b) = 6, yet b is not an eigenvector of
+    # 1 + a + c, whose product with b is 5 + 9a + 5c
+    trivial = fusion_data("vec_r")
+    target = fr.FusionData(
+        labels=("1", "a", "c"),
+        n_tensor=(
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 0), (1, 2, 1)),
+            ((0, 0, 1), (1, 2, 1), (1, 0, 0)),
+        ),
+        dual=(0, 1, 2),
+        eps=(1, 1, 1),
+        endo_degree=1,
+        unit=(0,),
+    )
+    f = fr.SemiringMorphism(trivial, target, ((1,), (2,), (1,)), twist=trivial.element({"1": 6}))
+    assert fr.check_homomorphism(f).passed and fr.check_dominant(f)
+    report = fr.verify_fpdim_transport(f)
+    assert [(v.rule, v.witness) for v in report.violations] == [("regular_transport", (1,))]
+
+
 def test_adjoint_formula_examples():
     # forgetful from (C,C)-bimodules to real lines
     assert fr.adjoint_fpdim(2, 1, 2, 1, 2, 1) == Fraction(2)
@@ -190,12 +235,16 @@ def test_adjoint_matrix_check_cc_bim():
         matrix=((2, 2),),
     )
     assert fr.check_adjoint_matrix(forgetful, 2).passed
+    # the right proportions with the wrong scale flag every simple
+    assert [v.witness for v in fr.check_adjoint_matrix(forgetful, 3).violations] == [(0,), (1,)]
     wrong = fr.SemiringMorphism(
         source=fusion_data("cc_bim"),
         target=fusion_data("vec_r"),
         matrix=((2, 3),),
     )
     assert not fr.check_adjoint_matrix(wrong, 2).passed
+    # images not proportional to the source FPdims: flagged where they stray
+    assert [v.witness for v in fr.check_adjoint_matrix(wrong, 2).violations] == [(1,)]
 
 
 def test_adjoint_matrix_check_identity():

@@ -5,8 +5,17 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
+from fusionring.fpengine import perron_vector
 from fusionring.poly import RationalPolynomial as P
-from conftest import FUSION_NAMES, fusion_data
+from conftest import (
+    FUSION_NAMES,
+    as_interval,
+    fusion_data,
+    iv_add,
+    iv_mul,
+    iv_scale,
+    iv_separation,
+)
 
 WIDTH = Fraction(1, 10**12)
 TOL = Fraction(1, 10**9)
@@ -52,8 +61,6 @@ def test_fpdim_category_fib():
 
 
 def test_fib_cross_route():
-    from fusionring.fpengine import as_interval, iv_add, iv_mul, iv_scale, iv_separation
-
     data = fusion_data("fib")
     dim = fr.fpdim_category(data, width=WIDTH)
     total = (Fraction(0), Fraction(0))
@@ -66,8 +73,6 @@ def test_fib_cross_route():
 
 @pytest.mark.parametrize("name", FUSION_NAMES)
 def test_two_route_consistency(name):
-    from fusionring.fpengine import as_interval, iv_add, iv_mul, iv_scale, iv_separation
-
     data = fusion_data(name)
     matrix_route = as_interval(fr.fpdim_category(data, width=WIDTH), WIDTH)
     summation = (Fraction(0), Fraction(0))
@@ -109,6 +114,55 @@ def test_eigenproperty_detects_wrong_eps():
         unit=(0,),
     )
     assert not fr.verify_regular_eigenproperty(wrong).passed
+
+
+def with_eps(data, eps):
+    return fr.FusionData(
+        labels=data.labels,
+        n_tensor=data.n_tensor,
+        dual=data.dual,
+        eps=eps,
+        endo_degree=data.endo_degree,
+        unit=data.unit,
+    )
+
+
+@pytest.mark.parametrize("name", FUSION_NAMES)
+def test_eigenproperty_doubled_eps_flags_exactly_its_row(name):
+    # R does not depend on eps, so doubling eps_x breaks (x R)_c = eps_x R_x R_c
+    # at every c and nowhere else
+    base = fusion_data(name)
+    for x in range(base.rank):
+        eps = tuple(2 * e if i == x else e for i, e in enumerate(base.eps))
+        report = fr.verify_regular_eigenproperty(with_eps(base, eps))
+        assert [(v.rule, v.witness) for v in report.violations] == [
+            ("regular_eigenproperty", (x, c)) for c in range(base.rank)
+        ]
+
+
+def test_eigenproperty_messages_print_field_elements():
+    # K = Q prints plain rationals; fib's K = Q(mu) prints polynomials in t = mu
+    q = fusion_data("rep_f2_z3")
+    report = fr.verify_regular_eigenproperty(with_eps(q, (1, 4)))
+    assert report.violations[0].message == "(v * R)[1] = 2 != FPdim(v) * R[1] = 4"
+    fib = fusion_data("fib")
+    report = fr.verify_regular_eigenproperty(with_eps(fib, (1, 2)))
+    assert report.violations[0].message == (
+        "(x * R)[1] = t - 1 != FPdim(x) * R[1] = 2*t - 2"
+    )
+
+
+@pytest.mark.parametrize("name", FUSION_NAMES)
+def test_perron_vector_matches_regular_element(name):
+    # float evaluation is the oracle here only; the package compares in K
+    data = fusion_data(name)
+    m, reg = perron_vector(data)
+    mu = float(fr.isolate_max_real_root(m))
+    expected = fr.regular_element(data).coeffs
+    assert len(reg) == data.rank
+    for coord, value in zip(reg, expected):
+        assert coord.degree < m.degree
+        assert abs(coord.evaluate(mu) - float(value)) <= 1e-9
 
 
 def test_certify_integrality_examples():
