@@ -4,8 +4,11 @@ Classic Zassenhaus pipeline: pick a prime keeping the polynomial squarefree,
 factor mod p with Berlekamp's algorithm (deterministic, fine for the small
 primes that occur here), lift the modular factors with multifactor Hensel
 lifting past the Mignotte coefficient bound, then recombine by exhaustive
-subset search.  Degrees stay at or below the semiring rank (<= 16), so the
-exponential recombination worst case is irrelevant.
+subset search.  No degree is capped here: the characteristic polynomials
+of left-multiplication matrices have degree up to the semiring rank, and the
+products built by fpengine.mul_algebraic up to fpengine.MAX_PRODUCT_DEGREE.
+Berlekamp and Hensel lifting are polynomial in the degree; the subset search
+is exponential only in the number of modular factors.
 
 Integer polynomials are plain lists of ints, ascending, no trailing zeros.
 """
@@ -15,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, isqrt
+from typing import Sequence
 
-from .poly import RationalPolynomial
+from .poly import RationalPolynomial, sign_at
 
 # ---------------------------------------------------------------------------
 # arithmetic mod p
@@ -400,13 +404,12 @@ def _divisors(n: int, budget: int = 1 << 20) -> list[int]:
     return sorted(out)
 
 
-def rational_roots_between(f: list[int], lo: Fraction, hi: Fraction) -> list[Fraction]:
+def rational_roots_between(f: Sequence[int], lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Rational roots of an integer polynomial inside [lo, hi], via the
     rational root theorem restricted to the interval."""
     f = _trim(list(f))
     if len(f) - 1 < 1:
         return []
-    poly = RationalPolynomial(f)
     roots = []
     for den in _divisors(f[-1]):
         start = ceil(lo * den)
@@ -414,7 +417,6 @@ def rational_roots_between(f: list[int], lo: Fraction, hi: Fraction) -> list[Fra
         if stop - start > 16:
             continue  # interval far too wide for a point collapse
         for num in range(start, stop + 1):
-            cand = Fraction(num, den)
-            if lo <= cand <= hi and poly.evaluate(cand) == 0:
-                roots.append(cand)
+            if sign_at(f, num, den) == 0:
+                roots.append(Fraction(num, den))
     return sorted(set(roots))

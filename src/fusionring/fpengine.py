@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence, Union
 
 from .core import FusionData, MultisetElement
@@ -32,6 +33,8 @@ from .poly import (
     RationalPolynomial,
     cauchy_root_bound,
     count_real_roots,
+    sign_at,
+    sign_variations,
     sturm_chain,
 )
 from .validate import check_transitivity
@@ -46,12 +49,23 @@ DEFAULT_WIDTH = Fraction(1, 2**64)
 # exact matrices
 
 
+def _exact_entry(c: Rat) -> Rat:
+    """int when c is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """Square matrix over Q; integral entries are stored as int, the others
+    as Fraction."""
+
+    rows: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.rows)
+        rows = tuple(tuple(_exact_entry(c) for c in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -63,7 +77,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         n, m = self.size, other.size
@@ -86,8 +100,8 @@ def left_mult_matrix(x: MultisetElement) -> RationalMatrix:
 
 def left_mult_matrix_from_coeffs(data: FusionData, coeffs: Sequence[Rat]) -> RationalMatrix:
     """Matrix of left multiplication by sum_k coeffs[k] * (basis k), read off
-    the sparse product index; entries stay Python ints unless a coefficient
-    is a Fraction."""
+    the sparse product index; entries are accumulated as Python ints unless
+    a coefficient is a Fraction, and every integral entry is stored as int."""
     r = data.rank
     cols: list[list[Rat]] = [[0] * r for _ in range(r)]
     for k, c in enumerate(coeffs):
@@ -113,7 +127,9 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
         p_k = (t - h[k-1][k-1]) p_{k-1}
               - sum_{i<k-1} h[i][k-1] * h[i+1][i] ... h[k-1][k-2] * p_i
 
-    and p_n is the result.  O(n^3) scalar Fraction operations.
+    and p_n is the result.  O(n^3) scalar operations, in Python ints as
+    long as the entries and the multipliers of the reduction are integral,
+    in Fractions from the first non-integral one on.
     """
     n = m.size
     h = [list(row) for row in m.rows]
@@ -132,20 +148,22 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
             row_i = h[i]
             if not row_i[c]:
                 continue
-            u = row_i[c] / pivot
+            u = Fraction(row_i[c], pivot)
+            if u.denominator == 1:
+                u = u.numerator
             for j in range(c, n):
                 if pivot_row[j]:
                     row_i[j] -= u * pivot_row[j]
             for row in h:
                 if row[i]:
                     row[p] += u * row[i]
-    polys = [[Fraction(1)]]
+    polys: list[list[Rat]] = [[1]]
     for k in range(n):
         prev = polys[k]
-        nxt = [Fraction(0)] + prev
+        nxt = [0] + prev
         for d, a in enumerate(prev):
             nxt[d] -= h[k][k] * a
-        sub = Fraction(1)
+        sub = 1
         for i in range(k - 1, -1, -1):
             sub *= h[i + 1][i]
             if not sub:
@@ -179,13 +197,14 @@ class AlgebraicNumber:
             raise ValueError("defining polynomial must be monic")
         if self.lo > self.hi:
             raise ValueError("empty isolating interval")
+        chain = sturm_chain(self.poly)
         if self.lo == self.hi:
-            if self.poly.evaluate(self.lo) != 0:
+            if _sign(chain, self.lo) != 0:
                 raise ValueError("point interval does not sit on a root")
         else:
-            if self.poly.evaluate(self.lo) == 0 or self.poly.evaluate(self.hi) == 0:
+            if _sign(chain, self.lo) == 0 or _sign(chain, self.hi) == 0:
                 raise ValueError("isolating interval endpoints must not be roots")
-            if count_real_roots(sturm_chain(self.poly), self.lo, self.hi) != 1:
+            if count_real_roots(chain, self.lo, self.hi) != 1:
                 raise ValueError("interval does not isolate exactly one real root")
 
     @property
@@ -226,9 +245,10 @@ class AlgebraicNumber:
             return 1
         if c > self.hi:
             return -1
-        if self.poly.evaluate(c) == 0:
+        chain = sturm_chain(self.poly)
+        if _sign(chain, c) == 0:
             return 0  # c is the unique root in the interval
-        above = count_real_roots(sturm_chain(self.poly), c, self.hi)
+        above = count_real_roots(chain, c, self.hi)
         return 1 if above == 1 else -1
 
     def __str__(self) -> str:
@@ -241,34 +261,37 @@ def _point(poly: RationalPolynomial, value: Fraction) -> AlgebraicNumber:
     return AlgebraicNumber(poly, value, value)
 
 
+def _sign(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
+    """Sign at x of the polynomial whose Sturm chain this is."""
+    return sign_at(chain[0], x.numerator, x.denominator)
+
+
 def _bisect(
-    q: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction
+    f: tuple[int, ...], lo: Fraction, hi: Fraction, width: Rat
 ) -> tuple[Fraction, Fraction]:
-    """Bisect a sign change of the monic q in (lo, hi) down to `width`; a
-    midpoint that is a root comes back as the point interval (mid, mid).
+    """Bisect a sign change of the integer polynomial f in (lo, hi) down to
+    `width`; a midpoint that is a root comes back as the point interval
+    (mid, mid).
 
-    Signs come from den^n q(num/den) by homogeneous Horner over the integer
-    form of q, a positive multiple, so no Fraction is built per step."""
-    ints = q.to_integer_coeffs()[::-1]
-
-    def sign(x: Fraction) -> int:
-        acc, power = 0, 1
-        for c in ints:
-            acc = acc * x.numerator + c * power
-            power *= x.denominator
-        return (acc > 0) - (acc < 0)
-
-    sign_lo = sign(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s = sign(mid)
+    The endpoints stay on one integer grid, lo = a/den and hi = b/den: each
+    step doubles a, b and den and takes a + b as the midpoint, so no Fraction
+    is built until the end."""
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    w_num, w_den = width.numerator, width.denominator
+    sign_lo = sign_at(f, a, den)
+    while (b - a) * w_den > w_num * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        s = sign_at(f, mid, den)
         if s == 0:
-            return mid, mid
+            return Fraction(mid, den), Fraction(mid, den)
         if s == sign_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, den), Fraction(b, den)
 
 
 def isolate_max_real_root(
@@ -280,7 +303,8 @@ def isolate_max_real_root(
     remains above, then bisects on the sign of the polynomial.  Rational
     roots collapse to exact point intervals (complete whenever the width is
     below 16 over the leading coefficient of the primitive integer form,
-    which any default-width call satisfies).
+    which any default-width call satisfies).  The narrowing carries the sign
+    variations at its endpoints, so each halving evaluates the chain once.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
@@ -290,29 +314,32 @@ def isolate_max_real_root(
     chain = sturm_chain(q)
     bound = cauchy_root_bound(q) + 1
     lo, hi = -bound, bound
-    if count_real_roots(chain, lo, hi) == 0:
+    # hi only ever moves down across a stretch free of roots, so V(hi) stays
+    v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+    if v_lo == v_hi:
         raise NoRealRootError(f"{p} has no real root")
     # keep the maximal root in (lo, hi], shed the others
-    while count_real_roots(chain, lo, hi) > 1:
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        if count_real_roots(chain, mid, hi) >= 1:
-            lo = mid
+        v_mid = sign_variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
         else:
             hi = mid
-    if q.evaluate(hi) == 0:
+    if _sign(chain, hi) == 0:
         return _point(q, hi)
     # clear a smaller root stranded exactly on the lower endpoint
-    while q.evaluate(lo) == 0:
+    while _sign(chain, lo) == 0:
         mid = (lo + hi) / 2
-        if q.evaluate(mid) == 0:
+        if _sign(chain, mid) == 0:
             return _point(q, mid)
-        if count_real_roots(chain, mid, hi) == 1:
+        if sign_variations(chain, mid) - v_hi == 1:
             lo = mid
         else:
             hi = mid
-    lo, hi = _bisect(q, lo, hi, width)
+    lo, hi = _bisect(chain[0], lo, hi, width)
     if lo < hi:
-        roots = rational_roots_between(q.to_integer_coeffs(), lo, hi)
+        roots = rational_roots_between(chain[0], lo, hi)
         if roots:
             return _point(q, roots[0])
     return AlgebraicNumber(q, lo, hi)
@@ -325,7 +352,7 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
         raise ValueError("target width must be positive")
     if alpha.is_point or alpha.width <= width:
         return alpha
-    lo, hi = _bisect(alpha.poly, alpha.lo, alpha.hi, width)
+    lo, hi = _bisect(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
     return AlgebraicNumber(alpha.poly, lo, hi)
 
 
@@ -411,9 +438,9 @@ def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
     n = p.degree
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * n
+        row: list[Rat] = [0] * n
         if i > 0:
-            row[i - 1] = Fraction(1)
+            row[i - 1] = 1
         row[n - 1] = -p.coeffs[i]
         rows.append(tuple(row))
     return RationalMatrix(tuple(rows))
@@ -448,16 +475,12 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
         y = refine(y, y.width / 2)
     while True:
         lo, hi = x.lo * y.lo, x.hi * y.hi
-        if (
-            prod_poly.evaluate(lo) != 0
-            and prod_poly.evaluate(hi) != 0
-            and count_real_roots(chain, lo, hi) == 1
-        ):
+        if _sign(chain, lo) and _sign(chain, hi) and count_real_roots(chain, lo, hi) == 1:
             break
         x, y = refine(x, x.width / 2), refine(y, y.width / 2)
         if x.is_point or y.is_point:
             return exact_mul(x, y)
-    roots = rational_roots_between(prod_poly.to_integer_coeffs(), lo, hi)
+    roots = rational_roots_between(chain[0], lo, hi)
     if roots:
         return roots[0]
     return AlgebraicNumber(prod_poly, lo, hi)
@@ -549,12 +572,11 @@ def perron_vector(
     q = [RationalPolynomial.constant(1)]
     for c in reversed(p.coeffs[1:-1]):
         q.append(RationalPolynomial.constant(c) + (mu * q[-1]) % m)
-    rows = [[int(c) for c in row] for row in matrix.rows]
     krylov = [int(i == data.unit_index) for i in range(r)]
     vec = [RationalPolynomial.zero()] * r
     for coeff in reversed(q):
         vec = [acc + coeff.scale(v) for acc, v in zip(vec, krylov)]
-        krylov = [sum(a * v for a, v in zip(row, krylov)) for row in rows]
+        krylov = [sum(a * v for a, v in zip(row, krylov)) for row in matrix.rows]
     at_unit = vec[data.unit_index]
     if at_unit.is_zero:
         raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")

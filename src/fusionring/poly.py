@@ -6,12 +6,18 @@ certified root isolation in fpengine: Sturm chains built here count distinct
 real roots exactly, with the zero-dropping sign convention so that counting
 over a half-open interval (a, b] stays correct even when an endpoint is a
 root.
+
+Sturm counting runs in integers only.  A chain is built once per polynomial
+(memoized) by integer pseudo-remainders, each member a positive integer
+multiple of the canonical member, and every sign is read off the integer
+homogeneous form den^k f(num/den) by `sign_at`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -156,17 +162,8 @@ class RationalPolynomial:
 
     def to_integer_coeffs(self) -> list[int]:
         """Primitive integer multiple with positive leading coefficient."""
-        if self.is_zero:
-            return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
+        ints = _positive_integer_multiple(self.coeffs)
+        if ints and ints[-1] < 0:
             ints = [-v for v in ints]
         return ints
 
@@ -197,47 +194,107 @@ class RationalPolynomial:
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd via the Euclidean algorithm over Q."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero else a
+    """Monic gcd via the Euclidean algorithm on primitive integer multiples,
+    with the integer pseudo-remainders of the Sturm chains."""
+    f, g = _positive_integer_multiple(a.coeffs), _positive_integer_multiple(b.coeffs)
+    while g:
+        f, g = g, _negated_remainder(f, g)
+    return RationalPolynomial(f).monic()
 
 
-def sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
-    """Canonical Sturm chain p, p', -rem(...), ...  Intended for squarefree p."""
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """Divide out the positive content; keeps the sign of every value."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else list(ints)
+
+
+def _positive_integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
+    """Primitive integer multiple of a rational polynomial by a positive
+    factor, so every value keeps its sign."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive positive integer multiple of -rem(a, b) for a nonzero b.
+
+    Integer pseudo-division: each step scales the running remainder by
+    lead(b)/g before cancelling its top coefficient, so the result is
+    P rem(a, b) for an integer P whose sign is tracked."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    negative = False
+    for shift in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        g = gcd(lead, top)
+        scale, top = lead // g, top // g
+        if scale != 1:
+            r = [scale * v for v in r]
+            negative ^= scale < 0
+        for j in range(db):
+            r[shift + j] -= top * b[j]
+    while r and not r[-1]:
+        r.pop()
+    if not r:
+        return ()
+    return tuple(_primitive(r if negative else [-v for v in r]))
+
+
+@lru_cache(maxsize=256)
+def sturm_chain(p: RationalPolynomial) -> tuple[tuple[int, ...], ...]:
+    """Sturm chain p, p', -rem(...), ... of a polynomial intended to be
+    squarefree, memoized per polynomial.
+
+    Each member is an ascending integer coefficient tuple: the primitive
+    positive integer multiple of the canonical member, so it has the same
+    sign everywhere and the same Sturm counts.
+    """
+    f = tuple(_positive_integer_multiple(p.coeffs))
     if p.degree < 1:
-        return [p]
-    chain = [p, p.derivative()]
-    while chain[-1].degree >= 1:
-        rem = divmod(chain[-2], chain[-1])[1]
-        if rem.is_zero:
+        return (f,)
+    chain = [f, tuple(_primitive([i * c for i, c in enumerate(f) if i]))]
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(-rem)
-    return chain
+        chain.append(rem)
+    return tuple(chain)
 
 
-def sign_variations(chain: Sequence[RationalPolynomial], x: Rat) -> int:
-    """Sign variations of the chain at x, dropping zero values.
+def sign_at(f: Sequence[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial f (ascending coefficients) at num/den,
+    den > 0: the sign of den^k f(num/den), k = deg f, by homogeneous Horner."""
+    acc, power = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def sign_variations(chain: Sequence[Sequence[int]], x: Rat) -> int:
+    """Sign variations of an integer Sturm chain at x, dropping zero values.
 
     With this convention V(a) equals the right-limit V(a+) for squarefree
     chains, so V(a) - V(b) counts the distinct real roots in (a, b]
     regardless of whether a or b is itself a root.
     """
-    signs = []
+    num, den = x.numerator, x.denominator
+    count, last = 0, 0
     for q in chain:
-        v = q.evaluate(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for s, t in zip(signs, signs[1:]):
-        if s != t:
-            count += 1
+        s = sign_at(q, num, den)
+        if s:
+            if s != last and last:
+                count += 1
+            last = s
     return count
 
 
-def count_real_roots(chain: Sequence[RationalPolynomial], a: Rat, b: Rat) -> int:
+def count_real_roots(chain: Sequence[Sequence[int]], a: Rat, b: Rat) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
-    if not Fraction(a) < Fraction(b):
+    if not a < b:
         return 0
     return sign_variations(chain, a) - sign_variations(chain, b)
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import pytest
 
 import fusionring as fr
 from fusionring.fpengine import AlgebraicNumber, normalize_value, refine
+from fusionring.poly import RationalPolynomial
 
 Rat = Union[int, Fraction]
 
@@ -71,3 +72,40 @@ def iv_mul(a: Interval, b: Interval) -> Interval:
 def iv_separation(a: Interval, b: Interval) -> Fraction:
     """Zero when the intervals overlap, else the gap between them."""
     return max(Fraction(0), a[0] - b[1], b[0] - a[1])
+
+
+# ---------------------------------------------------------------------------
+# Sturm chains over Fractions, evaluated by Fraction Horner: an oracle
+# independent of the integer chains and integer sign evaluation in the package
+
+
+def sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
+    """Canonical Sturm chain p, p', -rem(...), ...  Intended for squarefree p."""
+    if p.degree < 1:
+        return [p]
+    chain = [p, p.derivative()]
+    while chain[-1].degree >= 1:
+        rem = divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(-rem)
+    return chain
+
+
+def sign_variations(chain: Sequence[RationalPolynomial], x: Rat) -> int:
+    """Sign variations of the chain at x, dropping zero values.
+
+    With this convention V(a) equals the right-limit V(a+) for squarefree
+    chains, so V(a) - V(b) counts the distinct real roots in (a, b]
+    regardless of whether a or b is itself a root.
+    """
+    signs = []
+    for q in chain:
+        v = q.evaluate(x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    count = 0
+    for s, t in zip(signs, signs[1:]):
+        if s != t:
+            count += 1
+    return count

@@ -287,9 +287,12 @@ def test_criterion_9_determinism(capsys, tmp_path):
     import subprocess
     import sys
 
+    # the child imports the same fusionring as this process
+    src = os.path.dirname(os.path.dirname(fr.__file__))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "fusionring", "integrality", "fib", "--format", "json"],
             capture_output=True,

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import fusionring as fr
+from fusionring.factor import rational_roots_between
 from fusionring.fpengine import companion_matrix, left_mult_matrix_from_coeffs
 from fusionring.poly import RationalPolynomial as P
+from fusionring.poly import cauchy_root_bound
 from fusionring.regular import _category_matrix_coeffs
-from conftest import ALL_NAMES, FUSION_NAMES, fusion_data
+from conftest import ALL_NAMES, FUSION_NAMES, fusion_data, sign_variations, sturm_chain
 
 
 def golden_ratio_bounds(digits: int) -> tuple[Fraction, Fraction]:
@@ -158,6 +160,46 @@ def test_char_poly_matches_sympy(char_poly_cases):
         assert got == tuple(Fraction(int(c.p), int(c.q)) for c in expected)
 
 
+def test_char_poly_stays_exact_on_integer_pivots():
+    # integer matrix whose Hessenberg pivots are 2, 3 and -2, each column
+    # with an entry below the pivot that the pivot does not divide: int / int
+    # would give inexact float multipliers here
+    m = _matrix(
+        (
+            (3, 0, 3, 0, -3),
+            (2, 2, 3, 2, -3),
+            (0, -1, 1, -2, 0),
+            (-1, 0, -3, 0, -1),
+            (-2, 1, 0, 3, 2),
+        )
+    )
+    assert all(type(c) is int for row in m.rows for c in row)
+    p = fr.char_poly(m)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == faddeev_leverrier(m)
+
+
+def test_integral_matrix_entries_stay_int():
+    fib = fusion_data("fib")
+    m = left_mult_matrix_from_coeffs(fib, [1, 1])
+    assert all(type(c) is int for row in m.rows for c in row)
+
+
+def test_category_matrices_keep_non_integral_fractions():
+    # integral entries become ints, the others stay Fractions (values are
+    # checked against the dense formula below)
+    non_integral = 0
+    for name in FUSION_NAMES:
+        data = fusion_data(name)
+        if max(data.eps) == 1:
+            continue
+        m = left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))
+        for c in (c for row in m.rows for c in row):
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            non_integral += type(c) is Fraction
+    assert non_integral > 0
+
+
 @pytest.mark.parametrize("name", FUSION_NAMES)
 def test_category_matrix_matches_dense_formula(name):
     data = fusion_data(name)
@@ -258,6 +300,93 @@ def test_reisolation_agreement_randomized():
         tight = fr.refine(isolations[0], Fraction(1, 2**100))
         for b in isolations:
             assert b.lo <= tight.lo and tight.hi <= b.hi
+
+
+def _reference_bisect(
+    q: P, lo: Fraction, hi: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Bisection over Fractions: Fraction midpoints, Fraction evaluation."""
+    positive_lo = q.evaluate(lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        value = q.evaluate(mid)
+        if value == 0:
+            return mid, mid
+        if (value > 0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _reference_isolate(p: P, width: Fraction) -> tuple[Fraction, Fraction]:
+    """isolate_max_real_root's algorithm over Fractions, with the Fraction
+    Sturm chain of conftest."""
+    q = p.squarefree_part()
+    chain = sturm_chain(q)
+
+    def count(a: Fraction, b: Fraction) -> int:
+        return sign_variations(chain, a) - sign_variations(chain, b)
+
+    bound = cauchy_root_bound(q) + 1
+    lo, hi = -bound, bound
+    while count(lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if count(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    if q.evaluate(hi) == 0:
+        return hi, hi
+    while q.evaluate(lo) == 0:
+        mid = (lo + hi) / 2
+        if q.evaluate(mid) == 0:
+            return mid, mid
+        if count(mid, hi) == 1:
+            lo = mid
+        else:
+            hi = mid
+    lo, hi = _reference_bisect(q, lo, hi, width)
+    if lo < hi:
+        roots = rational_roots_between(q.to_integer_coeffs(), lo, hi)
+        if roots:
+            return roots[0], roots[0]
+    return lo, hi
+
+
+BISECTION_WIDTHS = [Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1, 2**512)]
+
+
+def test_isolation_and_refinement_match_fraction_bisection():
+    polys = {
+        fr.char_poly(fr.left_mult_matrix(x))
+        for name in ALL_NAMES
+        for x in fusion_data(name).simples()
+    }
+    for name in FUSION_NAMES:
+        data = fusion_data(name)
+        polys.add(fr.char_poly(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))))
+    # dyadic rational roots that bisection midpoints land on
+    polys.update((P((-3, 8)) * P((5, 1)), P((-5, 16)) * P((-2, 0, 1)), P((1, 4)) * P((-1, 0, 1))))
+    for p in sorted(polys, key=lambda p: p.coeffs):
+        for width in BISECTION_WIDTHS:
+            alpha = fr.isolate_max_real_root(p, width)
+            assert (alpha.lo, alpha.hi) == _reference_isolate(p, width), (p, width)
+        start = fr.isolate_max_real_root(p, Fraction(1))
+        for width in BISECTION_WIDTHS:
+            expected = (start.lo, start.hi)
+            if start.hi - start.lo > width:
+                expected = _reference_bisect(start.poly, start.lo, start.hi, width)
+            refined = fr.refine(start, width)
+            assert (refined.lo, refined.hi) == expected, (p, width)
+    # refinement that collapses onto a dyadic root: 3/8 after three halvings
+    for root, lo, hi in ((Fraction(3, 8), 0, 1), (Fraction(-5, 16), -1, 0), (Fraction(1, 2), 0, 1)):
+        alpha = fr.AlgebraicNumber(P((-root, 1)), Fraction(lo), Fraction(hi))
+        for width in BISECTION_WIDTHS[1:]:
+            refined = fr.refine(alpha, width)
+            assert refined.is_point and refined.value == root
+            expected = _reference_bisect(alpha.poly, alpha.lo, alpha.hi, width)
+            assert (refined.lo, refined.hi) == expected
 
 
 def test_min_poly_examples():

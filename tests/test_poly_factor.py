@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,8 +16,11 @@ from fusionring.poly import (
     cauchy_root_bound,
     count_real_roots,
     poly_gcd,
+    sign_variations,
     sturm_chain,
 )
+from conftest import sign_variations as reference_sign_variations
+from conftest import sturm_chain as reference_sturm_chain
 
 
 def poly(*coeffs):
@@ -93,6 +97,87 @@ def test_cauchy_bound_contains_roots():
     bound = cauchy_root_bound(p)
     chain = sturm_chain(p)
     assert count_real_roots(chain, -bound, bound) == 3
+
+
+def _random_rational_poly(rng: random.Random) -> P:
+    """Non-monic: a random nonzero rational constant times known rational
+    roots (some repeated) times a random rational factor of degree <= 3 or a
+    sparse a t^k + b, whose chains skip degrees."""
+    p = P((Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)),))
+    roots = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+    for r in roots:
+        p = p * P((-r, 1))
+    if rng.random() < 0.5:
+        size = rng.randint(1, 4)
+        extra = P([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)])
+    else:
+        extra = P([rng.randint(-5, 5)] + [0] * rng.randint(1, 4) + [rng.choice([-3, -1, 2])])
+    return p * extra if not extra.is_zero else p
+
+
+def test_integer_sturm_chain_matches_fraction_reference():
+    # every member is a positive primitive integer multiple of the canonical
+    # member, and counts agree with Fraction evaluation of the canonical
+    # chain, also at endpoints that are roots of p or of a later member
+    rng = random.Random(2718)
+    member_root_endpoints = 0
+    for _ in range(120):
+        p = _random_rational_poly(rng)
+        reference = reference_sturm_chain(p)
+        chain = sturm_chain(p)
+        assert len(chain) == len(reference)
+        for ints, member in zip(chain, reference):
+            assert len(ints) == len(member.coeffs)
+            if ints:
+                factor = ints[-1] / member.coeffs[-1]
+                assert factor > 0
+                assert all(a == factor * b for a, b in zip(ints, member.coeffs))
+                assert gcd(*ints) == 1
+        roots_of = [
+            {-g.coeffs[0] for g in factor_squarefree_rational(member) if g.degree == 1}
+            for member in reference
+        ]
+        points = set().union(*roots_of)
+        member_root_endpoints += len(points - roots_of[0])
+        points.update(Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(6))
+        for a in points:
+            assert sign_variations(chain, a) == reference_sign_variations(reference, a)
+            for b in points:
+                expected = 0
+                if a < b:
+                    expected = reference_sign_variations(reference, a) - reference_sign_variations(
+                        reference, b
+                    )
+                assert count_real_roots(chain, a, b) == expected, (p, a, b)
+    assert member_root_endpoints >= 100
+
+
+def _fraction_euclid_gcd(a: P, b: P) -> P:
+    """Monic gcd by the Euclidean algorithm over Fractions."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic() if not a.is_zero else a
+
+
+def test_poly_gcd_matches_fraction_euclid():
+    rng = random.Random(1618)
+    for _ in range(80):
+        common = _random_rational_poly(rng)
+        a = common * _random_rational_poly(rng)
+        b = common * _random_rational_poly(rng) if rng.random() < 0.8 else P(())
+        for x, y in ((a, b), (b, a), (a, a.derivative())):
+            assert poly_gcd(x, y).coeffs == _fraction_euclid_gcd(x, y).coeffs
+        expected = a.exact_div(_fraction_euclid_gcd(a, a.derivative())).monic()
+        assert a.squarefree_part().coeffs == expected.coeffs
+
+
+def test_sturm_chain_is_a_memoized_immutable_tuple():
+    chain = sturm_chain(poly(-6, 11, -6, 1))
+    assert type(chain) is tuple and all(type(member) is tuple for member in chain)
+    assert sturm_chain(poly(-6, 11, -6, 1)) is chain
+    assert sturm_chain.cache_info().maxsize is not None
+    with pytest.raises(TypeError):
+        chain[0] = ()  # type: ignore[index]
 
 
 # ---------------------------------------------------------------------------
