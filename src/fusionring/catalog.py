@@ -42,7 +42,7 @@ def vec_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FusionDa
             tensor[i][j][group.table[i][j]] = 1
     return FusionData(
         labels=group.labels,
-        n_tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
+        n_tensor=tensor,
         dual=tuple(group.inverse(i) for i in range(n)),
         eps=(1,) * n,
         endo_degree=1,
@@ -101,7 +101,7 @@ def _rep_r_q8() -> FusionData:
         tensor[4][4][k] = 4
     return FusionData(
         labels=("1", "a", "b", "c", "h"),
-        n_tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
+        n_tensor=tensor,
         dual=(0, 1, 2, 3, 4),
         eps=(1, 1, 1, 1, 4),
         endo_degree=1,
@@ -122,7 +122,7 @@ def _m2_vec() -> FusionData:
                 tensor[a][b][pos[(i, l)]] = 1
     return FusionData(
         labels=labels,
-        n_tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
+        n_tensor=tensor,
         dual=(0, 2, 1, 3),
         eps=(1, 1, 1, 1),
         endo_degree=1,

@@ -129,14 +129,18 @@ def _text_scalar(value: Any) -> str:
 
 
 def _load(arg: str) -> FixtureEntry:
-    if arg == "-":
-        return parse_fusion_file(sys.stdin.read()).as_entry()
-    path = Path(arg)
-    if path.exists():
-        return parse_fusion_file(path.read_text(encoding="utf-8")).as_entry()
-    if arg in list_builtins():
-        return get_builtin(arg)
-    raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        elif Path(arg).exists():
+            text = Path(arg).read_text(encoding="utf-8")
+        elif arg in list_builtins():
+            return get_builtin(arg)
+        else:
+            raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise SchemaError(f"cannot read {arg!r}: {exc}") from None
+    return parse_fusion_file(text).as_entry()
 
 
 def _gate_structural(entry: FixtureEntry) -> None:
@@ -348,7 +352,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     try:
         entry = get_builtin(args.name)
     except KeyError as exc:
-        raise SchemaError(str(exc)) from None
+        raise SchemaError(exc.args[0]) from None
     sys.stdout.write(emit_entry(entry))
     return 0
 

@@ -48,5 +48,5 @@ class UnrepresentableError(FusionError):
     """An exact result would need number-field arithmetic outside the
     supported constructions: rational scaling, and companion Kronecker
     products up to degree fpengine.MAX_PRODUCT_DEGREE, which also bounds the
-    adjoint-formula check and FPdim transport along an irrational twist.
+    scalar of the adjoint-formula check (FPdim transport forms no products).
     """

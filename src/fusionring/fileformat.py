@@ -90,14 +90,18 @@ def _get_positive_int(doc: dict, key: str, default: Optional[int]) -> Optional[i
     return value
 
 
-def parse_fusion_file(source: str | bytes) -> ParsedFile:
+def _decode(source: str | bytes) -> str:
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            return source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"not valid UTF-8: {exc}") from exc
+    return source
+
+
+def parse_fusion_file(source: str | bytes) -> ParsedFile:
     try:
-        doc = json.loads(source)
+        doc = json.loads(_decode(source))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     _expect(isinstance(doc, dict), "top level must be a JSON object")
@@ -245,7 +249,7 @@ def parse_fusion_file(source: str | bytes) -> ParsedFile:
     try:
         data = FusionData(
             labels=tuple(labels),
-            n_tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
+            n_tensor=tensor,
             dual=tuple(index[d] for d in dual_labels),
             eps=tuple(endo_dims),
             endo_degree=endo_degree,
@@ -371,10 +375,8 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
     from .core import MultisetElement
     from .morphisms import SemiringMorphism
 
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
+        doc = json.loads(_decode(source))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
     _expect(isinstance(doc, dict), "top level must be a JSON object")

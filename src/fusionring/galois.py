@@ -197,7 +197,7 @@ def from_galois_group(
             tensor[a][b][position[group.table[g][h]]] = 1
     data = FusionData(
         labels=tuple(group.labels[g] for g in indices),
-        n_tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
+        n_tensor=tensor,
         dual=tuple(position[group.inverse(g)] for g in indices),
         eps=(1,) * r,
         endo_degree=group.order,

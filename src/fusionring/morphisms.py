@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import FusionData, MultisetElement, multiply
 from .fpengine import (
     AlgebraicNumber,
     ExactValue,
     algebraic_equal,
+    ensure_fpdim_ready,
     exact_cmp,
     exact_mul,
     fpdim_element,
@@ -120,33 +122,16 @@ def check_dominant(f: SemiringMorphism) -> bool:
 
 def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     """Certify FPdim(f(x)) = FPdim(D) FPdim(x) for all source simples, and,
-    when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly.
-
-    Per simple by exact_cmp against exact_mul(FPdim(D), FPdim(x)), so an
-    irrational twist inherits mul_algebraic's degree cap
-    (UnrepresentableError).  The regular transport is decided in the
-    source's Perron field (fpengine.perron_vector) on w = f(R_A): w must be
-    an eigenvector of the target's L_t, (L w)_t w_u = (L w)_u w_t at each
-    target simple t, which makes it w_u R_B; then
-    Sum_t eps_t w_t^2 = w_u FPdim(D) FPdim(A) fixes the multiple.
-    """
+    when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly:
+    the first by _scaled_fpdim_violations (no products, so no degree cap), the
+    second by w = f(R_A) in the source's Perron field being an eigenvector of
+    the target's L_t with Sum_t eps_t w_t^2 = w_u FPdim(D) FPdim(A)."""
     hom = check_homomorphism(f)
     if not hom.passed:
         return hom
-    violations: list[Violation] = []
-    src = f.source
-    fpdim_d = fpdim_element(f.twist_element())
-    for x in range(src.rank):
-        expected = exact_mul(fpdim_d, fpdim_element(src.basis(x)))
-        if exact_cmp(fpdim_element(f.apply(src.basis(x))), expected) != 0:
-            violations.append(
-                Violation(
-                    "fpdim_transport",
-                    (x,),
-                    f"FPdim(f({src.labels[x]})) differs from FPdim(D) * "
-                    f"FPdim({src.labels[x]})",
-                )
-            )
+    message = "FPdim(f({0})) differs from FPdim(D) * FPdim({0})"
+    scalar = partial(fpdim_element, f.twist_element())
+    violations = _scaled_fpdim_violations(f, scalar, "fpdim_transport", message)
     if check_dominant(f):
         violations += _regular_transport_violations(f)
     return ValidationReport.from_violations(violations)
@@ -163,6 +148,33 @@ def _off_eigenvector(m: RationalPolynomial, v: Sequence, image: Sequence, u: int
     return [i for i in range(len(v)) if (image[i] * v[u]) % m != (image[u] * v[i]) % m]
 
 
+def _fpdims(data: FusionData, reg: Sequence[RationalPolynomial]) -> list[RationalPolynomial]:
+    """FPdim(y) = (y R)_unit = Sum_i N[y][i][unit] R_i; eps_y R_y would trust eps."""
+    u = data.unit_index
+    return [_combine(reg, [row[u] for row in plane]) for plane in data.n_tensor]
+
+
+def _scaled_fpdim_violations(
+    f: SemiringMorphism, scalar: Callable[[], ValueLike], rule: str, message: str
+) -> list[Violation]:
+    """Violations at the source simples x where FPdim(f(x)) = scalar() FPdim(x)
+    fails.  The image FPdims v (target's Perron field) must be an eigenvector
+    of the source's right multiplication by t = Sum of simples, a positive
+    matrix on transitive data, so v = v_u FPdim (else flag where off); then
+    exact_cmp(FPdim(f(1)), scalar()) fixes v_u (else flag every simple)."""
+    src = f.source
+    ensure_fpdim_ready(src)
+    m, reg = perron_vector(f.target)
+    fpdims = _fpdims(f.target, reg)
+    v = [_combine(fpdims, col) for col in zip(*f.matrix)]
+    t = src.element([1] * src.rank)
+    pv = [_combine(v, multiply(x, t).coeffs) for x in src.simples()]
+    off = _off_eigenvector(m, v, pv, src.unit_index)
+    if not off and exact_cmp(fpdim_element(f.apply(src.one())), scalar()) != 0:
+        off = list(range(src.rank))
+    return [Violation(rule, (x,), message.format(src.labels[x])) for x in off]
+
+
 def _regular_transport_violations(f: SemiringMorphism) -> list[Violation]:
     src, tgt = f.source, f.target
     m, reg = perron_vector(src)
@@ -172,7 +184,7 @@ def _regular_transport_violations(f: SemiringMorphism) -> list[Violation]:
     off = _off_eigenvector(m, w, lw, u)
     message = "f(R_A) is not an eigenvector of the sum of the target simples at {}"
     if not off:
-        fpdim_d = _combine(reg, [e * c for e, c in zip(src.eps, f.twist_element().coeffs)])
+        fpdim_d = _combine(_fpdims(src, reg), f.twist_element().coeffs)
         fpdim_a = _combine([(r * r) % m for r in reg], src.eps)
         lhs = _combine([(c * c) % m for c in w], tgt.eps)
         if lhs != (((w[u] * fpdim_d) % m) * fpdim_a) % m:
@@ -234,32 +246,20 @@ def check_adjoint_matrix(adjoint: SemiringMorphism, fpdim_d: ValueLike) -> Valid
 
     `adjoint` is the adjoint functor's semiring matrix (source = the twisted
     functor's target, where the formula's FPdim(X) lives).  For every simple
-    X the matrix-computed FPdim of the image must equal
-    FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B)) FPdim(X).  In the target's Perron
-    field the image FPdims v must be an eigenvector of the source's right
-    multiplication by the sum of its simples, which makes v = v_u FPdim;
-    then one exact_cmp checks v_u against the scalar, formed with exact_mul
-    and exact_div, so the check inherits adjoint_fpdim's degree cap
-    (UnrepresentableError).
+    X the FPdim of the image must be FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B))
+    FPdim(X): _scaled_fpdim_violations with the scalar adjoint_fpdim(..., 1),
+    whose degree cap (UnrepresentableError) and ValueError on FPdim(D) <= 0
+    this check inherits.
     """
     src, tgt = adjoint.source, adjoint.target
-    m, reg = perron_vector(tgt)
-    fpdims = [r.scale(e) for e, r in zip(tgt.eps, reg)]
-    v = [_combine(fpdims, col) for col in zip(*adjoint.matrix)]
-    t = src.element([1] * src.rank)
-    pv = [_combine(v, multiply(x, t).coeffs) for x in src.simples()]
-    off = _off_eigenvector(m, v, pv, src.unit_index)
-    if not off:
-        scalar = exact_mul(
-            exact_mul(normalize_value(fpdim_d), Fraction(src.endo_degree, tgt.endo_degree)),
-            exact_div(fpdim_category(tgt), fpdim_category(src)),
-        )
-        if exact_cmp(fpdim_element(adjoint.apply(src.one())), scalar) != 0:
-            off = list(range(src.rank))
+
+    def scalar() -> ExactValue:
+        cats = (fpdim_category(tgt), fpdim_category(src))
+        return adjoint_fpdim(fpdim_d, tgt.endo_degree, src.endo_degree, *cats, 1)
+
     message = "FPdim of the adjoint image of {} disagrees with the transport formula"
-    return ValidationReport.from_violations(
-        [Violation("adjoint_fpdim", (x,), message.format(src.labels[x])) for x in off]
-    )
+    violations = _scaled_fpdim_violations(adjoint, scalar, "adjoint_fpdim", message)
+    return ValidationReport.from_violations(violations)
 
 
 class MoritaComparison(NamedTuple):

@@ -6,8 +6,16 @@ from typing import Sequence, Union
 import pytest
 
 import fusionring as fr
-from fusionring.fpengine import AlgebraicNumber, normalize_value, refine
+from fusionring.fpengine import (
+    AlgebraicNumber,
+    exact_cmp,
+    exact_mul,
+    fpdim_element,
+    normalize_value,
+    refine,
+)
 from fusionring.poly import RationalPolynomial
+from fusionring.report import Violation
 
 Rat = Union[int, Fraction]
 
@@ -38,6 +46,64 @@ def mutate_tensor(data, i, j, k, delta):
         endo_degree=data.endo_degree,
         unit=data.unit,
     )
+
+
+def su2(k: int) -> fr.FusionData:
+    """SU(2)_k: simples j = 0..k (twice the spin), j*l = sum of c with
+    |j-l| <= c <= min(j+l, 2k-j-l) and j+l+c even; FPdim(j) is the quantum
+    integer [j+1] at q = exp(i pi/(k+2))."""
+    r = k + 1
+
+    def n(a: int, b: int, c: int) -> int:
+        return int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0)
+
+    return fr.FusionData(
+        labels=tuple(f"j{a}" for a in range(r)),
+        n_tensor=[[[n(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)],
+        dual=range(r),
+        eps=(1,) * r,
+        endo_degree=1,
+        unit=(0,),
+    )
+
+
+def tensor_product(a: fr.FusionData, b: fr.FusionData) -> fr.FusionData:
+    """Deligne product of fusion data: simple (x, y) is labelled "x.y"."""
+    pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]
+    return fr.FusionData(
+        labels=tuple(f"{a.labels[i]}.{b.labels[j]}" for i, j in pairs),
+        n_tensor=[
+            [[a.n_tensor[i][k][m] * b.n_tensor[j][l][n] for m, n in pairs] for k, l in pairs]
+            for i, j in pairs
+        ],
+        dual=[pairs.index((a.dual[i], b.dual[j])) for i, j in pairs],
+        eps=[a.eps[i] * b.eps[j] for i, j in pairs],
+        endo_degree=a.endo_degree * b.endo_degree,
+        unit=[pairs.index((i, j)) for i in a.unit for j in b.unit],
+    )
+
+
+def fpdim_transport_oracle(f) -> list:
+    """The fpdim_transport violations of f, decided per source simple and
+    independently of the Perron-field test in the package: FPdim(f(x)) and
+    FPdim(x) each from its own char poly, compared by exact_cmp with
+    exact_mul(FPdim(D), FPdim(x)), so past MAX_PRODUCT_DEGREE it raises
+    UnrepresentableError."""
+    violations: list[Violation] = []
+    src = f.source
+    fpdim_d = fpdim_element(f.twist_element())
+    for x in range(src.rank):
+        expected = exact_mul(fpdim_d, fpdim_element(src.basis(x)))
+        if exact_cmp(fpdim_element(f.apply(src.basis(x))), expected) != 0:
+            violations.append(
+                Violation(
+                    "fpdim_transport",
+                    (x,),
+                    f"FPdim(f({src.labels[x]})) differs from FPdim(D) * "
+                    f"FPdim({src.labels[x]})",
+                )
+            )
+    return violations
 
 
 # ---------------------------------------------------------------------------

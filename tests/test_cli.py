@@ -176,6 +176,7 @@ def test_catalog_emit_round_trip(capsys):
 def test_catalog_emit_unknown(capsys):
     code, _, err = run(capsys, "catalog", "emit", "nope")
     assert code == 2
+    assert err == f"error: unknown builtin 'nope'; available: {', '.join(fr.list_builtins())}\n"
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -184,6 +185,27 @@ def test_stdin_input(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, "fpdim", "-", "--category")
     assert code == 0
     assert doc["value"] == "3"
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    code, out, err = run(capsys, "fpdim", str(path), "--category")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+
+def test_directory_input_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+
+
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+    code, out, err = run(capsys, "fpdim", "-", "--category")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read '-': 'utf-8' codec can't decode")
 
 
 def test_unknown_input_is_usage_error(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
-from conftest import fusion_data
+from conftest import FUSION_NAMES, fpdim_transport_oracle, fusion_data, su2, tensor_product
 
 
 def collapse_vec_z3():
@@ -34,6 +34,59 @@ def unit_inclusion_rep_f2_z3():
         target=fusion_data("rep_f2_z3"),
         matrix=((1,), (0,)),
     )
+
+
+def eps_copy_rep_f2_z3():
+    """rep_f2_z3's product tensor with eps_v = 4 instead of 2."""
+    base = fusion_data("rep_f2_z3")
+    return fr.FusionData(
+        labels=base.labels,
+        n_tensor=base.n_tensor,
+        dual=base.dual,
+        eps=(1, 4),
+        endo_degree=1,
+        unit=(0,),
+    )
+
+
+def twist_into_non_associative():
+    """A transitive but non-associative target: b = 1 + 2a + c has b*b = 6b,
+    so f(1) = b is a dominant homomorphism twisted by D = 6 from the trivial
+    ring, yet b is not an eigenvector of 1 + a + c, whose product with b is
+    5 + 9a + 5c."""
+    trivial = fusion_data("vec_r")
+    target = fr.FusionData(
+        labels=("1", "a", "c"),
+        n_tensor=(
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 0), (1, 2, 1)),
+            ((0, 0, 1), (1, 2, 1), (1, 0, 0)),
+        ),
+        dual=(0, 1, 2),
+        eps=(1, 1, 1),
+        endo_degree=1,
+        unit=(0,),
+    )
+    return fr.SemiringMorphism(trivial, target, ((1,), (2,), (1,)), twist=trivial.element({"1": 6}))
+
+
+def identity_of(data):
+    r = data.rank
+    return fr.SemiringMorphism(data, data, [[int(i == j) for j in range(r)] for i in range(r)])
+
+
+def by_images(source, target, images):
+    """The morphism sending each source label to {target label: multiplicity}."""
+    matrix = [[images[s].get(t, 0) for s in source.labels] for t in target.labels]
+    return fr.SemiringMorphism(source, target, matrix)
+
+
+def su2_twist(k):
+    """f(x) = x D on SU(2)_k, twisted by D = 1 + j2 (dominant, since D >= 1)."""
+    data = su2(k)
+    d = data.element({"j0": 1, "j2": 1})
+    columns = [fr.multiply(x, d).coeffs for x in data.simples()]
+    return fr.SemiringMorphism(data, data, tuple(zip(*columns)), twist=d)
 
 
 def test_homomorphism_collapse():
@@ -113,15 +166,7 @@ def test_transport_reports_failures():
 def test_regular_transport_detects_eps_mismatch():
     # the same product tensor with eps_v = 4 instead of 2: every FPdim is
     # carried over, but Sum eps_t w_t^2 = 5 against FPdim(A) = 3 (and back)
-    base = fusion_data("rep_f2_z3")
-    copy = fr.FusionData(
-        labels=base.labels,
-        n_tensor=base.n_tensor,
-        dual=base.dual,
-        eps=(1, 4),
-        endo_degree=1,
-        unit=(0,),
-    )
+    base, copy = fusion_data("rep_f2_z3"), eps_copy_rep_f2_z3()
     for source, target in ((base, copy), (copy, base)):
         identity = fr.SemiringMorphism(source, target, ((1, 0), (0, 1)))
         report = fr.verify_fpdim_transport(identity)
@@ -132,27 +177,102 @@ def test_regular_transport_detects_eps_mismatch():
 
 
 def test_regular_transport_requires_an_eigenvector():
-    # a transitive but non-associative target: b = 1 + 2a + c has b*b = 6b,
-    # so f(1) = b is a dominant homomorphism twisted by D = 6 from the
-    # trivial ring with FPdim(b) = 6, yet b is not an eigenvector of
-    # 1 + a + c, whose product with b is 5 + 9a + 5c
-    trivial = fusion_data("vec_r")
+    f = twist_into_non_associative()
+    assert fr.check_homomorphism(f).passed and fr.check_dominant(f)
+    report = fr.verify_fpdim_transport(f)
+    assert [(v.rule, v.witness) for v in report.violations] == [("regular_transport", (1,))]
+
+
+def test_transport_flags_simples_off_the_eigenvector():
+    # Fib into a non-associative target with a*a = 1 + a: the char poly of
+    # L_a still gives FPdim(a) = phi, but (a R)_unit = R_a in the target's
+    # Perron field does not, so the image FPdims are not proportional to
+    # (1, phi) and the check flags x, where they stray
+    fib = fusion_data("fib")
     target = fr.FusionData(
         labels=("1", "a", "c"),
         n_tensor=(
             ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-            ((0, 1, 0), (0, 0, 0), (1, 2, 1)),
-            ((0, 0, 1), (1, 2, 1), (1, 0, 0)),
+            ((0, 1, 0), (1, 1, 0), (0, 0, 1)),
+            ((0, 0, 1), (0, 1, 2), (1, 1, 2)),
         ),
         dual=(0, 1, 2),
         eps=(1, 1, 1),
         endo_degree=1,
         unit=(0,),
     )
-    f = fr.SemiringMorphism(trivial, target, ((1,), (2,), (1,)), twist=trivial.element({"1": 6}))
-    assert fr.check_homomorphism(f).passed and fr.check_dominant(f)
+    f = fr.SemiringMorphism(fib, target, ((1, 0), (0, 1), (0, 0)))
+    assert fr.check_homomorphism(f).passed and not fr.check_structural(target).passed
+    assert [(v.rule, v.witness) for v in fr.verify_fpdim_transport(f).violations] == [
+        ("fpdim_transport", (1,))
+    ]
+
+
+FIB, FIB2 = fusion_data("fib"), tensor_product(fusion_data("fib"), fusion_data("fib"))
+#: homomorphisms on which the Perron-field transport check must give the
+#: per-simple oracle's verdict
+DIFFERENTIAL = {
+    **{
+        f"id:{name}": (lambda name=name: identity_of(fusion_data(name)))
+        for name in FUSION_NAMES
+        if fr.check_transitivity(fusion_data(name)).passed
+    },
+    "collapse_vec_z3": collapse_vec_z3,
+    "twisted_vec_z2_endo": twisted_vec_z2_endo,
+    "unit_inclusion_rep_f2_z3": unit_inclusion_rep_f2_z3,
+    "id:eps_copy_rep_f2_z3": lambda: identity_of(eps_copy_rep_f2_z3()),
+    "rep_f2_z3->eps_copy": lambda: fr.SemiringMorphism(
+        fusion_data("rep_f2_z3"), eps_copy_rep_f2_z3(), ((1, 0), (0, 1))
+    ),
+    "twist_into_non_associative": twist_into_non_associative,
+    "fib->fib2": lambda: by_images(FIB, FIB2, {"1": {"1.1": 1}, "x": {"x.1": 1}}),
+    "fib2->fib": lambda: by_images(
+        FIB2, FIB, {"1.1": {"1": 1}, "1.x": {"x": 1}, "x.1": {"x": 1}, "x.x": {"1": 1, "x": 1}}
+    ),
+    # the oracle's mul_algebraic stays within degree 16 for these k (not 9 or 11)
+    **{f"su2_{k}*D": (lambda k=k: su2_twist(k)) for k in (2, 3, 4, 5, 6, 7, 8, 10)},
+}
+
+
+@pytest.mark.parametrize("case", list(DIFFERENTIAL))
+def test_transport_matches_per_simple_oracle(case):
+    f = DIFFERENTIAL[case]()
+    assert fr.check_homomorphism(f).passed
     report = fr.verify_fpdim_transport(f)
-    assert [(v.rule, v.witness) for v in report.violations] == [("regular_transport", (1,))]
+    assert [v for v in report.violations if v.rule == "fpdim_transport"] == (
+        fpdim_transport_oracle(f)
+    )
+
+
+def test_transport_su2_9_twist_needs_no_product_degree():
+    # FPdims of SU(2)_9 have degree 5, so FPdim(D) FPdim(x) would need a
+    # degree-25 Kronecker product; the Perron-field check forms none
+    f = su2_twist(9)
+    with pytest.raises(fr.UnrepresentableError):
+        fpdim_transport_oracle(f)
+    assert fr.check_dominant(f)
+    assert fr.verify_fpdim_transport(f).passed
+
+
+def test_checks_refuse_non_transitive_source():
+    # e*e = e never reaches the unit; sending e to the line is a unital
+    # homomorphism whose image FPdims (1, 1) happen to form an eigenvector
+    idem = fr.FusionData(
+        labels=("1", "e"),
+        n_tensor=(((1, 0), (0, 1)), ((0, 1), (0, 1))),
+        dual=(0, 1),
+        eps=(1, 1),
+        endo_degree=1,
+        unit=(0,),
+    )
+    line = fusion_data("vec_r")
+    f = fr.SemiringMorphism(idem, line, ((1, 1),))
+    assert fr.check_homomorphism(f).passed
+    with pytest.raises(fr.NonTransitiveError):
+        fr.verify_fpdim_transport(f)
+    # images (1, 2) are off the eigenvector, so only the gate can raise here
+    with pytest.raises(fr.NonTransitiveError):
+        fr.check_adjoint_matrix(fr.SemiringMorphism(idem, line, ((1, 2),)), 1)
 
 
 def test_adjoint_formula_examples():
@@ -253,6 +373,12 @@ def test_adjoint_matrix_check_identity():
     assert fr.check_adjoint_matrix(identity, 1).passed
 
 
+def test_adjoint_matrix_check_reads_fpdims_without_eps():
+    # FPdim(v) = (v R)_unit = 2 although eps_v R_v = 4 on the eps copy
+    copy = eps_copy_rep_f2_z3()
+    assert fr.check_adjoint_matrix(identity_of(copy), 1).passed
+
+
 def test_adjoint_matrix_check_jj_bim():
     # forgetting the bimodule structure: the unit is 3-dimensional over the
     # rationals and the splitting-field simple is 6-dimensional; the formula
@@ -287,3 +413,6 @@ def test_morphism_file_schema_errors():
     doc["images"]["g"] = {"bogus": 1}
     with pytest.raises(fr.SchemaError):
         fr.parse_morphism_file(_json.dumps(doc))
+    assert fr.parse_morphism_file(good.encode("utf-8")) == collapse_vec_z3()
+    with pytest.raises(fr.SchemaError, match="not valid UTF-8"):
+        fr.parse_morphism_file(good.encode("utf-16"))
