@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -377,7 +378,10 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later run_command
+    calls in the process (parsing does not modify it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision",

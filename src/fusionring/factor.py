@@ -20,7 +20,7 @@ from itertools import combinations
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
-from .poly import RationalPolynomial, sign_at
+from .poly import RationalPolynomial, exact_quotient, sign_at
 
 # ---------------------------------------------------------------------------
 # arithmetic mod p
@@ -309,12 +309,10 @@ def _primitive(f: list[int]) -> list[int]:
 
 def _divides(g: list[int], f: list[int]) -> list[int] | None:
     """Quotient f/g over Z if g divides f exactly, else None."""
-    q, r = divmod(RationalPolynomial(f), RationalPolynomial(g))
-    if not r.is_zero:
+    try:
+        return exact_quotient(f, g)
+    except ArithmeticError:
         return None
-    if not all(c.denominator == 1 for c in q.coeffs):
-        return None
-    return [int(c) for c in q.coeffs]
 
 
 def factor_integer_squarefree(f: list[int]) -> list[list[int]]:

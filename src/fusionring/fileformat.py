@@ -31,6 +31,7 @@ that broken data can be loaded and reported on.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -99,11 +100,31 @@ def _decode(source: str | bytes) -> str:
     return source
 
 
+def _loads(source: str | bytes) -> Any:
+    """json.loads with the decoder's two limits as SchemaError: nesting
+    deeper than the recursion limit, and integers longer than Python's
+    integer-string digit limit.  JSONDecodeError passes through."""
+    try:
+        return json.loads(_decode(source))
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other one: int() past sys.get_int_max_str_digits()
+        raise SchemaError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_fusion_file(source: str | bytes) -> ParsedFile:
     try:
-        doc = json.loads(_decode(source))
+        doc = _loads(source)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    return _parse_fusion_doc(doc)
+
+
+def _parse_fusion_doc(doc: Any) -> ParsedFile:
     _expect(isinstance(doc, dict), "top level must be a JSON object")
 
     name = _get_str(doc, "name", "") or ""
@@ -376,15 +397,15 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
     from .morphisms import SemiringMorphism
 
     try:
-        doc = json.loads(_decode(source))
+        doc = _loads(source)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
     _expect(isinstance(doc, dict), "top level must be a JSON object")
     _expect(doc.get("kind") == "morphism", 'morphism files carry "kind": "morphism"')
     for key in ("source", "target"):
         _expect(isinstance(doc.get(key), dict), f'"{key}" must be an embedded fusion document')
-    src = parse_fusion_file(json.dumps(doc["source"])).data
-    tgt = parse_fusion_file(json.dumps(doc["target"])).data
+    src = _parse_fusion_doc(doc["source"]).data
+    tgt = _parse_fusion_doc(doc["target"]).data
     images = doc.get("images", {})
     _expect(isinstance(images, dict), '"images" must be an object')
     matrix = [[0] * src.rank for _ in range(tgt.rank)]

@@ -9,8 +9,17 @@ algebraic numbers).
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
 root.  Rational roots collapse to point intervals, so statements like
-"FPdim(V) = 2 exactly" are plain equalities.  perron_vector gives the whole
-regular element at once, exactly, in the ring's Perron field.
+"FPdim(V) = 2 exactly" are plain equalities.
+
+perron_data gives the whole regular element at once, exactly, in the ring's
+Perron field K = Q(mu), mu = FPdim(sum of simples), and keeps it in
+integers: mu is an algebraic integer, so its minimal polynomial m is monic
+in Z[t], and the unnormalised Perron vector W has coordinates in Z[mu].
+Products reduce by the monic m without division (field_matrix, field_apply;
+Cohen, A Course in Computational Algebraic Number Theory, 4.2), and checks
+compare R = W / W_unit through identities homogeneous in W.  The data are
+built once per ring behind a bounded cache; perron_vector is the normalised
+Fraction view for messages and tests.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .core import FusionData, MultisetElement
@@ -547,41 +557,99 @@ def fpdim_element(
     return isolate_max_real_root(char_poly(left_mult_matrix(x)), width)
 
 
-def perron_vector(
-    data: FusionData, *, waive_transitivity: bool = False
-) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
-    """(m, R): the regular element R as the Perron eigenvector of left
-    multiplication L by t = Sum of all simples, normalised to 1 at the unit.
+#: (m, W) of perron_data: ascending integer coefficients of m, and per simple
+#: the deg m integer coefficients of W_x in Z[mu]
+PerronData = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    On transitive data L is strictly positive, so mu = FPdim(t) is a simple
-    eigenvalue; m is its minimal polynomial and each R_X, equal to
-    FPdim(X)/eps_X on valid data, is an element of K = Q[t]/(m) written as a
-    polynomial in mu of degree below deg m.  R is q(L) e_unit, rescaled, for
-    q = char_poly(L)/(t - mu) over K, since (L - mu) q(L) = 0; q comes from
-    synthetic division and q(L) e_unit from the integer vectors L^j e_unit.
-    Raises NonTransitiveError when q(L) e_unit vanishes at the unit, which
-    only waived non-transitive data can do.
+
+def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> PerronData:
+    """(m, W): the ring's Perron field and regular element, in integers,
+    built once per ring (bounded cache; the transitivity gate runs on every
+    call).
+
+    mu = FPdim(t), t = Sum of all simples, is an algebraic integer, so its
+    minimal polynomial m is monic with integer coefficients (m[-1] == 1) and
+    Z[mu] = Z[t]/(m).  W = q(L) e_unit is the unnormalised Perron vector of
+    left multiplication L by t, each W_x a polynomial in mu of degree below
+    deg m with integer coefficients.  On transitive data L is strictly
+    positive, so mu is a simple eigenvalue and W, nonzero at the unit, spans
+    its eigenspace: q = char_poly(L)/(t - mu) over K, since
+    (L - mu) q(L) = 0.  q comes from synthetic division and q(L) e_unit from
+    the integer vectors L^j e_unit.  The regular element is R = W / W_unit
+    in K = Q(mu), so every equality of R-expressions that is homogeneous in
+    R is decided on W with no inverse and no Fraction.  Raises
+    NonTransitiveError when W vanishes at the unit, which only waived
+    non-transitive data can do.
     """
     ensure_fpdim_ready(data, waive_transitivity)
+    return _perron_data(data)
+
+
+@lru_cache(maxsize=128)
+def _perron_data(data: FusionData) -> PerronData:
     r = data.rank
     matrix = left_mult_matrix_from_coeffs(data, [1] * r)
     p = char_poly(matrix)
-    m = min_poly(isolate_max_real_root(p))
-    mu = RationalPolynomial.variable() % m
+    m = tuple(int(c) for c in min_poly(isolate_max_real_root(p)).coeffs)
     # coefficients of q, highest degree first: q_{k-1} = p_k + mu q_k
-    q = [RationalPolynomial.constant(1)]
+    q = [(1,) + (0,) * (len(m) - 2)]
     for c in reversed(p.coeffs[1:-1]):
-        q.append(RationalPolynomial.constant(c) + (mu * q[-1]) % m)
+        nxt = _times_mu(q[-1], m)
+        nxt[0] += int(c)
+        q.append(nxt)
     krylov = [int(i == data.unit_index) for i in range(r)]
-    vec = [RationalPolynomial.zero()] * r
+    w = [[0] * (len(m) - 1) for _ in range(r)]
     for coeff in reversed(q):
-        vec = [acc + coeff.scale(v) for acc, v in zip(vec, krylov)]
-        krylov = [sum(a * v for a, v in zip(row, krylov)) for row in matrix.rows]
-    at_unit = vec[data.unit_index]
-    if at_unit.is_zero:
+        for acc, v in zip(w, krylov):
+            if v:
+                for k, a in enumerate(coeff):
+                    acc[k] += v * a
+        krylov = [sum(map(mul, row, krylov)) for row in matrix.rows]
+    if not any(w[data.unit_index]):
         raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")
-    inverse = _field_inverse(at_unit, m)
-    return m, tuple((c * inverse) % m for c in vec)
+    return m, tuple(map(tuple, w))
+
+
+def _times_mu(a: Sequence[int], m: Sequence[int]) -> list[int]:
+    """mu a in Z[t]/(m), m monic: shift, then cancel the top with m."""
+    top = a[-1]
+    out = [0, *a[:-1]]
+    if top:
+        for k, c in enumerate(m[:-1]):
+            out[k] -= top * c
+    return out
+
+
+def field_matrix(a: Sequence[int], m: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer matrix of multiplication by a in Z[t]/(m), m
+    monic: column j holds t^j a, so the product a b is field_apply(., b)."""
+    cols = [list(a)]
+    for _ in range(len(m) - 2):
+        cols.append(_times_mu(cols[-1], m))
+    return tuple(zip(*cols))
+
+
+def field_apply(matrix: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, ...]:
+    """The product a b in Z[t]/(m) for matrix = field_matrix(a, m)."""
+    return tuple(sum(map(mul, row, b)) for row in matrix)
+
+
+def field_mul(a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
+    """a b in Z[t]/(m), m monic."""
+    return field_apply(field_matrix(a, m), b)
+
+
+def perron_vector(
+    data: FusionData, *, waive_transitivity: bool = False
+) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
+    """(m, R): the regular element R = W / W_unit of perron_data, normalised
+    to 1 at the unit.  Each R_X, equal to FPdim(X)/eps_X on valid data, is
+    an element of K = Q[t]/(m) written as a polynomial in mu of degree below
+    deg m.  A view for messages and tests; the checks read W."""
+    m, w = perron_data(data, waive_transitivity=waive_transitivity)
+    m_poly = RationalPolynomial(m)
+    inverse = _field_inverse(RationalPolynomial(w[data.unit_index]), m_poly)
+    return m_poly, tuple((RationalPolynomial(c) * inverse) % m_poly for c in w)
 
 
 def _field_inverse(a: RationalPolynomial, m: RationalPolynomial) -> RationalPolynomial:

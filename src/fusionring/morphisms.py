@@ -22,13 +22,15 @@ from .fpengine import (
     ensure_fpdim_ready,
     exact_cmp,
     exact_mul,
+    field_apply,
+    field_matrix,
+    field_mul,
     fpdim_element,
     left_mult_matrix_from_coeffs,
     normalize_value,
-    perron_vector,
+    perron_data,
     reciprocal,
 )
-from .poly import RationalPolynomial
 from .regular import fpdim_category
 from .report import ValidationReport, Violation
 
@@ -124,8 +126,7 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     """Certify FPdim(f(x)) = FPdim(D) FPdim(x) for all source simples, and,
     when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly:
     the first by _scaled_fpdim_violations (no products, so no degree cap), the
-    second by w = f(R_A) in the source's Perron field being an eigenvector of
-    the target's L_t with Sum_t eps_t w_t^2 = w_u FPdim(D) FPdim(A)."""
+    second by _regular_transport_violations in the source's Perron field."""
     hom = check_homomorphism(f)
     if not hom.passed:
         return hom
@@ -137,35 +138,53 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
-def _combine(vec: Sequence[RationalPolynomial], coeffs: Iterable[Rat]) -> RationalPolynomial:
-    """Sum_i coeffs[i] vec[i] for elements vec[i] of a Perron field."""
-    return sum((v.scale(c) for v, c in zip(vec, coeffs) if c), RationalPolynomial.zero())
+# Elements of a Perron field K = Q(mu) below are integer coefficient tuples
+# in Z[mu]/(m), as in fpengine.perron_data: multiples of R-expressions by a
+# power of W_unit, so every test is an equality homogeneous in W.
 
 
-def _off_eigenvector(m: RationalPolynomial, v: Sequence, image: Sequence, u: int) -> list[int]:
-    """The i with (M v)_i v_u != (M v)_u v_i in Q[t]/(m), for image = M v:
-    none iff v, nonzero at u, is an eigenvector of M."""
-    return [i for i in range(len(v)) if (image[i] * v[u]) % m != (image[u] * v[i]) % m]
+def _combine(vec: Sequence[tuple[int, ...]], coeffs: Iterable[int]) -> tuple[int, ...]:
+    """Sum_i coeffs[i] vec[i] for elements vec[i] of Z[mu]/(m)."""
+    out = [0] * len(vec[0])
+    for v, c in zip(vec, coeffs):
+        if c:
+            for k, a in enumerate(v):
+                out[k] += c * a
+    return tuple(out)
 
 
-def _fpdims(data: FusionData, reg: Sequence[RationalPolynomial]) -> list[RationalPolynomial]:
-    """FPdim(y) = (y R)_unit = Sum_i N[y][i][unit] R_i; eps_y R_y would trust eps."""
+def _off_eigenvector(m: Sequence[int], v: Sequence, image: Sequence, u: int) -> list[int]:
+    """The i with (M v)_i v_u != (M v)_u v_i in Z[mu]/(m), for image = M v:
+    none iff v, nonzero at u, is an eigenvector of M.  Homogeneous in v, so
+    any nonzero multiple of v gives the same answer."""
+    times_v_u, times_image_u = field_matrix(v[u], m), field_matrix(image[u], m)
+    return [
+        i
+        for i in range(len(v))
+        if field_apply(times_v_u, image[i]) != field_apply(times_image_u, v[i])
+    ]
+
+
+def _fpdims(data: FusionData, w: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """W_unit FPdim(y) = (y W)_unit = Sum_i N[y][i][unit] W_i; eps_y W_y would
+    trust eps."""
     u = data.unit_index
-    return [_combine(reg, [row[u] for row in plane]) for plane in data.n_tensor]
+    return [_combine(w, [row[u] for row in plane]) for plane in data.n_tensor]
 
 
 def _scaled_fpdim_violations(
     f: SemiringMorphism, scalar: Callable[[], ValueLike], rule: str, message: str
 ) -> list[Violation]:
     """Violations at the source simples x where FPdim(f(x)) = scalar() FPdim(x)
-    fails.  The image FPdims v (target's Perron field) must be an eigenvector
-    of the source's right multiplication by t = Sum of simples, a positive
-    matrix on transitive data, so v = v_u FPdim (else flag where off); then
-    exact_cmp(FPdim(f(1)), scalar()) fixes v_u (else flag every simple)."""
+    fails.  The image FPdims v (target's Perron field, scaled by the target's
+    W_unit) must be an eigenvector of the source's right multiplication by
+    t = Sum of simples, a positive matrix on transitive data, so
+    v = v_u FPdim (else flag where off); then exact_cmp(FPdim(f(1)),
+    scalar()) fixes v_u (else flag every simple)."""
     src = f.source
     ensure_fpdim_ready(src)
-    m, reg = perron_vector(f.target)
-    fpdims = _fpdims(f.target, reg)
+    m, w = perron_data(f.target)
+    fpdims = _fpdims(f.target, w)
     v = [_combine(fpdims, col) for col in zip(*f.matrix)]
     t = src.element([1] * src.rank)
     pv = [_combine(v, multiply(x, t).coeffs) for x in src.simples()]
@@ -176,18 +195,30 @@ def _scaled_fpdim_violations(
 
 
 def _regular_transport_violations(f: SemiringMorphism) -> list[Violation]:
+    """Violations of f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, decided in
+    the source's Perron field on w = f(W) = W_unit f(R_A).  w must be an
+    eigenvector of the target's L_t (else flag where off), and then
+    Sum_t eps_t f(R_A)_t^2 = f(R_A)_u FPdim(D) FPdim(A) fixes its scale;
+    multiplied by W_unit^4 that reads
+
+        W_unit^2 Sum_t eps_t w_t^2 == w_u FPdim_D(W) FPdim_A(W)
+
+    with FPdim_D(W) = W_unit FPdim(D) and FPdim_A(W) = Sum_x eps_x W_x^2
+    (else flag every target simple)."""
     src, tgt = f.source, f.target
-    m, reg = perron_vector(src)
-    w = [_combine(reg, row) for row in f.matrix]
+    m, w_src = perron_data(src)
+    w = [_combine(w_src, row) for row in f.matrix]
     lw = [_combine(w, row) for row in left_mult_matrix_from_coeffs(tgt, [1] * tgt.rank).rows]
     u = tgt.unit_index
     off = _off_eigenvector(m, w, lw, u)
     message = "f(R_A) is not an eigenvector of the sum of the target simples at {}"
     if not off:
-        fpdim_d = _combine(_fpdims(src, reg), f.twist_element().coeffs)
-        fpdim_a = _combine([(r * r) % m for r in reg], src.eps)
-        lhs = _combine([(c * c) % m for c in w], tgt.eps)
-        if lhs != (((w[u] * fpdim_d) % m) * fpdim_a) % m:
+        w_unit = w_src[src.unit_index]
+        fpdim_d = _combine(_fpdims(src, w_src), f.twist_element().coeffs)
+        fpdim_a = _combine([field_mul(c, c, m) for c in w_src], src.eps)
+        norm = _combine([field_mul(c, c, m) for c in w], tgt.eps)
+        lhs = field_mul(field_mul(w_unit, w_unit, m), norm, m)
+        if lhs != field_mul(field_mul(w[u], fpdim_d, m), fpdim_a, m):
             off = list(range(tgt.rank))
             message = "f(R_A)[{0}] differs from FPdim(D) (FPdim(A)/FPdim(B)) R_B[{0}]"
     return [Violation("regular_transport", (t,), message.format(tgt.labels[t])) for t in off]

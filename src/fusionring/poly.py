@@ -153,12 +153,15 @@ class RationalPolynomial:
         return RationalPolynomial(tuple(a * c ** (n - i) for i, a in enumerate(self.coeffs)))
 
     def squarefree_part(self) -> "RationalPolynomial":
+        """Monic p / gcd(p, p'), in integers: the primitive integer form of p
+        divided by the primitive gcd, exactly over Z by Gauss's lemma."""
         if self.degree < 1:
             return self.monic()
-        g = poly_gcd(self, self.derivative())
-        if g.degree < 1:
+        f = _positive_integer_multiple(self.coeffs)
+        g = _integer_gcd(f, _primitive([i * c for i, c in enumerate(f) if i]))
+        if len(g) < 2:
             return self.monic()
-        return self.exact_div(g).monic()
+        return RationalPolynomial(exact_quotient(f, g)).monic()
 
     def to_integer_coeffs(self) -> list[int]:
         """Primitive integer multiple with positive leading coefficient."""
@@ -196,10 +199,41 @@ class RationalPolynomial:
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd via the Euclidean algorithm on primitive integer multiples,
     with the integer pseudo-remainders of the Sturm chains."""
-    f, g = _positive_integer_multiple(a.coeffs), _positive_integer_multiple(b.coeffs)
+    g = _integer_gcd(_positive_integer_multiple(a.coeffs), _positive_integer_multiple(b.coeffs))
+    return RationalPolynomial(g).monic()
+
+
+def _integer_gcd(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:
+    """A primitive integer gcd of two primitive integer polynomials."""
     while g:
         f, g = g, _negated_remainder(f, g)
-    return RationalPolynomial(f).monic()
+    return f
+
+
+def exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g for integer polynomials (ascending, no trailing zeros, g != 0)
+    when the quotient lies in Z[t]: long division in which every step
+    divides by the leading coefficient of g exactly.  Raises ArithmeticError
+    otherwise, at the first step whose rational quotient coefficient is not
+    an integer or at a nonzero remainder.  A primitive g that divides f over
+    Q always qualifies (Gauss's lemma)."""
+    dg = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    for shift in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        c, rest = divmod(top, lead)
+        if rest:
+            raise ArithmeticError("division was expected to be exact")
+        q[shift] = c
+        for j in range(dg):
+            r[shift + j] -= c * g[j]
+    if any(r):
+        raise ArithmeticError("division was expected to be exact")
+    return q
 
 
 def _primitive(ints: Sequence[int]) -> list[int]:

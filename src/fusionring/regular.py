@@ -19,14 +19,17 @@ from .fpengine import (
     DEFAULT_WIDTH,
     AlgebraicNumber,
     ExactValue,
+    _field_inverse,
     char_poly,
     ensure_fpdim_ready,
     exact_mul,
+    field_apply,
+    field_matrix,
     fpdim_element,
     isolate_max_real_root,
     left_mult_matrix_from_coeffs,
     min_poly,
-    perron_vector,
+    perron_data,
 )
 from .poly import RationalPolynomial
 from .report import ValidationReport, Violation
@@ -92,15 +95,21 @@ def verify_regular_eigenproperty(
 ) -> ValidationReport:
     """Check x * R = FPdim(x) * R for every simple x, exactly.
 
-    With R and K from fpengine.perron_vector, the check is
-    (x R)_c == eps_x R_x R_c in K for every x and c: a positive common
-    eigenvector of all left multiplications forces eps_x R_x = FPdim(x).
-    Messages print elements of K as polynomials in t = FPdim(sum of simples)
-    (rationals when K = Q).  Waived non-transitive data whose Perron vector
-    vanishes at the unit fails with one violation at the unit.
+    A positive common eigenvector R of all left multiplications forces
+    eps_x R_x = FPdim(x), so the check is (x R)_c == eps_x R_x R_c in the
+    Perron field K for every x and c.  With R = W / W_unit and W, K from
+    fpengine.perron_data, that is the integer identity
+
+        W_unit (x W)_c == eps_x W_x W_c   in Z[mu]/(m),
+
+    decided with one multiplication matrix per x and no inverse.  Only a
+    violation is normalised: its message prints both sides as elements of
+    K, polynomials in t = FPdim(sum of simples) (rationals when K = Q).
+    Waived non-transitive data whose Perron vector vanishes at the unit
+    fails with one violation at the unit.
     """
     try:
-        m, reg = perron_vector(data, waive_transitivity=waive_transitivity)
+        m, w = perron_data(data, waive_transitivity=waive_transitivity)
     except NonTransitiveError as exc:
         if not waive_transitivity:
             raise
@@ -109,22 +118,33 @@ def verify_regular_eigenproperty(
         )
     labels = data.labels
     r = data.rank
+    d = len(m) - 1
+    at_unit = field_matrix(w[data.unit_index], m)
+    scaled = [field_apply(at_unit, c) for c in w]  # W_unit W_i
     violations: list[Violation] = []
+    inverse = None  # 1/W_unit^2 in K, built at the first violation
     for x in range(r):
-        lhs = [RationalPolynomial.zero()] * r
+        lhs = [[0] * d for _ in range(r)]
         for i, pairs in enumerate(data.products[x]):
             for c, n in pairs:
-                lhs[c] += reg[i].scale(n)
-        fpdim_x = reg[x].scale(data.eps[x])
+                acc = lhs[c]
+                for k, a in enumerate(scaled[i]):
+                    acc[k] += n * a
+        times_x = field_matrix([data.eps[x] * a for a in w[x]], m)
         for c in range(r):
-            rhs = (fpdim_x * reg[c]) % m
-            if lhs[c] != rhs:
+            rhs = field_apply(times_x, w[c])
+            if tuple(lhs[c]) != rhs:
+                if inverse is None:
+                    m_poly = RationalPolynomial(m)
+                    inverse = _field_inverse(RationalPolynomial(scaled[data.unit_index]), m_poly)
+                lhs_k = (RationalPolynomial(lhs[c]) * inverse) % m_poly
+                rhs_k = (RationalPolynomial(rhs) * inverse) % m_poly
                 violations.append(
                     Violation(
                         "regular_eigenproperty",
                         (x, c),
-                        f"({labels[x]} * R)[{labels[c]}] = {lhs[c]} != "
-                        f"FPdim({labels[x]}) * R[{labels[c]}] = {rhs}",
+                        f"({labels[x]} * R)[{labels[c]}] = {lhs_k} != "
+                        f"FPdim({labels[x]}) * R[{labels[c]}] = {rhs_k}",
                     )
                 )
     return ValidationReport.from_violations(violations)

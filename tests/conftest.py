@@ -6,16 +6,23 @@ from typing import Sequence, Union
 import pytest
 
 import fusionring as fr
+from fusionring.errors import NonTransitiveError
 from fusionring.fpengine import (
     AlgebraicNumber,
+    _field_inverse,
+    char_poly,
+    ensure_fpdim_ready,
     exact_cmp,
     exact_mul,
     fpdim_element,
+    isolate_max_real_root,
+    left_mult_matrix_from_coeffs,
+    min_poly,
     normalize_value,
     refine,
 )
 from fusionring.poly import RationalPolynomial
-from fusionring.report import Violation
+from fusionring.report import ValidationReport, Violation
 
 Rat = Union[int, Fraction]
 
@@ -104,6 +111,76 @@ def fpdim_transport_oracle(f) -> list:
                 )
             )
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the regular element over Fractions: K = Q[t]/(m) arithmetic on
+# RationalPolynomials, normalised to R_unit = 1 before every comparison; an
+# oracle for the integer Perron-field kernel in the package
+
+
+def perron_vector_oracle(
+    data: fr.FusionData, *, waive_transitivity: bool = False
+) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
+    """(m, R): the regular element R as the Perron eigenvector of left
+    multiplication L by t = Sum of all simples, normalised to 1 at the unit;
+    R = q(L) e_unit, rescaled, for q = char_poly(L)/(t - mu) over K."""
+    ensure_fpdim_ready(data, waive_transitivity)
+    r = data.rank
+    matrix = left_mult_matrix_from_coeffs(data, [1] * r)
+    p = char_poly(matrix)
+    m = min_poly(isolate_max_real_root(p))
+    mu = RationalPolynomial.variable() % m
+    # coefficients of q, highest degree first: q_{k-1} = p_k + mu q_k
+    q = [RationalPolynomial.constant(1)]
+    for c in reversed(p.coeffs[1:-1]):
+        q.append(RationalPolynomial.constant(c) + (mu * q[-1]) % m)
+    krylov = [int(i == data.unit_index) for i in range(r)]
+    vec = [RationalPolynomial.zero()] * r
+    for coeff in reversed(q):
+        vec = [acc + coeff.scale(v) for acc, v in zip(vec, krylov)]
+        krylov = [sum(a * v for a, v in zip(row, krylov)) for row in matrix.rows]
+    at_unit = vec[data.unit_index]
+    if at_unit.is_zero:
+        raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")
+    inverse = _field_inverse(at_unit, m)
+    return m, tuple((c * inverse) % m for c in vec)
+
+
+def eigenproperty_oracle(
+    data: fr.FusionData, *, waive_transitivity: bool = False
+) -> ValidationReport:
+    """(x R)_c == eps_x R_x R_c in K for every x and c, with R from
+    perron_vector_oracle."""
+    try:
+        m, reg = perron_vector_oracle(data, waive_transitivity=waive_transitivity)
+    except NonTransitiveError as exc:
+        if not waive_transitivity:
+            raise
+        return ValidationReport.from_violations(
+            [Violation("regular_eigenproperty", (data.unit_index,), str(exc))]
+        )
+    labels = data.labels
+    r = data.rank
+    violations: list[Violation] = []
+    for x in range(r):
+        lhs = [RationalPolynomial.zero()] * r
+        for i, pairs in enumerate(data.products[x]):
+            for c, n in pairs:
+                lhs[c] += reg[i].scale(n)
+        fpdim_x = reg[x].scale(data.eps[x])
+        for c in range(r):
+            rhs = (fpdim_x * reg[c]) % m
+            if lhs[c] != rhs:
+                violations.append(
+                    Violation(
+                        "regular_eigenproperty",
+                        (x, c),
+                        f"({labels[x]} * R)[{labels[c]}] = {lhs[c]} != "
+                        f"FPdim({labels[x]}) * R[{labels[c]}] = {rhs}",
+                    )
+                )
+    return ValidationReport.from_violations(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,23 @@ def test_validate_schema_error_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 200_000, "nested too deeply"),
+        ('{"endo_degree": ' + "9" * 5000 + "}", "more than"),
+    ],
+    ids=["deep", "huge-int"],
+)
+def test_decoder_limits_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON") and message in err
+
+
 def test_regular_command(capsys):
     code, doc, _ = run_json(capsys, "regular", "rep_f2_z3")
     assert code == 0

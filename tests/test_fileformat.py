@@ -103,6 +103,23 @@ def test_schema_error_invalid_json():
     assert "line" in str(info.value)
 
 
+DEEP_JSON = "[" * 200_000
+HUGE_INT_JSON = '{"endo_degree": ' + "9" * 5000 + ', "simples": []}'
+
+
+@pytest.mark.parametrize("text", [DEEP_JSON, HUGE_INT_JSON], ids=["deep", "huge-int"])
+def test_schema_error_on_decoder_limits(text):
+    # json.loads raises RecursionError and a plain ValueError here, not
+    # JSONDecodeError; both parsers turn them into SchemaError
+    with pytest.raises(fr.SchemaError, match="invalid JSON"):
+        fr.parse_fusion_file(text)
+    with pytest.raises(fr.SchemaError, match="invalid JSON"):
+        fr.parse_morphism_file(text)
+    embedded = '{"kind": "morphism", "source": ' + text + "}"
+    with pytest.raises(fr.SchemaError, match="invalid JSON"):
+        fr.parse_morphism_file(embedded)
+
+
 def test_schema_error_bad_galois():
     doc = _minimal()
     doc["simples"][1]["galois"] = {"group_element": "c"}  # file has no group

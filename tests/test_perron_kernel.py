@@ -1,0 +1,141 @@
+"""The integer Perron-field kernel against the Fraction oracles in conftest.
+
+perron_data keeps the regular element unnormalised in Z[mu]/(m) and the
+checks decide homogeneous integer identities; the oracles normalise
+R_unit = 1 over Fractions first.  Verdicts and violation lists (rule,
+witness, message) must agree exactly, and so must the (m, R) view.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import fusionring as fr
+from fusionring import fpengine
+from fusionring.errors import FusionError
+from fusionring.morphisms import SemiringMorphism
+from conftest import (
+    FUSION_NAMES,
+    eigenproperty_oracle,
+    fusion_data,
+    mutate_tensor,
+    perron_vector_oracle,
+    su2,
+    tensor_product,
+)
+
+
+def _with_eps(data, eps):
+    return fr.FusionData(
+        labels=data.labels,
+        n_tensor=data.n_tensor,
+        dual=data.dual,
+        eps=eps,
+        endo_degree=data.endo_degree,
+        unit=data.unit,
+    )
+
+
+def _rings():
+    rings = {name: fusion_data(name) for name in FUSION_NAMES}
+    rings.update({f"su2_{k}": su2(k) for k in range(1, 11)})
+    fib = fusion_data("fib")
+    rings["fib.fib"] = tensor_product(fib, fib)
+    rings["su2_2.fib"] = tensor_product(su2(2), fib)
+    rings["rep_f2_z3.fib"] = tensor_product(fusion_data("rep_f2_z3"), fib)
+    rings["rep_r_q8.vec_z3"] = tensor_product(fusion_data("rep_r_q8"), fusion_data("vec_z3"))
+    return rings
+
+
+RINGS = _rings()
+
+
+def _eps_doubled():
+    for name, data in RINGS.items():
+        for x in {0, data.rank // 2, data.rank - 1}:
+            eps = tuple(2 * e if i == x else e for i, e in enumerate(data.eps))
+            yield pytest.param(_with_eps(data, eps), id=f"{name}-eps{x}")
+
+
+def _perturbed():
+    """+-1 on a few product multiplicities of each ring, with a fixed seed."""
+    rng = random.Random(2718)
+    for name, data in RINGS.items():
+        if data.rank > 6:
+            continue
+        r = data.rank
+        for _ in range(4):
+            i, j, k = rng.randrange(r), rng.randrange(r), rng.randrange(r)
+            delta = rng.choice((-1, 1))
+            try:
+                broken = mutate_tensor(data, i, j, k, delta)
+            except ValueError:
+                broken = mutate_tensor(data, i, j, k, 1)
+            yield pytest.param(broken, id=f"{name}-N{i}{j}{k}{delta:+d}")
+
+
+def _outcome(check, data):
+    """The result of check, waived where data is not transitive: a report
+    as its (rule, witness, message) list, or the error it raised."""
+    waive = not fr.check_transitivity(data).passed
+    try:
+        result = check(data, waive_transitivity=waive)
+    except FusionError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, fr.ValidationReport):
+        return [(v.rule, v.witness, v.message) for v in result.violations]
+    return result
+
+
+CASES = [pytest.param(data, id=name) for name, data in RINGS.items()]
+CASES += list(_eps_doubled()) + list(_perturbed())
+
+
+@pytest.mark.parametrize("data", CASES)
+def test_eigenproperty_matches_fraction_oracle(data):
+    assert _outcome(fr.verify_regular_eigenproperty, data) == _outcome(
+        eigenproperty_oracle, data
+    )
+
+
+@pytest.mark.parametrize("data", CASES)
+def test_perron_vector_view_matches_fraction_oracle(data):
+    assert _outcome(fpengine.perron_vector, data) == _outcome(perron_vector_oracle, data)
+
+
+def test_eigenproperty_catches_perturbations():
+    # the oracle comparison above means something only if some cases fail
+    failing = [
+        p for p in _perturbed() if _outcome(fr.verify_regular_eigenproperty, p.values[0])
+    ]
+    assert len(failing) >= 10
+
+
+def test_perron_data_is_integral_and_monic():
+    m, w = fpengine.perron_data(fusion_data("fib"))
+    assert m[-1] == 1 and all(type(c) is int for c in m)
+    assert all(len(c) == len(m) - 1 and all(type(a) is int for a in c) for c in w)
+
+
+def test_transport_builds_perron_data_once():
+    data = su2(8)
+    identity = tuple(tuple(int(i == j) for j in range(data.rank)) for i in range(data.rank))
+    f = SemiringMorphism(data, data, identity)
+    fpengine._perron_data.cache_clear()
+    assert fr.verify_fpdim_transport(f).passed
+    info = fpengine._perron_data.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    assert info.maxsize is not None
+
+
+def test_waiver_stays_outside_the_cache():
+    # 1 * g = 0: not transitive, yet its Perron vector is nonzero at the
+    # unit, so a waived call caches a build that must not serve an unwaived one
+    broken = mutate_tensor(fusion_data("vec_z2"), 0, 1, 1, -1)
+    assert not fr.check_transitivity(broken).passed
+    for _ in range(2):
+        fpengine.perron_data(broken, waive_transitivity=True)
+        with pytest.raises(fr.NonTransitiveError, match="not transitive"):
+            fpengine.perron_data(broken)

@@ -171,6 +171,24 @@ def test_poly_gcd_matches_fraction_euclid():
         assert a.squarefree_part().coeffs == expected.coeffs
 
 
+def test_squarefree_part_matches_fraction_euclid_on_repeated_factors():
+    # p = c f1^e1 f2^e2 ... with rational, non-monic factors: the integer
+    # division by the primitive gcd must give the oracle's monic p / gcd(p, p')
+    rng = random.Random(4099)
+    for _ in range(60):
+        p = P((Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 7)),))
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(2, 4)
+            factor = P([Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(size)])
+            if factor.degree < 1:
+                continue
+            for _ in range(rng.randint(1, 3)):
+                p = p * factor
+        quotient, rem = divmod(p, _fraction_euclid_gcd(p, p.derivative()))
+        assert rem.is_zero
+        assert p.squarefree_part().coeffs == quotient.monic().coeffs
+
+
 def test_sturm_chain_is_a_memoized_immutable_tuple():
     chain = sturm_chain(poly(-6, 11, -6, 1))
     assert type(chain) is tuple and all(type(member) is tuple for member in chain)
