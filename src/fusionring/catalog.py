@@ -10,8 +10,8 @@ only in endomorphism degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .core import FusionData
 from .deligne import DivisionType, SemisimpleDesc
@@ -141,154 +141,135 @@ def _vec_line(endo_degree: int) -> FusionData:
     )
 
 
-@lru_cache(maxsize=1)
-def _builtins() -> dict[str, FixtureEntry]:
-    entries: list[FixtureEntry] = []
-
-    entries.append(
-        FixtureEntry(
-            name="vec_z2",
-            data=vec_group(("1", "g"), ((0, 1), (1, 0))),
-            description="group ring of Z/2",
-        )
-    )
-    entries.append(
-        FixtureEntry(
-            name="vec_z3",
-            data=vec_group(("1", "g", "g2"), _cyclic_table(3)),
-            description="group ring of Z/3",
-        )
-    )
+def _vec_s3(name: str) -> FixtureEntry:
     s3 = _s3_group()
-    entries.append(
-        FixtureEntry(
-            name="vec_s3",
-            data=vec_group(s3.labels, s3.table),
-            description="group ring of the symmetric group S3",
-        )
+    return FixtureEntry(
+        name=name,
+        data=vec_group(s3.labels, s3.table),
+        description="group ring of the symmetric group S3",
     )
 
-    entries.append(
-        FixtureEntry(
-            name="rep_r_q8",
-            data=_rep_r_q8(),
-            desc=SemisimpleDesc(
-                (("1", _R), ("a", _R), ("b", _R), ("c", _R), ("h", _H))
-            ),
-            description=(
-                "real representations of the quaternion group Q8: four split "
-                "lines and one quaternionic simple of dimension four"
-            ),
-        )
+
+def _cc_bim(name: str) -> FixtureEntry:
+    data, annotation = from_galois_group(
+        FiniteGroup(("1", "c"), ((0, 1), (1, 0))), ("1", "c")
+    )
+    return FixtureEntry(
+        name=name,
+        data=data,
+        annotation=annotation,
+        desc=SemisimpleDesc((("1", _C), ("c", _C))),
+        description=(
+            "bimodules for the complex numbers over the reals: the trivial "
+            "and the conjugating bimodule, endomorphism degree 2"
+        ),
     )
 
-    entries.append(
-        FixtureEntry(
-            name="rep_f2_z3",
-            data=_rank2_data("v", eps_top=2, endo_degree=1),
-            description=(
-                "representations of Z/3 over the field with two elements: the "
-                "unit and a simple V with V*V = 1 + 1 + V and End(V) the field "
-                "with four elements"
-            ),
-        )
-    )
 
-    entries.append(
-        FixtureEntry(
-            name="fib",
-            data=_rank2_data("x", eps_top=1, endo_degree=1),
-            description="Fibonacci ring: x*x = 1 + x, golden-ratio dimension",
-        )
-    )
-
-    cc_group = FiniteGroup(("1", "c"), ((0, 1), (1, 0)))
-    cc_data, cc_annotation = from_galois_group(cc_group, ("1", "c"))
-    entries.append(
-        FixtureEntry(
-            name="cc_bim",
-            data=cc_data,
-            annotation=cc_annotation,
-            desc=SemisimpleDesc((("1", _C), ("c", _C))),
-            description=(
-                "bimodules for the complex numbers over the reals: the trivial "
-                "and the conjugating bimodule, endomorphism degree 2"
-            ),
-        )
-    )
-
+def _gal7(name: str) -> FixtureEntry:
     z6 = FiniteGroup(("1", "s", "s2", "s3", "s4", "s5"), _cyclic_table(6))
-    gal7_data, gal7_annotation = from_galois_group(z6, ("1", "s2", "s4"))
-    entries.append(
-        FixtureEntry(
-            name="gal7",
-            data=gal7_data,
-            annotation=gal7_annotation,
-            description=(
-                "bimodules for the degree-6 cyclotomic field of seventh roots "
-                "of unity, restricted to the index-2 subgroup of its Galois "
-                "group; the center's field is the quadratic subfield"
-            ),
-        )
+    data, annotation = from_galois_group(z6, ("1", "s2", "s4"))
+    return FixtureEntry(
+        name=name,
+        data=data,
+        annotation=annotation,
+        description=(
+            "bimodules for the degree-6 cyclotomic field of seventh roots "
+            "of unity, restricted to the index-2 subgroup of its Galois "
+            "group; the center's field is the quadratic subfield"
+        ),
     )
 
-    jj_data = _rank2_data("x", eps_top=2, endo_degree=3)
-    entries.append(
-        FixtureEntry(
-            name="jj_bim",
-            data=jj_data,
-            annotation=GaloisAnnotation(
-                marks=(GaloisMark.trivial(), GaloisMark.nontrivial()),
-                center_degree=1,
-            ),
-            description=(
-                "bimodules for the real cube-root field of 2 over the "
-                "rationals: the unit and the splitting-field simple; the same "
-                "semiring as rep_f2_z3 with endomorphism degree 3, and a "
-                "non-normal extension (no Galois group element applies)"
-            ),
-        )
-    )
 
-    entries.append(
-        FixtureEntry(
-            name="m2_vec",
-            data=_m2_vec(),
-            description="2x2 matrix units over Vec: strictly multifusion, unit E11 + E22",
-        )
-    )
-
-    entries.append(
-        FixtureEntry(
-            name="vec_r",
-            data=_vec_line(1),
-            desc=SemisimpleDesc((("1", _R),)),
-            description="one real line: the trivial fusion ring of Vec over R",
-        )
-    )
-    entries.append(
-        FixtureEntry(
-            name="vec_c",
-            data=_vec_line(2),
-            desc=SemisimpleDesc((("1", _C),)),
-            description=(
-                "complex lines viewed over the reals: one simple with a "
-                "degree-2 endomorphism field"
-            ),
-        )
-    )
-
-    return {entry.name: entry for entry in sorted(entries, key=lambda e: e.name)}
+#: builtin name -> builder of its entry; get_builtin builds only the entry
+#: asked for, so a CLI job on one builtin does not pay for the other eleven
+_BUILDERS: dict[str, Callable[[str], FixtureEntry]] = {
+    "vec_z2": lambda name: FixtureEntry(
+        name=name,
+        data=vec_group(("1", "g"), ((0, 1), (1, 0))),
+        description="group ring of Z/2",
+    ),
+    "vec_z3": lambda name: FixtureEntry(
+        name=name,
+        data=vec_group(("1", "g", "g2"), _cyclic_table(3)),
+        description="group ring of Z/3",
+    ),
+    "vec_s3": _vec_s3,
+    "rep_r_q8": lambda name: FixtureEntry(
+        name=name,
+        data=_rep_r_q8(),
+        desc=SemisimpleDesc((("1", _R), ("a", _R), ("b", _R), ("c", _R), ("h", _H))),
+        description=(
+            "real representations of the quaternion group Q8: four split "
+            "lines and one quaternionic simple of dimension four"
+        ),
+    ),
+    "rep_f2_z3": lambda name: FixtureEntry(
+        name=name,
+        data=_rank2_data("v", eps_top=2, endo_degree=1),
+        description=(
+            "representations of Z/3 over the field with two elements: the "
+            "unit and a simple V with V*V = 1 + 1 + V and End(V) the field "
+            "with four elements"
+        ),
+    ),
+    "fib": lambda name: FixtureEntry(
+        name=name,
+        data=_rank2_data("x", eps_top=1, endo_degree=1),
+        description="Fibonacci ring: x*x = 1 + x, golden-ratio dimension",
+    ),
+    "cc_bim": _cc_bim,
+    "gal7": _gal7,
+    "jj_bim": lambda name: FixtureEntry(
+        name=name,
+        data=_rank2_data("x", eps_top=2, endo_degree=3),
+        annotation=GaloisAnnotation(
+            marks=(GaloisMark.trivial(), GaloisMark.nontrivial()),
+            center_degree=1,
+        ),
+        description=(
+            "bimodules for the real cube-root field of 2 over the "
+            "rationals: the unit and the splitting-field simple; the same "
+            "semiring as rep_f2_z3 with endomorphism degree 3, and a "
+            "non-normal extension (no Galois group element applies)"
+        ),
+    ),
+    "m2_vec": lambda name: FixtureEntry(
+        name=name,
+        data=_m2_vec(),
+        description="2x2 matrix units over Vec: strictly multifusion, unit E11 + E22",
+    ),
+    "vec_r": lambda name: FixtureEntry(
+        name=name,
+        data=_vec_line(1),
+        desc=SemisimpleDesc((("1", _R),)),
+        description="one real line: the trivial fusion ring of Vec over R",
+    ),
+    "vec_c": lambda name: FixtureEntry(
+        name=name,
+        data=_vec_line(2),
+        desc=SemisimpleDesc((("1", _C),)),
+        description=(
+            "complex lines viewed over the reals: one simple with a "
+            "degree-2 endomorphism field"
+        ),
+    ),
+}
 
 
 def list_builtins() -> tuple[str, ...]:
-    return tuple(_builtins())
+    """Builtin names in sorted order; builds no entry."""
+    return tuple(sorted(_BUILDERS))
 
 
+@cache
 def get_builtin(name: str) -> FixtureEntry:
+    """The named entry, built on first request; later calls return the same
+    object."""
     try:
-        return _builtins()[name]
+        builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown builtin {name!r}; available: {', '.join(list_builtins())}"
         ) from None
+    return builder(name)

@@ -5,6 +5,13 @@ catalog.  File arguments take a path, "-" for stdin, or a builtin fixture
 name.  Exit codes: 0 success/pass, 1 validation or property failure, 2
 usage or schema error.
 
+Arguments are read from the COMMANDS table by getopt in GNU mode: options
+may come before, between or after positionals, a long option may be cut to
+a unique prefix and takes its value as "--opt value" or "--opt=value", and
+"--" ends the options.  With POSIXLY_CORRECT set in the environment getopt
+stops at the first positional, as GNU tools do.  Nothing is built at import:
+a job pays only for parsing its own arguments.
+
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
 floats), and JSON keys are sorted.  --precision only changes interval
@@ -13,13 +20,14 @@ widths, never minimal polynomials or exact values.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
+import re
 import sys
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from . import __version__
 from .catalog import FixtureEntry, get_builtin, list_builtins
@@ -167,7 +175,7 @@ def _identify(entry: FixtureEntry) -> dict[str, Any]:
 # subcommand handlers
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     data = entry.data
     structural = check_structural(data)
@@ -187,7 +195,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_fpdim(args: argparse.Namespace) -> int:
+def _cmd_fpdim(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     data = entry.data
@@ -224,7 +232,7 @@ def _cmd_fpdim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_regular(args: argparse.Namespace) -> int:
+def _cmd_regular(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
@@ -246,7 +254,7 @@ def _cmd_regular(args: argparse.Namespace) -> int:
     return 0 if verification.passed else 1
 
 
-def _cmd_integrality(args: argparse.Namespace) -> int:
+def _cmd_integrality(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
@@ -263,7 +271,7 @@ def _cmd_integrality(args: argparse.Namespace) -> int:
     return 0 if cert.is_algebraic_integer else 1
 
 
-def _cmd_center(args: argparse.Namespace) -> int:
+def _cmd_center(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     if entry.annotation is None and args.dz is None:
@@ -298,7 +306,7 @@ def _cmd_center(args: argparse.Namespace) -> int:
     return 0 if prediction.bound_ok and prediction.consistent else 1
 
 
-def _cmd_morita(args: argparse.Namespace) -> int:
+def _cmd_morita(args: SimpleNamespace) -> int:
     entry_a = _load(args.a)
     entry_b = _load(args.b)
     _gate_structural(entry_a)
@@ -316,7 +324,7 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     return 0 if result.equal else 1
 
 
-def _cmd_deligne(args: argparse.Namespace) -> int:
+def _cmd_deligne(args: SimpleNamespace) -> int:
     entry_a = _load(args.a)
     entry_b = _load(args.b)
     for arg, entry in ((args.a, entry_a), (args.b, entry_b)):
@@ -343,7 +351,7 @@ def _cmd_deligne(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: SimpleNamespace) -> int:
     if args.action == "list":
         payload = {"builtins": list(list_builtins())}
         sys.stdout.write(_render(payload, args.format))
@@ -359,114 +367,342 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 
 #: largest accepted --precision; bisection to 2^-BITS costs BITS rounds of
 #: evaluation at ever longer rationals, so unbounded values could stall a call
 MAX_PRECISION_BITS = 1024
 
+PROG = "fusionring"
+
+
+# plain classes: a NamedTuple or dataclass costs about 0.3 ms each to create
+# at import, which every CLI process would pay
+
+
+class Positional:
+    """A positional argument; `choices` empty means any value.  Optional
+    ones come after the required ones and are None when absent."""
+
+    __slots__ = ("name", "help", "choices", "optional")
+
+    def __init__(
+        self, name: str, help: str, choices: tuple[str, ...] = (), optional: bool = False
+    ) -> None:
+        self.name, self.help, self.choices, self.optional = name, help, choices, optional
+
+
+class Option:
+    """A long option.  `metavar` None makes it a flag, True when given;
+    otherwise `type` turns its value into the attribute, raising ValueError
+    with the message for a bad one."""
+
+    __slots__ = ("name", "metavar", "help", "type", "default")
+
+    def __init__(
+        self,
+        name: str,
+        metavar: Optional[str],
+        help: str,
+        type: Callable[[str], Any] = str,
+        default: Any = None,
+    ) -> None:
+        self.name, self.metavar, self.help, self.type, self.default = (
+            name, metavar, help, type, default,
+        )
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    @property
+    def spelling(self) -> str:
+        return f"--{self.name}" if self.metavar is None else f"--{self.name} {self.metavar}"
+
+
+class Command:
+    """A subcommand: its handler, help line, positionals and own options
+    (SHARED_OPTIONS come on top); `exclusive` names options of which at
+    most one may be given."""
+
+    __slots__ = ("handler", "help", "positionals", "options", "exclusive")
+
+    def __init__(
+        self,
+        handler: Callable[[SimpleNamespace], int],
+        help: str,
+        positionals: tuple[Positional, ...],
+        options: tuple[Option, ...] = (),
+        exclusive: tuple[str, ...] = (),
+    ) -> None:
+        self.handler, self.help, self.positionals = handler, help, positionals
+        self.options, self.exclusive = options, exclusive
+
+
+def _invalid_choice(text: str, choices: Iterable[str]) -> str:
+    return f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
 
 def _precision_bits(text: str) -> int:
-    try:
-        bits = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    bits = _int(text)
     if not 0 <= bits <= MAX_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(
-            f"{bits} is outside 0..{MAX_PRECISION_BITS}"
-        )
+        raise ValueError(f"{bits} is outside 0..{MAX_PRECISION_BITS}")
     return bits
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by later run_command
-    calls in the process (parsing does not modify it)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision",
-        type=_precision_bits,
-        default=64,
-        metavar="BITS",
-        help=f"certified interval width 2^-BITS, 0..{MAX_PRECISION_BITS} (default 64)",
+def _positive_int(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive integer")
+    return value
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "text"):
+        raise ValueError(_invalid_choice(text, ("json", "text")))
+    return text
+
+
+#: options every subcommand takes, listed ahead of its own
+SHARED_OPTIONS = (
+    Option(
+        "precision",
+        "BITS",
+        f"certified interval width 2^-BITS, 0..{MAX_PRECISION_BITS} (default 64)",
+        _precision_bits,
+        64,
+    ),
+    Option("format", "{json,text}", "output format (default text)", _format, "text"),
+    Option(
+        "waive-transitivity",
+        None,
+        "evaluate FPdims even on non-transitive data",
+        default=False,
+    ),
+)
+
+_FILE = Positional("file", "fusion file path, '-' for stdin, or a builtin name")
+_PAIR = (
+    Positional("a", "first input: path, '-' or builtin name"),
+    Positional("b", "second input: path, '-' or builtin name"),
+)
+
+COMMANDS: dict[str, Command] = {
+    "validate": Command(_cmd_validate, "run all axiom checks", (_FILE,)),
+    "fpdim": Command(
+        _cmd_fpdim,
+        "Frobenius-Perron dimensions",
+        (_FILE,),
+        (
+            Option("element", "LABEL", "one simple element (not with --category)"),
+            Option(
+                "category",
+                None,
+                "FPdim of the whole category (not with --element)",
+                default=False,
+            ),
+        ),
+        exclusive=("element", "category"),
+    ),
+    "regular": Command(
+        _cmd_regular, "regular element and its eigenproperty", (_FILE,)
+    ),
+    "integrality": Command(
+        _cmd_integrality, "algebraic-integrality certificate", (_FILE,)
+    ),
+    "center": Command(
+        _cmd_center,
+        "Drinfeld-center FPdim prediction",
+        (_FILE,),
+        (Option("dz", "N", "center endomorphism degree, positive", _positive_int),),
+    ),
+    "morita": Command(_cmd_morita, "compare FPdim/d invariants", _PAIR),
+    "deligne": Command(_cmd_deligne, "real division-type product of two inputs", _PAIR),
+    "catalog": Command(
+        _cmd_catalog,
+        "builtin fixtures",
+        (
+            Positional("action", "list the builtin names or emit one", ("list", "emit")),
+            Positional("name", "builtin to emit", optional=True),
+        ),
+    ),
+}
+
+
+class ParseExit(Exception):
+    """Parsing ends without a command to run: help or version text (code 0,
+    for stdout) or a usage error (code 2, for stderr)."""
+
+    def __init__(self, code: int, text: str) -> None:
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"{PROG} [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    cmd = COMMANDS[command]
+    parts = [PROG, command, "[-h]"]
+    parts += [f"[{opt.spelling}]" for opt in (*SHARED_OPTIONS, *cmd.options)]
+    for pos in cmd.positionals:
+        label = f"{{{','.join(pos.choices)}}}" if pos.choices else pos.name
+        parts.append(f"[{label}]" if pos.optional else label)
+    return " ".join(parts)
+
+
+def _help(command: Optional[str]) -> str:
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        description = "Exact Frobenius-Perron arithmetic for fusion semirings."
+        sections = [
+            ("commands", [(name, cmd.help) for name, cmd in COMMANDS.items()]),
+            ("options", [help_row, ("--version", "show the version and exit")]),
+        ]
+    else:
+        cmd = COMMANDS[command]
+        description = cmd.help
+        options = [(opt.spelling, opt.help) for opt in (*SHARED_OPTIONS, *cmd.options)]
+        sections = [
+            ("positional arguments", [(pos.name, pos.help) for pos in cmd.positionals]),
+            ("options", [help_row, *options]),
+        ]
+    width = max(len(left) for _, rows in sections for left, _ in rows)
+    lines = [f"usage: {_usage(command)}", "", description]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        lines += [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(command: Optional[str], message: str) -> ParseExit:
+    prog = PROG if command is None else f"{PROG} {command}"
+    return ParseExit(2, f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+
+
+def _looks_like_option(arg: str) -> bool:
+    """Whether arg reads as an option rather than a value; a negative number
+    (-1, -.5) or an argument with a space in it is a value."""
+    return (
+        arg[:1] == "-"
+        and arg != "-"
+        and " " not in arg
+        and not re.match(r"^-\d+$|^-\d*\.\d+$", arg)
     )
-    common.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--waive-transitivity",
-        action="store_true",
-        help="evaluate FPdims even on non-transitive data",
-    )
 
-    parser = argparse.ArgumentParser(
-        prog="fusionring",
-        description="Exact Frobenius-Perron arithmetic for fusion semirings.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="run all axiom checks")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+def _parse_top_level(argv: list[str]) -> NoReturn:
+    """argv names no subcommand: -h/--help or --version, or a usage error."""
+    try:
+        given, _ = getopt.getopt(argv, "h", ["help", "version"])
+    except getopt.GetoptError as exc:
+        raise _usage_error(None, exc.msg) from None
+    if given:
+        if given[0][0] == "--version":
+            raise ParseExit(0, f"{PROG} {__version__}\n")
+        raise ParseExit(0, _help(None))
+    if not argv:
+        raise _usage_error(None, "the following arguments are required: command")
+    raise _usage_error(None, f"argument command: {_invalid_choice(argv[0], COMMANDS)}")
 
-    p = sub.add_parser("fpdim", parents=[common], help="Frobenius-Perron dimensions")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--element", metavar="LABEL", help="one simple element")
-    group.add_argument(
-        "--category", action="store_true", help="FPdim of the whole category"
-    )
-    p.set_defaults(handler=_cmd_fpdim)
 
-    p = sub.add_parser(
-        "regular", parents=[common], help="regular element and its eigenproperty"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_regular)
+def _check_long_options(command: str, argv: list[str], options: dict[str, Option]) -> None:
+    """Long-option errors that getopt misses or words differently.  getopt
+    takes the argument after an option as its value, whatever it is: refuse
+    a value that is missing or reads as an option (--element --category;
+    --element=--category still gives it).  Name an unknown option or a flag
+    given a value in the words of the other usage errors."""
+    names = ["help", *options]
+    for arg, following in zip(argv, [*argv[1:], None]):
+        if arg == "--":
+            return
+        if arg[:2] != "--":
+            continue
+        typed, eq, value = arg[2:].partition("=")
+        matches = [typed] if typed in names else [n for n in names if n.startswith(typed)]
+        if not matches:
+            raise _usage_error(command, f"unrecognized arguments: {arg}")
+        if len(matches) > 1:
+            continue  # getopt reports the ambiguous prefix
+        opt = options.get(matches[0])
+        if opt is None or opt.metavar is None:
+            if eq:
+                raise _usage_error(
+                    command, f"argument --{matches[0]}: ignored explicit argument {value!r}"
+                )
+        elif not eq and (following is None or _looks_like_option(following)):
+            raise _usage_error(command, f"argument --{opt.name}: expected one argument")
 
-    p = sub.add_parser(
-        "integrality", parents=[common], help="algebraic-integrality certificate"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_integrality)
 
-    p = sub.add_parser(
-        "center", parents=[common], help="Drinfeld-center FPdim prediction"
-    )
-    p.add_argument("file")
-    p.add_argument("--dz", type=int, default=None, help="center endomorphism degree")
-    p.set_defaults(handler=_cmd_center)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Arguments of one invocation, argv[0] naming the subcommand, as a
+    namespace with one attribute per positional and option of COMMANDS (and
+    `command`).  Raises ParseExit for help, version and usage errors."""
+    if not argv or argv[0] not in COMMANDS:
+        _parse_top_level(argv)
+    command, rest = argv[0], argv[1:]
+    cmd = COMMANDS[command]
+    options = {opt.name: opt for opt in (*SHARED_OPTIONS, *cmd.options)}
 
-    p = sub.add_parser("morita", parents=[common], help="compare FPdim/d invariants")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_morita)
+    _check_long_options(command, rest, options)
+    longopts = ["help", *(o.name + ("=" if o.metavar else "") for o in options.values())]
+    try:
+        given, positionals = getopt.gnu_getopt(rest, "h", longopts)
+    except getopt.GetoptError as exc:
+        raise _usage_error(command, exc.msg) from None
+    if any(flag in ("-h", "--help") for flag, _ in given):
+        raise ParseExit(0, _help(command))
 
-    p = sub.add_parser(
-        "deligne", parents=[common], help="real division-type product of two inputs"
-    )
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_deligne)
+    args = SimpleNamespace(command=command)
+    for opt in options.values():
+        setattr(args, opt.dest, opt.default)
+    chosen = None
+    for flag, text in given:
+        opt = options[flag[2:]]
+        if opt.name in cmd.exclusive:
+            if chosen not in (None, opt.name):
+                raise _usage_error(
+                    command, f"argument --{opt.name}: not allowed with argument --{chosen}"
+                )
+            chosen = opt.name
+        try:
+            value = True if opt.metavar is None else opt.type(text)
+        except ValueError as exc:
+            raise _usage_error(command, f"argument --{opt.name}: {exc}") from None
+        setattr(args, opt.dest, value)
 
-    p = sub.add_parser("catalog", parents=[common], help="builtin fixtures")
-    p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(handler=_cmd_catalog)
-
-    return parser
+    required = [pos for pos in cmd.positionals if not pos.optional]
+    if len(positionals) < len(required):
+        missing = ", ".join(pos.name for pos in required[len(positionals) :])
+        raise _usage_error(command, f"the following arguments are required: {missing}")
+    if len(positionals) > len(cmd.positionals):
+        extra = " ".join(positionals[len(cmd.positionals) :])
+        raise _usage_error(command, f"unrecognized arguments: {extra}")
+    positionals += [None] * (len(cmd.positionals) - len(positionals))
+    for pos, value in zip(cmd.positionals, positionals):
+        if pos.choices and value is not None and value not in pos.choices:
+            raise _usage_error(
+                command, f"argument {pos.name}: {_invalid_choice(value, pos.choices)}"
+            )
+        setattr(args, pos.name, value)
+    return args
 
 
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        args = parse_args(argv)
+    except ParseExit as exc:
+        (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
+        return exc.code
     try:
-        return args.handler(args)
+        return COMMANDS[args.command].handler(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

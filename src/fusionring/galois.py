@@ -257,10 +257,13 @@ def center_endo_degree(
 
     For abelian group-valued annotations this is d / |H| with H the subgroup
     generated by the assigned elements (the center's field is the fixed field
-    of H).  Everything else needs a user-supplied value.
+    of H).  Everything else needs a user-supplied value, which must be a
+    positive integer (ValueError otherwise).
     """
     annotation.validate_against(data)
     if user_value is not None:
+        if not isinstance(user_value, int) or isinstance(user_value, bool) or user_value < 1:
+            raise ValueError(f"center degree must be a positive integer, got {user_value!r}")
         return user_value
     if annotation.center_degree is not None:
         return annotation.center_degree

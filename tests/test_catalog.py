@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import fusionring as fr
+from fusionring import catalog
 from conftest import fusion_data
 
 
@@ -87,3 +88,20 @@ def test_descs_attached_where_real():
     assert fr.get_builtin("cc_bim").desc is not None
     assert fr.get_builtin("vec_r").desc is not None
     assert fr.get_builtin("vec_c").desc is not None
+
+
+def test_only_the_requested_builtin_is_built(monkeypatch):
+    built = []
+    for name, builder in catalog._BUILDERS.items():
+        monkeypatch.setitem(
+            catalog._BUILDERS, name, lambda n, b=builder: built.append(n) or b(n)
+        )
+    catalog.get_builtin.cache_clear()
+    try:
+        assert fr.list_builtins() == tuple(sorted(catalog._BUILDERS))
+        assert built == []
+        entry = fr.get_builtin("fib")
+        assert fr.get_builtin("fib") is entry
+        assert built == ["fib"]
+    finally:
+        catalog.get_builtin.cache_clear()

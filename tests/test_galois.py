@@ -185,3 +185,12 @@ def test_center_prediction_user_degree_override():
     pred = fr.center_fpdim_prediction(entry.data, entry.annotation, user_center_degree=6)
     assert pred.predicted == Fraction(3)  # (6/6) * 1 * 3
     assert pred.bound_ok and not pred.equality and pred.consistent
+
+
+@pytest.mark.parametrize("degree", [0, -3, True, 1.5])
+def test_center_degree_must_be_a_positive_int(degree):
+    gal = fr.get_builtin("gal7")
+    with pytest.raises(ValueError):
+        fr.center_endo_degree(gal.data, gal.annotation, degree)
+    with pytest.raises(ValueError):
+        fr.center_fpdim_prediction(gal.data, gal.annotation, user_center_degree=degree)
