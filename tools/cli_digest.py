@@ -44,6 +44,8 @@ from fusionring.fileformat import parse_fusion_file
 
 FORMATS = ("json", "text")
 PRECISIONS = ("0", "64", "1024")
+# spelled out rather than read from fusionring.cli, so that the same
+# digest runs against checkouts whose cli has no command table
 COMMANDS = (
     "validate", "fpdim", "regular", "integrality", "center", "morita", "deligne", "catalog"
 )
