@@ -5,12 +5,12 @@ catalog.  File arguments take a path, "-" for stdin, or a builtin fixture
 name.  Exit codes: 0 success/pass, 1 validation or property failure, 2
 usage or schema error.
 
-Arguments are read from the COMMANDS table by getopt in GNU mode: options
-may come before, between or after positionals, a long option may be cut to
-a unique prefix and takes its value as "--opt value" or "--opt=value", and
-"--" ends the options.  With POSIXLY_CORRECT set in the environment getopt
-stops at the first positional, as GNU tools do.  Nothing is built at import:
-a job pays only for parsing its own arguments.
+Arguments are read from the COMMANDS table, each option token by getopt:
+options may come before, between or after positionals, a long option may
+be cut to a unique prefix and takes its value as "--opt value" or
+"--opt=value", and "--" ends the options.  What is accepted, and what each
+argument means, is what the argparse front end this replaced accepted.
+Nothing is built at import: a job pays only for parsing its own arguments.
 
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NoReturn, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import __version__
 from .catalog import FixtureEntry, get_builtin, list_builtins
@@ -395,9 +395,10 @@ class Positional:
 class Option:
     """A long option.  `metavar` None makes it a flag, True when given;
     otherwise `type` turns its value into the attribute, raising ValueError
-    with the message for a bad one."""
+    with the message for a bad one, and `choices`, when not empty, lists
+    the values allowed."""
 
-    __slots__ = ("name", "metavar", "help", "type", "default")
+    __slots__ = ("name", "metavar", "help", "type", "default", "choices")
 
     def __init__(
         self,
@@ -406,10 +407,12 @@ class Option:
         help: str,
         type: Callable[[str], Any] = str,
         default: Any = None,
+        choices: tuple[str, ...] = (),
     ) -> None:
         self.name, self.metavar, self.help, self.type, self.default = (
             name, metavar, help, type, default,
         )
+        self.choices = choices
 
     @property
     def dest(self) -> str:
@@ -464,12 +467,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _format(text: str) -> str:
-    if text not in ("json", "text"):
-        raise ValueError(_invalid_choice(text, ("json", "text")))
-    return text
-
-
 #: options every subcommand takes, listed ahead of its own
 SHARED_OPTIONS = (
     Option(
@@ -479,7 +476,13 @@ SHARED_OPTIONS = (
         _precision_bits,
         64,
     ),
-    Option("format", "{json,text}", "output format (default text)", _format, "text"),
+    Option(
+        "format",
+        "{json,text}",
+        "output format (default text)",
+        default="text",
+        choices=("json", "text"),
+    ),
     Option(
         "waive-transitivity",
         None,
@@ -587,111 +590,189 @@ def _usage_error(command: Optional[str], message: str) -> ParseExit:
     return ParseExit(2, f"usage: {_usage(command)}\n{prog}: error: {message}\n")
 
 
-def _looks_like_option(arg: str) -> bool:
-    """Whether arg reads as an option rather than a value; a negative number
-    (-1, -.5) or an argument with a space in it is a value."""
-    return (
-        arg[:1] == "-"
-        and arg != "-"
-        and " " not in arg
-        and not re.match(r"^-\d+$|^-\d*\.\d+$", arg)
-    )
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parse_top_level(argv: list[str]) -> NoReturn:
-    """argv names no subcommand: -h/--help or --version, or a usage error."""
+def _read(
+    arg: str, longopts: list[str]
+) -> tuple[Optional[list[tuple[str, Optional[str]]]], Optional[str]]:
+    """How argparse reads arg, each option token read by getopt.  A
+    positional (a word, "-", "--", a negative number or an unknown option
+    with a space in it) gives (None, None); an option, getopt's (flag,
+    value) pairs, value None where it is to come from the next argument,
+    and None; an option getopt refused, [] and the usage error argparse
+    raises at once, None for an unknown option (reported last)."""
+    if arg[:1] != "-" or arg in ("-", "--") or _NEGATIVE_NUMBER.match(arg):
+        return None, None
     try:
-        given, _ = getopt.getopt(argv, "h", ["help", "version"])
+        # getopt stops at the "-" unless the option takes it as its value
+        found, rest = getopt.getopt([arg, "-"], "h", longopts)
     except getopt.GetoptError as exc:
-        raise _usage_error(None, exc.msg) from None
-    if given:
-        if given[0][0] == "--version":
-            raise ParseExit(0, f"{PROG} {__version__}\n")
-        raise ParseExit(0, _help(None))
-    if not argv:
-        raise _usage_error(None, "the following arguments are required: command")
-    raise _usage_error(None, f"argument command: {_invalid_choice(argv[0], COMMANDS)}")
+        refusal = _refusal(arg, exc, longopts)
+        return (None, None) if " " in arg and refusal is None else ([], refusal)
+    if not rest:
+        found[-1] = (found[-1][0], None)
+    return found, None
 
 
-def _check_long_options(command: str, argv: list[str], options: dict[str, Option]) -> None:
-    """Long-option errors that getopt misses or words differently.  getopt
-    takes the argument after an option as its value, whatever it is: refuse
-    a value that is missing or reads as an option (--element --category;
-    --element=--category still gives it).  Name an unknown option or a flag
-    given a value in the words of the other usage errors."""
-    names = ["help", *options]
-    for arg, following in zip(argv, [*argv[1:], None]):
-        if arg == "--":
-            return
-        if arg[:2] != "--":
-            continue
-        typed, eq, value = arg[2:].partition("=")
-        matches = [typed] if typed in names else [n for n in names if n.startswith(typed)]
-        if not matches:
-            raise _usage_error(command, f"unrecognized arguments: {arg}")
-        if len(matches) > 1:
-            continue  # getopt reports the ambiguous prefix
-        opt = options.get(matches[0])
-        if opt is None or opt.metavar is None:
-            if eq:
-                raise _usage_error(
-                    command, f"argument --{matches[0]}: ignored explicit argument {value!r}"
-                )
-        elif not eq and (following is None or _looks_like_option(following)):
-            raise _usage_error(command, f"argument --{opt.name}: expected one argument")
+def _refusal(arg: str, exc: getopt.GetoptError, longopts: list[str]) -> Optional[str]:
+    """The usage error argparse raises at once for an option getopt
+    refused: a flag given a value (-hx is -h given x).  None for an unknown
+    option, which argparse reports after the other errors."""
+    if arg[:2] == "-h":
+        value = arg[3:] if arg[2:3] == "=" else arg[2:]
+        while value[:1] == "h" and value[1:]:  # -hhx: -h, -h, then x
+            value = value[1:]
+        return f"argument -h/--help: ignored explicit argument {value!r}"
+    if arg[:2] == "--" and exc.opt in longopts:
+        name = "-h/--help" if exc.opt == "help" else f"--{exc.opt}"
+        return f"argument {name}: ignored explicit argument {arg.partition('=')[2]!r}"
+    return None
+
+
+def _check_prefixes(command: Optional[str], args: list[str], longopts: list[str]) -> None:
+    """Refuse an ambiguous prefix of an option ahead of "--", as argparse
+    does before it reads any argument (getopt would meet it only in turn)."""
+    names = [name.rstrip("=") for name in longopts]
+    for arg in args[: args.index("--")] if "--" in args else args:
+        typed = arg[2:].partition("=")[0]
+        matches = [f"--{name}" for name in names if name.startswith(typed)]
+        if arg[:2] == "--" and typed not in names and len(matches) > 1:
+            raise _usage_error(
+                command, f"ambiguous option: {arg} could match {', '.join(matches)}"
+            )
+
+
+def _check_choice(command: str, name: str, value: str, choices: tuple[str, ...]) -> None:
+    if choices and value not in choices:
+        raise _usage_error(command, f"argument {name}: {_invalid_choice(value, choices)}")
+
+
+def _split_command(argv: list[str], extras: list[str]) -> tuple[str, list[str]]:
+    """The subcommand argv names and the arguments after it.  -h/--help and
+    --version ahead of it end parsing; unknown options go to extras."""
+    longopts = ["help", "version"]
+    _check_prefixes(None, argv, longopts)
+    for i, arg in enumerate(argv):
+        found, refusal = _read(arg, longopts)
+        if found is None:
+            if arg not in COMMANDS:
+                raise _usage_error(None, f"argument command: {_invalid_choice(arg, COMMANDS)}")
+            return arg, argv[i + 1 :]
+        if refusal:
+            raise _usage_error(None, refusal)
+        if not found:
+            extras.append(arg)
+        for flag, _ in found:
+            if flag == "--version":
+                raise ParseExit(0, f"{PROG} {__version__}\n")
+            raise ParseExit(0, _help(None))
+    raise _usage_error(None, "the following arguments are required: command")
+
+
+def _take_positionals(
+    command: str,
+    run: list[str],
+    pending: list[Positional],
+    args: SimpleNamespace,
+    extras: list[str],
+) -> None:
+    """Fill pending positionals from one run of positional arguments (those
+    between two options, or after the last), as argparse 3.11 does: one
+    argument each, in order; an optional one takes None once the run is
+    used up, so a later run cannot fill it; the first "--" is dropped where
+    it borders an argument taken.  What is not taken goes to extras."""
+    if not run:
+        return
+    separator = run.index("--") if "--" in run else -1
+    end = 0
+    while pending:
+        start = end + (end == separator)
+        if start < len(run):
+            value, end = run[start], start + 1
+            end += end == separator
+        elif pending[0].optional:
+            value, end = None, start
+        else:
+            break
+        pos = pending.pop(0)
+        if value is not None:
+            _check_choice(command, pos.name, value, pos.choices)
+        setattr(args, pos.name, value)
+    extras += run[end:]
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """Arguments of one invocation, argv[0] naming the subcommand, as a
     namespace with one attribute per positional and option of COMMANDS (and
-    `command`).  Raises ParseExit for help, version and usage errors."""
-    if not argv or argv[0] not in COMMANDS:
-        _parse_top_level(argv)
-    command, rest = argv[0], argv[1:]
+    `command`).  Arguments are read in order, each option token by getopt,
+    and accepted or refused as argparse did.  Raises ParseExit for help,
+    version and usage errors."""
+    extras: list[str] = []
+    command, rest = _split_command(argv, extras)
     cmd = COMMANDS[command]
     options = {opt.name: opt for opt in (*SHARED_OPTIONS, *cmd.options)}
-
-    _check_long_options(command, rest, options)
     longopts = ["help", *(o.name + ("=" if o.metavar else "") for o in options.values())]
-    try:
-        given, positionals = getopt.gnu_getopt(rest, "h", longopts)
-    except getopt.GetoptError as exc:
-        raise _usage_error(command, exc.msg) from None
-    if any(flag in ("-h", "--help") for flag, _ in given):
-        raise ParseExit(0, _help(command))
+    _check_prefixes(command, rest, longopts)
 
     args = SimpleNamespace(command=command)
     for opt in options.values():
         setattr(args, opt.dest, opt.default)
+    pending = list(cmd.positionals)
+    run: list[str] = []  # positionals since the last option
     chosen = None
-    for flag, text in given:
-        opt = options[flag[2:]]
-        if opt.name in cmd.exclusive:
-            if chosen not in (None, opt.name):
-                raise _usage_error(
-                    command, f"argument --{opt.name}: not allowed with argument --{chosen}"
-                )
-            chosen = opt.name
-        try:
-            value = True if opt.metavar is None else opt.type(text)
-        except ValueError as exc:
-            raise _usage_error(command, f"argument --{opt.name}: {exc}") from None
-        setattr(args, opt.dest, value)
+    i = 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if arg == "--":  # the rest are positionals
+            run += rest[i - 1 :]
+            break
+        found, refusal = _read(arg, longopts)
+        if found is None:
+            run.append(arg)
+            continue
+        _take_positionals(command, run, pending, args, extras)
+        run = []
+        if refusal:
+            raise _usage_error(command, refusal)
+        if not found:
+            extras.append(arg)
+        for flag, text in found:
+            if flag in ("-h", "--help"):
+                raise ParseExit(0, _help(command))
+            opt = options[flag[2:]]
+            if opt.metavar is None:
+                value = True
+            else:
+                if text is None:
+                    following = rest[i] if i < len(rest) else "--"
+                    if following == "--" or _read(following, longopts)[0] is not None:
+                        raise _usage_error(
+                            command, f"argument --{opt.name}: expected one argument"
+                        )
+                    text, i = rest[i], i + 1
+                try:
+                    value = opt.type(text)
+                except ValueError as exc:
+                    raise _usage_error(command, f"argument --{opt.name}: {exc}") from None
+                _check_choice(command, f"--{opt.name}", value, opt.choices)
+            if opt.name in cmd.exclusive:
+                if chosen not in (None, opt.name):
+                    raise _usage_error(
+                        command, f"argument --{opt.name}: not allowed with argument --{chosen}"
+                    )
+                chosen = opt.name
+            setattr(args, opt.dest, value)
+    _take_positionals(command, run, pending, args, extras)
 
-    required = [pos for pos in cmd.positionals if not pos.optional]
-    if len(positionals) < len(required):
-        missing = ", ".join(pos.name for pos in required[len(positionals) :])
-        raise _usage_error(command, f"the following arguments are required: {missing}")
-    if len(positionals) > len(cmd.positionals):
-        extra = " ".join(positionals[len(cmd.positionals) :])
-        raise _usage_error(command, f"unrecognized arguments: {extra}")
-    positionals += [None] * (len(cmd.positionals) - len(positionals))
-    for pos, value in zip(cmd.positionals, positionals):
-        if pos.choices and value is not None and value not in pos.choices:
-            raise _usage_error(
-                command, f"argument {pos.name}: {_invalid_choice(value, pos.choices)}"
-            )
-        setattr(args, pos.name, value)
+    missing = [pos.name for pos in pending if not pos.optional]
+    if missing:
+        raise _usage_error(
+            command, f"the following arguments are required: {', '.join(missing)}"
+        )
+    if extras:
+        raise _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

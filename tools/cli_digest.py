@@ -78,6 +78,15 @@ USAGE_RUNS = (
     ["catalog", "bogus"],
     ["catalog", "emit"],
     ["catalog", "emit", "nope"],
+    # read in order and by runs of positionals, as argparse 3.11 did
+    ["catalog", "emit", "--format", "json", "fib"],
+    ["validate", "fib", "--format", "json", "--"],
+    ["validate", "fib", "-x", "--bogus=1"],
+    ["validate", "-hx"],
+    ["fpdim", "fib", "-h", "--bogus"],
+    ["fpdim", "-h", "--element"],
+    ["fpdim", "fib", "--element", "-h"],
+    ["morita", "fib", "--", "--"],
     # accepted spellings: the output of the full form
     ["fpdim", "fib", "--prec", "32", "--form=json"],
     ["fpdim", "--cat", "rep_f2_z3"],
@@ -85,6 +94,8 @@ USAGE_RUNS = (
     ["center", "gal7", "--dz=6", "--format", "json"],
     ["integrality", "--waive", "--", "fib"],
     ["catalog", "--format", "json", "list"],
+    ["fpdim", "fib", "--element", "--a b"],
+    ["validate", "-1"],
 )
 
 
