@@ -5,12 +5,10 @@ catalog.  File arguments take a path, "-" for stdin, or a builtin fixture
 name.  Exit codes: 0 success/pass, 1 validation or property failure, 2
 usage or schema error.
 
-Arguments are read from the COMMANDS table, each option token by getopt:
-options may come before, between or after positionals, a long option may
-be cut to a unique prefix and takes its value as "--opt value" or
-"--opt=value", and "--" ends the options.  What is accepted, and what each
-argument means, is what the argparse front end this replaced accepted.
-Nothing is built at import: a job pays only for parsing its own arguments.
+Arguments are read against the COMMANDS table by cmdline.CommandLine,
+which accepts and refuses what the argparse front end it replaced did, in
+the same words.  Nothing is built at import: a job pays only for parsing
+its own arguments.
 
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
@@ -20,17 +18,16 @@ widths, never minimal polynomials or exact values.
 
 from __future__ import annotations
 
-import getopt
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any
 
 from . import __version__
 from .catalog import FixtureEntry, get_builtin, list_builtins
+from .cmdline import Command, CommandLine, Option, ParseExit, Positional
 from .deligne import deligne_product
 from .errors import FusionError, SchemaError
 from .fileformat import emit_entry, parse_fusion_file
@@ -367,83 +364,13 @@ def _cmd_catalog(args: SimpleNamespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command table and parser
+# command table
 
 #: largest accepted --precision; bisection to 2^-BITS costs BITS rounds of
 #: evaluation at ever longer rationals, so unbounded values could stall a call
 MAX_PRECISION_BITS = 1024
 
 PROG = "fusionring"
-
-
-# plain classes: a NamedTuple or dataclass costs about 0.3 ms each to create
-# at import, which every CLI process would pay
-
-
-class Positional:
-    """A positional argument; `choices` empty means any value.  Optional
-    ones come after the required ones and are None when absent."""
-
-    __slots__ = ("name", "help", "choices", "optional")
-
-    def __init__(
-        self, name: str, help: str, choices: tuple[str, ...] = (), optional: bool = False
-    ) -> None:
-        self.name, self.help, self.choices, self.optional = name, help, choices, optional
-
-
-class Option:
-    """A long option.  `metavar` None makes it a flag, True when given;
-    otherwise `type` turns its value into the attribute, raising ValueError
-    with the message for a bad one, and `choices`, when not empty, lists
-    the values allowed."""
-
-    __slots__ = ("name", "metavar", "help", "type", "default", "choices")
-
-    def __init__(
-        self,
-        name: str,
-        metavar: Optional[str],
-        help: str,
-        type: Callable[[str], Any] = str,
-        default: Any = None,
-        choices: tuple[str, ...] = (),
-    ) -> None:
-        self.name, self.metavar, self.help, self.type, self.default = (
-            name, metavar, help, type, default,
-        )
-        self.choices = choices
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-    @property
-    def spelling(self) -> str:
-        return f"--{self.name}" if self.metavar is None else f"--{self.name} {self.metavar}"
-
-
-class Command:
-    """A subcommand: its handler, help line, positionals and own options
-    (SHARED_OPTIONS come on top); `exclusive` names options of which at
-    most one may be given."""
-
-    __slots__ = ("handler", "help", "positionals", "options", "exclusive")
-
-    def __init__(
-        self,
-        handler: Callable[[SimpleNamespace], int],
-        help: str,
-        positionals: tuple[Positional, ...],
-        options: tuple[Option, ...] = (),
-        exclusive: tuple[str, ...] = (),
-    ) -> None:
-        self.handler, self.help, self.positionals = handler, help, positionals
-        self.options, self.exclusive = options, exclusive
-
-
-def _invalid_choice(text: str, choices: Iterable[str]) -> str:
-    return f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
 
 
 def _int(text: str) -> int:
@@ -539,241 +466,15 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-class ParseExit(Exception):
-    """Parsing ends without a command to run: help or version text (code 0,
-    for stdout) or a usage error (code 2, for stderr)."""
-
-    def __init__(self, code: int, text: str) -> None:
-        super().__init__(text)
-        self.code = code
-        self.text = text
-
-
-def _usage(command: Optional[str]) -> str:
-    if command is None:
-        return f"{PROG} [-h] [--version] {{{','.join(COMMANDS)}}} ..."
-    cmd = COMMANDS[command]
-    parts = [PROG, command, "[-h]"]
-    parts += [f"[{opt.spelling}]" for opt in (*SHARED_OPTIONS, *cmd.options)]
-    for pos in cmd.positionals:
-        label = f"{{{','.join(pos.choices)}}}" if pos.choices else pos.name
-        parts.append(f"[{label}]" if pos.optional else label)
-    return " ".join(parts)
-
-
-def _help(command: Optional[str]) -> str:
-    help_row = ("-h, --help", "show this help message and exit")
-    if command is None:
-        description = "Exact Frobenius-Perron arithmetic for fusion semirings."
-        sections = [
-            ("commands", [(name, cmd.help) for name, cmd in COMMANDS.items()]),
-            ("options", [help_row, ("--version", "show the version and exit")]),
-        ]
-    else:
-        cmd = COMMANDS[command]
-        description = cmd.help
-        options = [(opt.spelling, opt.help) for opt in (*SHARED_OPTIONS, *cmd.options)]
-        sections = [
-            ("positional arguments", [(pos.name, pos.help) for pos in cmd.positionals]),
-            ("options", [help_row, *options]),
-        ]
-    width = max(len(left) for _, rows in sections for left, _ in rows)
-    lines = [f"usage: {_usage(command)}", "", description]
-    for title, rows in sections:
-        lines += ["", f"{title}:"]
-        lines += [f"  {left:<{width}}  {text}" for left, text in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _usage_error(command: Optional[str], message: str) -> ParseExit:
-    prog = PROG if command is None else f"{PROG} {command}"
-    return ParseExit(2, f"usage: {_usage(command)}\n{prog}: error: {message}\n")
-
-
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _read(
-    arg: str, longopts: list[str]
-) -> tuple[Optional[list[tuple[str, Optional[str]]]], Optional[str]]:
-    """How argparse reads arg, each option token read by getopt.  A
-    positional (a word, "-", "--", a negative number or an unknown option
-    with a space in it) gives (None, None); an option, getopt's (flag,
-    value) pairs, value None where it is to come from the next argument,
-    and None; an option getopt refused, [] and the usage error argparse
-    raises at once, None for an unknown option (reported last)."""
-    if arg[:1] != "-" or arg in ("-", "--") or _NEGATIVE_NUMBER.match(arg):
-        return None, None
-    try:
-        # getopt stops at the "-" unless the option takes it as its value
-        found, rest = getopt.getopt([arg, "-"], "h", longopts)
-    except getopt.GetoptError as exc:
-        refusal = _refusal(arg, exc, longopts)
-        return (None, None) if " " in arg and refusal is None else ([], refusal)
-    if not rest:
-        found[-1] = (found[-1][0], None)
-    return found, None
-
-
-def _refusal(arg: str, exc: getopt.GetoptError, longopts: list[str]) -> Optional[str]:
-    """The usage error argparse raises at once for an option getopt
-    refused: a flag given a value (-hx is -h given x).  None for an unknown
-    option, which argparse reports after the other errors."""
-    if arg[:2] == "-h":
-        value = arg[3:] if arg[2:3] == "=" else arg[2:]
-        while value[:1] == "h" and value[1:]:  # -hhx: -h, -h, then x
-            value = value[1:]
-        return f"argument -h/--help: ignored explicit argument {value!r}"
-    if arg[:2] == "--" and exc.opt in longopts:
-        name = "-h/--help" if exc.opt == "help" else f"--{exc.opt}"
-        return f"argument {name}: ignored explicit argument {arg.partition('=')[2]!r}"
-    return None
-
-
-def _check_prefixes(command: Optional[str], args: list[str], longopts: list[str]) -> None:
-    """Refuse an ambiguous prefix of an option ahead of "--", as argparse
-    does before it reads any argument (getopt would meet it only in turn)."""
-    names = [name.rstrip("=") for name in longopts]
-    for arg in args[: args.index("--")] if "--" in args else args:
-        typed = arg[2:].partition("=")[0]
-        matches = [f"--{name}" for name in names if name.startswith(typed)]
-        if arg[:2] == "--" and typed not in names and len(matches) > 1:
-            raise _usage_error(
-                command, f"ambiguous option: {arg} could match {', '.join(matches)}"
-            )
-
-
-def _check_choice(command: str, name: str, value: str, choices: tuple[str, ...]) -> None:
-    if choices and value not in choices:
-        raise _usage_error(command, f"argument {name}: {_invalid_choice(value, choices)}")
-
-
-def _split_command(argv: list[str], extras: list[str]) -> tuple[str, list[str]]:
-    """The subcommand argv names and the arguments after it.  -h/--help and
-    --version ahead of it end parsing; unknown options go to extras."""
-    longopts = ["help", "version"]
-    _check_prefixes(None, argv, longopts)
-    for i, arg in enumerate(argv):
-        found, refusal = _read(arg, longopts)
-        if found is None:
-            if arg not in COMMANDS:
-                raise _usage_error(None, f"argument command: {_invalid_choice(arg, COMMANDS)}")
-            return arg, argv[i + 1 :]
-        if refusal:
-            raise _usage_error(None, refusal)
-        if not found:
-            extras.append(arg)
-        for flag, _ in found:
-            if flag == "--version":
-                raise ParseExit(0, f"{PROG} {__version__}\n")
-            raise ParseExit(0, _help(None))
-    raise _usage_error(None, "the following arguments are required: command")
-
-
-def _take_positionals(
-    command: str,
-    run: list[str],
-    pending: list[Positional],
-    args: SimpleNamespace,
-    extras: list[str],
-) -> None:
-    """Fill pending positionals from one run of positional arguments (those
-    between two options, or after the last), as argparse 3.11 does: one
-    argument each, in order; an optional one takes None once the run is
-    used up, so a later run cannot fill it; the first "--" is dropped where
-    it borders an argument taken.  What is not taken goes to extras."""
-    if not run:
-        return
-    separator = run.index("--") if "--" in run else -1
-    end = 0
-    while pending:
-        start = end + (end == separator)
-        if start < len(run):
-            value, end = run[start], start + 1
-            end += end == separator
-        elif pending[0].optional:
-            value, end = None, start
-        else:
-            break
-        pos = pending.pop(0)
-        if value is not None:
-            _check_choice(command, pos.name, value, pos.choices)
-        setattr(args, pos.name, value)
-    extras += run[end:]
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Arguments of one invocation, argv[0] naming the subcommand, as a
-    namespace with one attribute per positional and option of COMMANDS (and
-    `command`).  Arguments are read in order, each option token by getopt,
-    and accepted or refused as argparse did.  Raises ParseExit for help,
-    version and usage errors."""
-    extras: list[str] = []
-    command, rest = _split_command(argv, extras)
-    cmd = COMMANDS[command]
-    options = {opt.name: opt for opt in (*SHARED_OPTIONS, *cmd.options)}
-    longopts = ["help", *(o.name + ("=" if o.metavar else "") for o in options.values())]
-    _check_prefixes(command, rest, longopts)
-
-    args = SimpleNamespace(command=command)
-    for opt in options.values():
-        setattr(args, opt.dest, opt.default)
-    pending = list(cmd.positionals)
-    run: list[str] = []  # positionals since the last option
-    chosen = None
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
-        i += 1
-        if arg == "--":  # the rest are positionals
-            run += rest[i - 1 :]
-            break
-        found, refusal = _read(arg, longopts)
-        if found is None:
-            run.append(arg)
-            continue
-        _take_positionals(command, run, pending, args, extras)
-        run = []
-        if refusal:
-            raise _usage_error(command, refusal)
-        if not found:
-            extras.append(arg)
-        for flag, text in found:
-            if flag in ("-h", "--help"):
-                raise ParseExit(0, _help(command))
-            opt = options[flag[2:]]
-            if opt.metavar is None:
-                value = True
-            else:
-                if text is None:
-                    following = rest[i] if i < len(rest) else "--"
-                    if following == "--" or _read(following, longopts)[0] is not None:
-                        raise _usage_error(
-                            command, f"argument --{opt.name}: expected one argument"
-                        )
-                    text, i = rest[i], i + 1
-                try:
-                    value = opt.type(text)
-                except ValueError as exc:
-                    raise _usage_error(command, f"argument --{opt.name}: {exc}") from None
-                _check_choice(command, f"--{opt.name}", value, opt.choices)
-            if opt.name in cmd.exclusive:
-                if chosen not in (None, opt.name):
-                    raise _usage_error(
-                        command, f"argument --{opt.name}: not allowed with argument --{chosen}"
-                    )
-                chosen = opt.name
-            setattr(args, opt.dest, value)
-    _take_positionals(command, run, pending, args, extras)
-
-    missing = [pos.name for pos in pending if not pos.optional]
-    if missing:
-        raise _usage_error(
-            command, f"the following arguments are required: {', '.join(missing)}"
-        )
-    if extras:
-        raise _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
-    return args
+COMMAND_LINE = CommandLine(
+    PROG,
+    "Exact Frobenius-Perron arithmetic for fusion semirings.",
+    __version__,
+    COMMANDS,
+    SHARED_OPTIONS,
+)
+#: the arguments of one invocation; see CommandLine.parse
+parse_args = COMMAND_LINE.parse
 
 
 def run_command(argv: list[str]) -> int:

@@ -1,4 +1,4 @@
-"""The command-line parser: COMMANDS read with getopt.
+"""The command-line parser: cli.COMMANDS read by cmdline.CommandLine.
 
 The argparse parser that the table replaced is kept below, verbatim, as the
 reference: a seeded differential test draws a few thousand argument lists
@@ -272,6 +272,14 @@ def test_table_parser_matches_reference(capsys):
     assert min(outcomes["ok"], outcomes["error"]) > 600 and outcomes["help"] > 30, outcomes
     assert set(differences) == {"dz"}, differences
     assert sum(differences.values()) < 100, differences
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_options_of_a_subcommand_share_no_prefix(command):
+    """parse_args looks for ambiguous prefixes among the top-level options
+    only; with distinct first letters a subcommand has none."""
+    names = ["help", *(opt.name for opt in (*SHARED_OPTIONS, *COMMANDS[command].options))]
+    assert len({name[0] for name in names}) == len(names)
 
 
 def test_environment_does_not_change_parsing(monkeypatch):
