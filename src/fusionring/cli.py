@@ -5,10 +5,10 @@ catalog.  File arguments take a path, "-" for stdin, or a builtin fixture
 name.  Exit codes: 0 success/pass, 1 validation or property failure, 2
 usage or schema error.
 
-Arguments are read against the COMMANDS table by cmdline.CommandLine,
-which accepts and refuses what the argparse front end it replaced did, in
-the same words.  Nothing is built at import: a job pays only for parsing
-its own arguments.
+Arguments are read against the COMMANDS table by cmdline.CommandLine in
+one left-to-right pass (its module docstring gives the grammar); usage
+errors keep the words of the argparse front end it replaced.  Nothing is
+built at import: a job pays only for parsing its own arguments.
 
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
@@ -146,7 +146,7 @@ def _load(arg: str) -> FixtureEntry:
             raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
     except (UnicodeDecodeError, OSError) as exc:
         raise SchemaError(f"cannot read {arg!r}: {exc}") from None
-    return parse_fusion_file(text).as_entry()
+    return parse_fusion_file(text)
 
 
 def _gate_structural(entry: FixtureEntry) -> None:
@@ -350,6 +350,8 @@ def _cmd_deligne(args: SimpleNamespace) -> int:
 
 def _cmd_catalog(args: SimpleNamespace) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise SchemaError(f"catalog list takes no name, got {args.name!r}")
         payload = {"builtins": list(list_builtins())}
         sys.stdout.write(_render(payload, args.format))
         return 0

@@ -2,19 +2,29 @@
 
 A CommandLine holds the table: each subcommand's handler, help line,
 positionals and options, plus the options every subcommand takes.  Its
-parse reads argv left to right, each option token by getopt: options may
-come before, between or after positionals, a long option may be cut to a
-unique prefix and takes its value as "--opt value" or "--opt=value", and
-"--" ends the options.  What is accepted or refused, what each argument
-means and the words of each usage error are those of argparse 3.11, which
-this replaces: building an argparse parser, and the locale import that its
-first message makes, cost 7-8 ms in every CLI process.  Help and usage text
-are generated from the table.  Nothing is read from the environment.
+parse reads argv once, left to right:
+
+- Ahead of the subcommand only -h/--help and --version are read.
+- After it, the first "--" ends the options; every later argument is a
+  positional, another "--" too.  Before that, an argument is an option when
+  it starts with "-", is not "-" or a negative number, and has no space
+  before any "=".  Options are -h, --help, and --NAME, --NAME=V or
+  --NAME V, NAME cut to any unique prefix, an exact name winning.  A value
+  in the next argument is refused when that argument is "--" or an option.
+  Every other argument fills the next positional at once, its choices
+  checked then.
+- The first error ends parsing.  Unknown options and surplus positionals
+  are reported together, in argv order, after a missing positional.  -h
+  answers unless an error came before it.
+
+The words of each usage error are argparse's, which this replaces: building
+an argparse parser, and the locale import that its first message makes,
+cost 7-8 ms in every CLI process.  Help and usage text are generated from
+the table.  Nothing is read from the environment.
 """
 
 from __future__ import annotations
 
-import getopt
 import re
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Optional
@@ -111,80 +121,44 @@ def _check_choice(name: str, value: str, choices: Iterable[str]) -> None:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _read(
-    arg: str, longopts: list[str]
-) -> tuple[Optional[list[tuple[str, Optional[str]]]], Optional[str]]:
-    """How argparse reads arg, each option token read by getopt.  A
-    positional (a word, "-", "--", a negative number or an unknown option
-    with a space in it) gives (None, None); an option, getopt's (flag,
-    value) pairs, value None where it is to come from the next argument,
-    and None; an option getopt refused, [] and the usage error argparse
-    raises at once, None for an unknown option (reported last)."""
-    if arg[:1] != "-" or arg in ("-", "--") or _NEGATIVE_NUMBER.match(arg):
+def _is_option(arg: str) -> bool:
+    """Whether arg reads as an option: it starts with "-", is not "-" or a
+    negative number, and has no space before any "=" ("-a b" is a word)."""
+    return (
+        arg[:1] == "-"
+        and arg != "-"
+        and not _NEGATIVE_NUMBER.match(arg)
+        and " " not in arg.partition("=")[0]
+    )
+
+
+def _spelled(arg: str, names: list[str]) -> tuple[Optional[str], Optional[str]]:
+    """The name of the option that arg spells ("help" for -h) and the value
+    it gives after "=", None when it has no "="; (None, None) for an option
+    not in names.  --NAME may be cut to a unique prefix, an exact name
+    winning."""
+    if arg[:2] == "--":
+        typed, equals, value = arg[2:].partition("=")
+        matches = [typed] if typed in names else [n for n in names if n.startswith(typed)]
+        if len(matches) > 1:
+            listed = ", ".join(f"--{name}" for name in matches)
+            raise UsageError(f"ambiguous option: {arg} could match {listed}")
+        return (matches[0], value if equals else None) if matches else (None, None)
+    if arg == "-h":
+        return "help", None
+    if arg[:2] != "-h":
         return None, None
-    try:
-        # getopt stops at the "-" unless the option takes it as its value
-        found, rest = getopt.getopt([arg, "-"], "h", longopts)
-    except getopt.GetoptError as exc:
-        refusal = _refusal(arg, exc, longopts)
-        return (None, None) if " " in arg and refusal is None else ([], refusal)
-    if not rest:
-        found[-1] = (found[-1][0], None)
-    return found, None
+    # -h runs on as -hh.. or -h=..: each further h is another -h, as in
+    # argparse, and what follows them is the value (-hhx gives "x")
+    tail = arg[3:] if arg[2] == "=" else arg[2:]
+    return "help", (tail.lstrip("h") or None) if tail else ""
 
 
-def _refusal(arg: str, exc: getopt.GetoptError, longopts: list[str]) -> Optional[str]:
-    """The usage error argparse raises at once for an option getopt
-    refused: a flag given a value (-hx is -h given x).  None for an unknown
-    option, which argparse reports after the other errors."""
-    if arg[:2] == "-h":
-        value = arg[3:] if arg[2:3] == "=" else arg[2:]
-        while value[:1] == "h" and value[1:]:  # -hhx: -h, -h, then x
-            value = value[1:]
-        return f"argument -h/--help: ignored explicit argument {value!r}"
-    if arg[:2] == "--" and exc.opt in longopts:
-        name = "-h/--help" if exc.opt == "help" else f"--{exc.opt}"
-        return f"argument {name}: ignored explicit argument {arg.partition('=')[2]!r}"
-    return None
-
-
-def _check_prefixes(args: list[str], names: list[str]) -> None:
-    """Refuse an ambiguous prefix of a top-level option ahead of "--"
-    (--=x could be --help or --version), as argparse does before it reads
-    any argument.  No two options of a subcommand may share a prefix."""
-    for arg in args[: args.index("--")] if "--" in args else args:
-        typed = arg[2:].partition("=")[0]
-        matches = [f"--{name}" for name in names if name.startswith(typed)]
-        if arg[:2] == "--" and typed not in names and len(matches) > 1:
-            raise UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
-
-
-def _take_positionals(
-    run: list[str], pending: list[Positional], args: SimpleNamespace, extras: list[str]
-) -> None:
-    """Fill pending positionals from one run of positional arguments (those
-    between two options, or after the last), as argparse 3.11 does: one
-    argument each, in order; an optional one takes None once the run is
-    used up, so a later run cannot fill it; the first "--" is dropped where
-    it borders an argument taken.  What is not taken goes to extras."""
-    if not run:
-        return
-    separator = run.index("--") if "--" in run else -1
-    end = 0
-    while pending:
-        start = end + (end == separator)
-        if start < len(run):
-            value, end = run[start], start + 1
-            end += end == separator
-        elif pending[0].optional:
-            value, end = None, start
-        else:
-            break
-        pos = pending.pop(0)
-        if value is not None:
-            _check_choice(pos.name, value, pos.choices)
-        setattr(args, pos.name, value)
-    extras += run[end:]
+def _check_flag(name: str, value: Optional[str]) -> None:
+    """Refuse a value given to a flag."""
+    if value is not None:
+        label = "-h/--help" if name == "help" else f"--{name}"
+        raise UsageError(f"argument {label}: ignored explicit argument {value!r}")
 
 
 class CommandLine:
@@ -245,7 +219,7 @@ class CommandLine:
         subcommand (and `command`).  Raises ParseExit for help, version
         and usage errors."""
         command = None
-        extras: list[str] = []
+        extras: list[str] = []  # unknown options and surplus positionals
         try:
             command, rest = self._split_command(argv, extras)
             return self._parse_command(command, rest, extras)
@@ -254,79 +228,79 @@ class CommandLine:
             raise ParseExit(2, f"usage: {self.usage(command)}\n{prog}: error: {exc}\n") from None
 
     def _split_command(self, argv: list[str], extras: list[str]) -> tuple[str, list[str]]:
-        """The subcommand argv names and the arguments after it.  -h/--help
-        and --version ahead of it end parsing; unknown options go to extras."""
-        longopts = ["help", "version"]
-        _check_prefixes(argv, longopts)
+        """The subcommand argv names and the arguments after it.  Ahead of
+        it only -h/--help and --version are read; the first other argument
+        that is not an option names it ("--" included)."""
         for i, arg in enumerate(argv):
-            found, refusal = _read(arg, longopts)
-            if found is None:
+            if arg == "--" or not _is_option(arg):
                 _check_choice("command", arg, self.commands)
                 return arg, argv[i + 1 :]
-            if refusal:
-                raise UsageError(refusal)
-            if not found:
+            name, value = _spelled(arg, ["help", "version"])
+            if name is None:
                 extras.append(arg)
-            for flag, _ in found:
-                if flag == "--version":
-                    raise ParseExit(0, f"{self.prog} {self.version}\n")
-                raise ParseExit(0, self.help(None))
+                continue
+            _check_flag(name, value)
+            if name == "version":
+                raise ParseExit(0, f"{self.prog} {self.version}\n")
+            raise ParseExit(0, self.help(None))
         raise UsageError("the following arguments are required: command")
 
     def _parse_command(self, command: str, rest: list[str], extras: list[str]) -> SimpleNamespace:
         cmd = self.commands[command]
         options = {opt.name: opt for opt in (*self.shared, *cmd.options)}
-        longopts = ["help", *(o.name + ("=" if o.metavar else "") for o in options.values())]
-
+        names = ["help", *options]
         args = SimpleNamespace(command=command)
         for opt in options.values():
             setattr(args, opt.dest, opt.default)
         pending = list(cmd.positionals)
-        run: list[str] = []  # positionals since the last option
-        chosen = None
-        i = 0
-        while i < len(rest):
-            arg = rest[i]
-            i += 1
-            if arg == "--":  # the rest are positionals
-                run += rest[i - 1 :]
-                break
-            found, refusal = _read(arg, longopts)
-            if found is None:
-                run.append(arg)
-                continue
-            _take_positionals(run, pending, args, extras)
-            run = []
-            if refusal:
-                raise UsageError(refusal)
-            if not found:
-                extras.append(arg)
-            for flag, text in found:
-                if flag in ("-h", "--help"):
-                    raise ParseExit(0, self.help(command))
-                opt = options[flag[2:]]
-                if opt.metavar is None:
-                    value = True
-                else:
-                    if text is None:
-                        following = rest[i] if i < len(rest) else "--"
-                        if following == "--" or _read(following, longopts)[0] is not None:
-                            raise UsageError(f"argument --{opt.name}: expected one argument")
-                        text, i = following, i + 1
-                    try:
-                        value = opt.type(text)
-                    except ValueError as exc:
-                        raise UsageError(f"argument --{opt.name}: {exc}") from None
-                    _check_choice(f"--{opt.name}", value, opt.choices)
-                if opt.name in cmd.exclusive:
-                    if chosen not in (None, opt.name):
-                        raise UsageError(
-                            f"argument --{opt.name}: not allowed with argument --{chosen}"
-                        )
-                    chosen = opt.name
-                setattr(args, opt.dest, value)
-        _take_positionals(run, pending, args, extras)
 
+        def take(arg: str) -> None:
+            if not pending:
+                extras.append(arg)
+                return
+            pos = pending.pop(0)
+            _check_choice(pos.name, arg, pos.choices)
+            setattr(args, pos.name, arg)
+
+        chosen = None
+        words = iter(rest)
+        for arg in words:
+            if arg == "--":  # the rest are positionals
+                break
+            if not _is_option(arg):
+                take(arg)
+                continue
+            name, value = _spelled(arg, names)
+            if name is None:
+                extras.append(arg)
+                continue
+            if name == "help":
+                _check_flag(name, value)
+                raise ParseExit(0, self.help(command))
+            opt = options[name]
+            if opt.metavar is None:
+                _check_flag(name, value)
+                value = True
+            else:
+                if value is None:
+                    value = next(words, "--")  # "--" stands for no argument
+                    if _is_option(value):
+                        raise UsageError(f"argument --{name}: expected one argument")
+                try:
+                    value = opt.type(value)
+                except ValueError as exc:
+                    raise UsageError(f"argument --{name}: {exc}") from None
+                _check_choice(f"--{name}", value, opt.choices)
+            if name in cmd.exclusive:
+                if chosen not in (None, name):
+                    raise UsageError(f"argument --{name}: not allowed with argument --{chosen}")
+                chosen = name
+            setattr(args, opt.dest, value)
+        for arg in words:
+            take(arg)
+
+        for pos in pending:
+            setattr(args, pos.name, None)
         missing = [pos.name for pos in pending if not pos.optional]
         if missing:
             raise UsageError(f"the following arguments are required: {', '.join(missing)}")

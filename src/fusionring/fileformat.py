@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .catalog import FixtureEntry
@@ -51,22 +50,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParsedFile:
-    name: str
-    data: FusionData
-    annotation: Optional[GaloisAnnotation] = None
-    desc: Optional[SemisimpleDesc] = None
-    description: str = ""
-
-    def as_entry(self) -> FixtureEntry:
-        return FixtureEntry(
-            name=self.name,
-            data=self.data,
-            annotation=self.annotation,
-            desc=self.desc,
-            description=self.description,
-        )
+#: what parse_fusion_file returns, under its older name
+ParsedFile = FixtureEntry
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -116,7 +101,7 @@ def _loads(source: str | bytes) -> Any:
         ) from None
 
 
-def parse_fusion_file(source: str | bytes) -> ParsedFile:
+def parse_fusion_file(source: str | bytes) -> FixtureEntry:
     try:
         doc = _loads(source)
     except json.JSONDecodeError as exc:
@@ -124,7 +109,7 @@ def parse_fusion_file(source: str | bytes) -> ParsedFile:
     return _parse_fusion_doc(doc)
 
 
-def _parse_fusion_doc(doc: Any) -> ParsedFile:
+def _parse_fusion_doc(doc: Any) -> FixtureEntry:
     _expect(isinstance(doc, dict), "top level must be a JSON object")
 
     name = _get_str(doc, "name", "") or ""
@@ -279,7 +264,7 @@ def _parse_fusion_doc(doc: Any) -> ParsedFile:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
-    return ParsedFile(
+    return FixtureEntry(
         name=name, data=data, annotation=annotation, desc=desc, description=description
     )
 

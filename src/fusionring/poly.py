@@ -122,12 +122,6 @@ class RationalPolynomial:
     def __mod__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division was expected to be exact")
-        return q
-
     def monic(self) -> "RationalPolynomial":
         if self.is_zero or self.is_monic:
             return self
@@ -194,13 +188,6 @@ class RationalPolynomial:
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self})"
-
-
-def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd via the Euclidean algorithm on primitive integer multiples,
-    with the integer pseudo-remainders of the Sturm chains."""
-    g = _integer_gcd(_positive_integer_multiple(a.coeffs), _positive_integer_multiple(b.coeffs))
-    return RationalPolynomial(g).monic()
 
 
 def _integer_gcd(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:

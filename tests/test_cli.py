@@ -182,6 +182,12 @@ def test_catalog_list(capsys):
     assert "rep_r_q8" in doc["builtins"] and "gal7" in doc["builtins"]
 
 
+def test_catalog_list_refuses_a_name(capsys):
+    assert run(capsys, "catalog", "list", "fib") == (
+        2, "", "error: catalog list takes no name, got 'fib'\n"
+    )
+
+
 def test_catalog_emit_round_trip(capsys):
     code, out, _ = run(capsys, "catalog", "emit", "jj_bim")
     assert code == 0

@@ -2,10 +2,25 @@
 
 The argparse parser that the table replaced is kept below, verbatim, as the
 reference: a seeded differential test draws a few thousand argument lists
-over every subcommand and requires both parsers to accept, refuse or answer
-with help the same ones, with equal fields on acceptance.  The only
-difference allowed is the one the table makes on purpose, recognised by
-`_explain`: --dz must be a positive integer (argparse took any int).
+over every subcommand.  Where argparse accepts, the table accepts with equal
+fields; where argparse answers with help, so does the table; where both
+refuse, the messages are equal.  The differences allowed are those the
+table's grammar makes on purpose, each recognised by `_explain` from the
+argument list:
+
+- dz: --dz must be a positive integer (argparse took any int);
+- (a) a positional after an option fills the next slot, so
+  catalog emit --format json fib emits fib (argparse filled the optional
+  name only from the positionals right after the action);
+- (b) the first -- is dropped wherever it stands (argparse dropped it only
+  next to a positional it filled and reported it otherwise);
+- (c) an argument starting with - that has a space before any "=" is a
+  positional, so "-h b" is a file name (argparse read -h given " b");
+- (d) an ambiguous prefix is refused where it stands, among the options of
+  the command being read (argparse refused --=x before reading anything).
+
+Under (a)-(c) the table may accept what argparse refused, under (c)-(d)
+answer help where argparse refused, and under (a)-(d) refuse in other words.
 
 Not drawn, and tested directly: argparse 3.11 dropped a literal -- that
 followed the first one, so morita fib -- -- handed the handler b=[] and
@@ -181,7 +196,8 @@ POSITIONAL_VALUES = ("fib", "vec_z2", "rings/su2_5.json", "-", "")
 #: positionals that start with "-": negative numbers and words with a space
 DASHED_POSITIONALS = ("-1", "-2.5", "-a b", "--x y")
 HELP = ("-h", "--help", "--he")
-#: options no subcommand has; the last four are refused where they stand
+#: options no subcommand has, -hx and -hh=x refused where they stand; "-h b"
+#: is a positional to the table and --=x an ambiguous prefix
 UNKNOWN = ("--bogus", "--bogus=1", "-x", "-hx", "-h b", "-hh=x", "--=x")
 
 
@@ -238,9 +254,58 @@ def _message(stderr: str) -> str:
     return stderr.split(": error: ", 1)[1]
 
 
+def _ahead_of_separator(argv: list[str]) -> list[str]:
+    return argv[: argv.index("--")] if "--" in argv else argv
+
+
+def _option_after_action(argv: list[str]) -> bool:
+    """(a) An option follows catalog's action: argparse filled the optional
+    name only from the positionals right after the action, so a later one
+    was surplus; the table fills the name with it."""
+    words = _ahead_of_separator(argv)
+    if "catalog" not in words:
+        return False
+    after = words[words.index("catalog") + 1 :]
+    action = next((i for i, arg in enumerate(after) if arg in ("list", "emit", "bogus")), None)
+    following = after[action + 1 : action + 2] if action is not None else []
+    return any(
+        arg[:1] == "-" and arg not in ("-", *DASHED_POSITIONALS) for arg in following
+    )
+
+
+def _separator_left(argv: list[str]) -> bool:
+    """(b) argparse names -- among the unrecognized arguments: it dropped
+    -- only next to a positional it filled, where the table drops the first
+    -- wherever it stands."""
+    ref = reference(argv)
+    message = _message(ref[1]) if ref[0] == "error" else ""
+    prefix = "unrecognized arguments: "
+    return message.startswith(prefix) and "--" in message[len(prefix) :].split()
+
+
+def _help_with_space(argv: list[str]) -> bool:
+    """(c) An argument -h... with a space before any "=": argparse read it
+    as -h given a value and refused it; the table reads a positional."""
+    return any(
+        arg[:2] == "-h" and " " in arg.partition("=")[0] for arg in _ahead_of_separator(argv)
+    )
+
+
+def _ambiguous_ahead(argv: list[str]) -> bool:
+    """(d) An ambiguous prefix of --help and --version (--=x): argparse
+    refused it before reading any argument; the table refuses it where it
+    stands, among the options of the command it reads."""
+    return any(
+        arg[:2] == "--" and arg[2:].partition("=")[0] == "" for arg in _ahead_of_separator(argv)
+    )
+
+
 def _explain(argv, ref, new) -> set[str]:
     """The listed differences that account for ref != new, error messages
-    included; fails on any other difference."""
+    included; fails on any other difference.  A difference is allowed only
+    where a class that can cause it holds: argparse's acceptance and help
+    are kept but for the --dz refusal, and a refusal becomes an acceptance
+    under (a)-(c), help under (c)-(d), or another refusal under (a)-(d)."""
     if ref[0] == new[0] and (ref[0] == "help" or ref[1] == new[1]):
         return set()
     if ref[0] == new[0] == "error" and _message(ref[1]) == _message(new[1]):
@@ -248,7 +313,17 @@ def _explain(argv, ref, new) -> set[str]:
     if new[0] == "error" and re.match(r"argument --dz: -?\d+ is not a positive integer\n$",
                                       _message(new[1])):
         return {"dz"}
-    pytest.fail(f"parsers differ on {argv}: reference {ref}, table {new}")
+    holds = {
+        "a": _option_after_action(argv),
+        "b": _separator_left(argv),
+        "c": _help_with_space(argv),
+        "d": _ambiguous_ahead(argv),
+    }
+    allowed = {"ok": "abc", "help": "cd", "error": "abcd"}[new[0]] if ref[0] == "error" else ""
+    reasons = {reason for reason in allowed if holds[reason]}
+    if not reasons:
+        pytest.fail(f"parsers differ on {argv}: reference {ref}, table {new}")
+    return reasons
 
 
 def test_table_parser_matches_reference(capsys):
@@ -270,20 +345,20 @@ def test_table_parser_matches_reference(capsys):
             assert prog in ("fusionring", *(f"fusionring {c}" for c in COMMANDS))
             assert f"\n{prog}: error: " in err
     assert min(outcomes["ok"], outcomes["error"]) > 600 and outcomes["help"] > 30, outcomes
-    assert set(differences) == {"dz"}, differences
-    assert sum(differences.values()) < 100, differences
+    assert set(differences) == {"dz", "a", "b", "c", "d"}, differences
+    assert sum(differences.values()) < 250, differences
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_options_of_a_subcommand_share_no_prefix(command):
-    """parse_args looks for ambiguous prefixes among the top-level options
-    only; with distinct first letters a subcommand has none."""
+    """With distinct first letters every option of a subcommand may be cut
+    to one letter; only --=x, a prefix of all of them, is ambiguous."""
     names = ["help", *(opt.name for opt in (*SHARED_OPTIONS, *COMMANDS[command].options))]
     assert len({name[0] for name in names}) == len(names)
 
 
 def test_environment_does_not_change_parsing(monkeypatch):
-    """getopt's GNU mode obeys POSIXLY_CORRECT; the table's parsing must not."""
+    """POSIXLY_CORRECT, which getopt's GNU mode obeys, changes nothing."""
     argvs = [draw(random.Random(seed)) for seed in range(300)]
     monkeypatch.delenv("POSIXLY_CORRECT", raising=False)
     without = [current(argv) for argv in argvs]
@@ -315,6 +390,13 @@ def test_abbreviated_and_equals_spellings():
     assert parse_args(["validate", "--", "-1"]).file == "-1"
     assert parse_args(["catalog", "--format", "json", "emit", "fib"]).name == "fib"
     assert parse_args(["catalog", "emit", "--", "fib"]).name == "fib"
+    # (a) a positional after an option fills the next slot
+    assert parse_args(["catalog", "emit", "--format", "json", "fib"]).name == "fib"
+    # (b) -- is dropped wherever the options end
+    assert parse_args(["validate", "fib", "--format", "json", "--"]).file == "fib"
+    # (c) a space before any "=" makes a positional, also after -h
+    assert parse_args(["validate", "-h b"]).file == "-h b"
+    assert parse_args(["validate", "--x y=z"]).file == "--x y=z"
     assert parse_args(["center", "gal7", "--dz", "3", "--dz", "6"]).dz == 6
     # argparse 3.11 dropped a second --, so b was [] and the handler raised
     assert parse_args(["morita", "fib", "--", "--"]).b == "--"
@@ -343,15 +425,19 @@ def test_abbreviated_and_equals_spellings():
         (["validate", "-x", "a", "--bogus=1"], "unrecognized arguments: -x --bogus=1"),
         (["fpdim", "fib", "--cat=yes"], "argument --category: ignored explicit argument 'yes'"),
         (["fpdim", "fib", "--help=1"], "argument -h/--help: ignored explicit argument '1'"),
-        (["validate", "-h b"], "argument -h/--help: ignored explicit argument ' b'"),
+        (["validate", "-h= b"], "argument -h/--help: ignored explicit argument ' b'"),
         (["validate", "-h=x"], "argument -h/--help: ignored explicit argument 'x'"),
         (["validate", "-hhx"], "argument -h/--help: ignored explicit argument 'x'"),
-        # argparse fills an optional positional from the first run of
-        # positionals only, and takes -- only next to a positional
-        (["catalog", "emit", "--format", "json", "fib"], "unrecognized arguments: fib"),
-        (["validate", "fib", "--format", "json", "--"], "unrecognized arguments: --"),
-        (["validate", "a", "b", "--", "c"], "unrecognized arguments: b -- c"),
+        # surplus positionals fill no later slot; after the first -- every
+        # argument is a positional, another -- too
+        (["catalog", "emit", "--format", "json", "vec_z2", "fib"], "unrecognized arguments: fib"),
+        (["validate", "fib", "--", "--"], "unrecognized arguments: --"),
+        (["validate", "a", "--", "b", "--", "c"], "unrecognized arguments: b -- c"),
         (["fpdim", "fib", "--element", "--", "x"], "argument --element: expected one argument"),
+        (["validate", "a", "b", "--", "c"], "unrecognized arguments: b c"),
+        (["validate", "-x", "a", "--=x", "b"],
+         "ambiguous option: --=x could match --help, --precision, --format, "
+         "--waive-transitivity"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):
@@ -369,8 +455,7 @@ def test_usage_error_messages(capsys, argv, message):
         ([], "the following arguments are required: command"),
         (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'validate', "
          "'fpdim', 'regular', 'integrality', 'center', 'morita', 'deligne', 'catalog')"),
-        # argparse looks for an ambiguous prefix before it reads anything
-        (["-h", "validate", "--=x"], "ambiguous option: --=x could match --help, --version"),
+        (["--=x", "validate"], "ambiguous option: --=x could match --help, --version"),
     ],
 )
 def test_top_level_usage_errors(capsys, argv, message):
@@ -405,10 +490,12 @@ def test_subcommand_help_names_every_option(capsys, command, flag):
         ["validate", "a", "b", "--he"],
         ["catalog", "-h", "bogus"],
         ["--bogus", "center", "-h"],
+        ["-h", "validate", "--=x"],
+        ["validate", "-h", "--=x"],
     ],
 )
 def test_help_comes_before_later_errors(capsys, argv):
-    """As in argparse, -h answers with help unless an error came before it."""
+    """-h answers with help unless an error came before it."""
     assert run_command(argv) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: fusionring ") and err == ""
@@ -444,13 +531,15 @@ def test_version(capsys):
 
 
 def test_job_imports_neither_argparse_nor_locale():
-    """A CLI job must not pay for argparse or for the locale import that
-    gettext makes on first use; checked in a fresh interpreter."""
+    """A CLI job must not pay for argparse, getopt, gettext (which getopt
+    imports) or the locale import that gettext makes on first use; checked
+    in a fresh interpreter."""
     code = (
         "import sys\n"
         "from fusionring.cli import run_command\n"
         "assert run_command(['validate', 'vec_z2']) == 0\n"
-        "sys.stderr.write(' '.join(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+        "modules = ('argparse', 'getopt', 'gettext', 'locale')\n"
+        "sys.stderr.write(' '.join(m for m in modules if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

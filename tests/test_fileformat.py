@@ -13,18 +13,15 @@ def test_round_trip_builtins(name):
     entry = fr.get_builtin(name)
     text = fr.emit_entry(entry)
     parsed = fr.parse_fusion_file(text)
-    assert parsed.data == entry.data
-    assert parsed.annotation == entry.annotation
-    assert parsed.desc == entry.desc
-    assert parsed.name == entry.name
-    assert parsed.description == entry.description
+    assert type(parsed) is fr.FixtureEntry is fr.ParsedFile
+    assert parsed == entry
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_emit_parse_emit_byte_identical(name):
     entry = fr.get_builtin(name)
     once = fr.emit_entry(entry)
-    twice = fr.emit_entry(fr.parse_fusion_file(once).as_entry())
+    twice = fr.emit_entry(fr.parse_fusion_file(once))
     assert once == twice
 
 

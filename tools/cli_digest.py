@@ -78,9 +78,19 @@ USAGE_RUNS = (
     ["catalog", "bogus"],
     ["catalog", "emit"],
     ["catalog", "emit", "nope"],
-    # read in order and by runs of positionals, as argparse 3.11 did
+    # where the grammar departs from argparse's: (a) a positional after an
+    # option fills the next slot, (b) the first -- is dropped wherever it
+    # stands, (c) a space before any "=" makes a positional, (d) an
+    # ambiguous prefix is refused where it stands; and catalog list refuses
+    # a name
     ["catalog", "emit", "--format", "json", "fib"],
+    ["catalog", "emit", "--waive-transitivity", "vec_z2"],
     ["validate", "fib", "--format", "json", "--"],
+    ["validate", "a", "b", "--", "c"],
+    ["validate", "-h b"],
+    ["-h", "validate", "--=x"],
+    ["catalog", "list", "fib"],
+    # read in order: errors and help where they stand
     ["validate", "fib", "-x", "--bogus=1"],
     ["validate", "-hx"],
     ["fpdim", "fib", "-h", "--bogus"],
@@ -100,11 +110,13 @@ USAGE_RUNS = (
 
 
 def _entry(arg: str) -> Optional[FixtureEntry]:
-    """Entry of a builtin name or a fusion file; None if unreadable."""
+    """Entry of a builtin name or a fusion file; None if unreadable.  Only
+    its data, annotation and desc are read, which parse_fusion_file's
+    result has in every version."""
     if arg in list_builtins() and not Path(arg).exists():
         return get_builtin(arg)
     try:
-        return parse_fusion_file(Path(arg).read_bytes()).as_entry()
+        return parse_fusion_file(Path(arg).read_bytes())
     except (OSError, FusionError):
         return None
 
