@@ -263,14 +263,10 @@ def _option_after_action(argv: list[str]) -> bool:
     name only from the positionals right after the action, so a later one
     was surplus; the table fills the name with it."""
     words = _ahead_of_separator(argv)
-    if "catalog" not in words:
-        return False
-    after = words[words.index("catalog") + 1 :]
-    action = next((i for i, arg in enumerate(after) if arg in ("list", "emit", "bogus")), None)
-    following = after[action + 1 : action + 2] if action is not None else []
-    return any(
-        arg[:1] == "-" and arg not in ("-", *DASHED_POSITIONALS) for arg in following
-    )
+    for arg, following in zip(words, words[1:]):
+        if "catalog" in words and arg in ("list", "emit"):
+            return following[:1] == "-" and following not in ("-", *DASHED_POSITIONALS)
+    return False
 
 
 def _separator_left(argv: list[str]) -> bool:
