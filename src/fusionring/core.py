@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ContextMismatchError, NotFusionError
 from .report import ValidationReport, Violation
@@ -23,12 +23,13 @@ Tensor = tuple[tuple[tuple[int, ...], ...], ...]
 SparseProducts = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FusionData:
     """Basis presentation of a multifusion semiring.
 
     labels       distinct basis labels; index order is the canonical basis order
-    n_tensor     n_tensor[i][j][k] = multiplicity of simple k in the product i*j
+    products     products[i][j] lists the nonzero (k, N[i][j][k]) of the product
+                 i*j in ascending k: the one stored form of the product tensor
     dual         index map of the duality involution
     eps          eps[i] = dim of End(X_i) over the endomorphism field
     endo_degree  degree of the endomorphism field over the base field
@@ -36,43 +37,91 @@ class FusionData:
                  index once, but duplicates are representable so the checker
                  can report them
 
+    The tensor is given either sparse, as `products`, or dense, as
+    `n_tensor` (n_tensor[i][j][k] = multiplicity of simple k in i*j); the
+    dense form is turned into `products` and is afterwards only a view.
+    Equality and hashing read `products`.
+
     Construction enforces shapes and nonnegativity only.  The semiring axioms
     (associativity, unit laws, duality) are checked by validate.check_structural,
     which must be able to receive broken data and report on it.
     """
 
     labels: tuple[str, ...]
-    n_tensor: Tensor
+    products: SparseProducts
     dual: tuple[int, ...]
     eps: tuple[int, ...]
     endo_degree: int
     unit: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(
-            self, "n_tensor", tuple(tuple(tuple(row) for row in plane) for plane in self.n_tensor)
-        )
-        object.__setattr__(self, "dual", tuple(self.dual))
-        object.__setattr__(self, "eps", tuple(self.eps))
-        object.__setattr__(self, "unit", tuple(self.unit))
-        r = len(self.labels)
+    def __init__(
+        self,
+        labels: Sequence[str],
+        n_tensor: Optional[Sequence[Sequence[Sequence[int]]]] = None,
+        dual: Optional[Sequence[int]] = None,
+        eps: Optional[Sequence[int]] = None,
+        endo_degree: Optional[int] = None,
+        unit: Optional[Sequence[int]] = None,
+        *,
+        products: Optional[SparseProducts] = None,
+    ) -> None:
+        given = (dual, eps, endo_degree, unit)
+        if any(v is None for v in given) or (n_tensor is None) == (products is None):
+            raise TypeError(
+                "FusionData needs labels, dual, eps, endo_degree, unit and exactly "
+                "one of n_tensor, products"
+            )
+        labels = tuple(labels)
+        r = len(labels)
         if r == 0:
             raise ValueError("empty basis")
-        if len(set(self.labels)) != r:
+        if len(set(labels)) != r:
             raise ValueError("duplicate basis labels")
-        if len(self.n_tensor) != r or any(
-            len(plane) != r or any(len(row) != r for row in plane) for plane in self.n_tensor
-        ):
+        if n_tensor is not None:
+            if len(n_tensor) != r or any(
+                len(plane) != r or any(len(row) != r for row in plane) for plane in n_tensor
+            ):
+                raise ValueError("product tensor must be rank x rank x rank")
+            # keep whatever is nonzero or not an int, for the check below
+            products = [
+                [
+                    [(k, m) for k, m in enumerate(row) if m or not isinstance(m, int)]
+                    for row in plane
+                ]
+                for plane in n_tensor
+            ]
+        elif len(products) != r or any(len(plane) != r for plane in products):
             raise ValueError("product tensor must be rank x rank x rank")
-        for i, plane in enumerate(self.n_tensor):
+        # one shared tuple per distinct (k, m) keeps the index small, since
+        # it lives as long as the data
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        sparse = []
+        for i, plane in enumerate(products):
+            rows = []
             for j, row in enumerate(plane):
-                for k, m in enumerate(row):
-                    if not isinstance(m, int) or m < 0:
+                last = -1
+                shared = []
+                for k, m in row:
+                    if not (isinstance(k, int) and last < k < r):
                         raise ValueError(
-                            f"multiplicity N[{self.labels[i]}][{self.labels[j]}]"
-                            f"[{self.labels[k]}] = {m!r} is not a nonnegative integer"
+                            f"products[{i}][{j}] must list basis indices in ascending order"
                         )
+                    if not isinstance(m, int) or m < 1:
+                        raise ValueError(
+                            f"multiplicity N[{labels[i]}][{labels[j]}][{labels[k]}] = {m!r} "
+                            f"is not a {'positive' if n_tensor is None else 'nonnegative'} integer"
+                        )
+                    last = k
+                    pair = (k, m)
+                    shared.append(pairs.setdefault(pair, pair))
+                rows.append(tuple(shared))
+            sparse.append(tuple(rows))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "products", tuple(sparse))
+        object.__setattr__(self, "dual", tuple(dual))
+        object.__setattr__(self, "eps", tuple(eps))
+        object.__setattr__(self, "endo_degree", endo_degree)
+        object.__setattr__(self, "unit", tuple(unit))
         if len(self.dual) != r or any(not (0 <= d < r) for d in self.dual):
             raise ValueError("dual map must assign a basis index to every simple")
         if len(self.eps) != r or any(not isinstance(e, int) or e < 1 for e in self.eps):
@@ -87,22 +136,20 @@ class FusionData:
         return len(self.labels)
 
     @cached_property
-    def products(self) -> SparseProducts:
-        """products[i][j] lists the nonzero (k, N[i][j][k]) in ascending k.
-
-        A sparse view of n_tensor, which stays the only source of truth;
-        built on first use and kept on the instance.
-        """
-        # one shared tuple per distinct (k, m) keeps the index small, since
-        # it lives as long as the data
-        pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        return tuple(
-            tuple(
-                tuple(pairs.setdefault((k, m), (k, m)) for k, m in enumerate(row) if m)
-                for row in plane
-            )
-            for plane in self.n_tensor
-        )
+    def n_tensor(self) -> Tensor:
+        """The dense tensor n_tensor[i][j][k] = N[i][j][k], a view of
+        `products` built on first use and kept on the instance."""
+        r = self.rank
+        dense = []
+        for plane in self.products:
+            rows = []
+            for row in plane:
+                out = [0] * r
+                for k, m in row:
+                    out[k] = m
+                rows.append(tuple(out))
+            dense.append(tuple(rows))
+        return tuple(dense)
 
     @property
     def is_fusion(self) -> bool:
@@ -268,13 +315,10 @@ def unit_decomposition(data: FusionData) -> UnitDecomposition:
                 )
             )
     indices = tuple(sorted(seen))
+    products = data.products
     for a in indices:
         for b in indices:
-            product = data.n_tensor[a][b]
-            expected = [0] * data.rank
-            if a == b:
-                expected[a] = 1
-            if list(product) != expected:
+            if products[a][b] != (((a, 1),) if a == b else ()):
                 violations.append(
                     Violation(
                         "unit_orthogonality",

@@ -54,14 +54,16 @@ __all__ = [
 ParsedFile = FixtureEntry
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: Any, message: str, *args: Any) -> None:
+    """Raise SchemaError(message.format(*args)) unless condition holds; the
+    message is formatted only then."""
     if not condition:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args))
 
 
 def _get_str(doc: dict, key: str, default: Optional[str] = None) -> Optional[str]:
     value = doc.get(key, default)
-    _expect(value is None or isinstance(value, str), f'"{key}" must be a string')
+    _expect(value is None or isinstance(value, str), '"{}" must be a string', key)
     return value
 
 
@@ -71,7 +73,9 @@ def _get_positive_int(doc: dict, key: str, default: Optional[int]) -> Optional[i
         return None
     _expect(
         isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-        f'"{key}" must be a positive integer, got {value!r}',
+        '"{}" must be a positive integer, got {!r}',
+        key,
+        value,
     )
     return value
 
@@ -125,28 +129,30 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
     dual_labels: list[str] = []
     galois_raw: list[Any] = []
     for pos, simple in enumerate(simples):
-        _expect(isinstance(simple, dict), f"simples[{pos}] must be an object")
+        _expect(isinstance(simple, dict), "simples[{}] must be an object", pos)
         label = simple.get("label")
         _expect(
-            isinstance(label, str) and label, f'simples[{pos}] needs a nonempty "label"'
+            isinstance(label, str) and label, 'simples[{}] needs a nonempty "label"', pos
         )
-        _expect(label not in labels, f"duplicate simple label {label!r}")
+        _expect(label not in labels, "duplicate simple label {!r}", label)
         labels.append(label)
         dim = simple.get("endo_dim", 1)
         _expect(
             isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-            f'simple {label!r}: "endo_dim" must be a positive integer, got {dim!r}',
+            'simple {!r}: "endo_dim" must be a positive integer, got {!r}',
+            label,
+            dim,
         )
         endo_dims.append(dim)
         dual = simple.get("dual", label)
-        _expect(isinstance(dual, str), f'simple {label!r}: "dual" must be a label')
+        _expect(isinstance(dual, str), 'simple {!r}: "dual" must be a label', label)
         dual_labels.append(dual)
         galois_raw.append(simple.get("galois"))
 
     index = {label: i for i, label in enumerate(labels)}
     rank = len(labels)
     for label, dual in zip(labels, dual_labels):
-        _expect(dual in index, f'simple {label!r}: unknown dual label {dual!r}')
+        _expect(dual in index, 'simple {!r}: unknown dual label {!r}', label, dual)
 
     unit_labels = doc.get("unit", ["1"])
     _expect(
@@ -154,27 +160,36 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
         '"unit" must be a nonempty array of labels',
     )
     for u in unit_labels:
-        _expect(isinstance(u, str) and u in index, f"unknown unit label {u!r}")
+        _expect(isinstance(u, str) and u in index, "unknown unit label {!r}", u)
 
-    tensor = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    products = [[()] * rank for _ in range(rank)]
     fusion = doc.get("fusion", {})
     _expect(isinstance(fusion, dict), '"fusion" must be an object')
     for key, row in fusion.items():
         parts = key.split("|")
         _expect(
-            len(parts) == 2, f'fusion key {key!r} must look like "left|right"'
+            len(parts) == 2, 'fusion key {!r} must look like "left|right"', key
         )
         left, right = parts
-        _expect(left in index, f"fusion key {key!r}: unknown label {left!r}")
-        _expect(right in index, f"fusion key {key!r}: unknown label {right!r}")
-        _expect(isinstance(row, dict), f"fusion[{key!r}] must be an object")
+        _expect(left in index, "fusion key {!r}: unknown label {!r}", key, left)
+        _expect(right in index, "fusion key {!r}: unknown label {!r}", key, right)
+        _expect(isinstance(row, dict), "fusion[{!r}] must be an object", key)
+        entries = []
         for result, mult in row.items():
-            _expect(result in index, f"fusion[{key!r}]: unknown label {result!r}")
+            k = index.get(result)
+            _expect(k is not None, "fusion[{!r}]: unknown label {!r}", key, result)
+            # JSON gives no int subclass but bool
             _expect(
-                isinstance(mult, int) and not isinstance(mult, bool) and mult >= 0,
-                f"fusion[{key!r}][{result!r}] must be a nonnegative integer, got {mult!r}",
+                type(mult) is int and mult >= 0,
+                "fusion[{!r}][{!r}] must be a nonnegative integer, got {!r}",
+                key,
+                result,
+                mult,
             )
-            tensor[index[left]][index[right]][index[result]] = mult
+            if mult:
+                entries.append((k, mult))
+        entries.sort()
+        products[index[left]][index[right]] = tuple(entries)
 
     group: Optional[FiniteGroup] = None
     if "group" in doc:
@@ -211,15 +226,19 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
             element = raw["group_element"]
             _expect(
                 isinstance(element, str),
-                f'simple {label!r}: "group_element" must be a label',
+                'simple {!r}: "group_element" must be a label',
+                label,
             )
             _expect(
                 group is not None,
-                f'simple {label!r} names a group element but the file has no "group"',
+                'simple {!r} names a group element but the file has no "group"',
+                label,
             )
             _expect(
                 element in group.labels,
-                f'simple {label!r}: unknown group element {element!r}',
+                'simple {!r}: unknown group element {!r}',
+                label,
+                element,
             )
             marks.append(GaloisMark.of(element))
             annotated = True
@@ -247,7 +266,9 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
             value = raw[label]
             _expect(
                 value in ("R", "C", "H"),
-                f'division type of {label!r} must be "R", "C" or "H", got {value!r}',
+                'division type of {!r} must be "R", "C" or "H", got {!r}',
+                label,
+                value,
             )
             kinds.append((label, DivisionType(value)))
         desc = SemisimpleDesc(tuple(kinds))
@@ -255,7 +276,7 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
     try:
         data = FusionData(
             labels=tuple(labels),
-            n_tensor=tensor,
+            products=products,
             dual=tuple(index[d] for d in dual_labels),
             eps=tuple(endo_dims),
             endo_degree=endo_degree,
@@ -310,11 +331,7 @@ def emit_fusion_file(
     fusion: dict[str, dict[str, int]] = {}
     for i in order:
         for j in order:
-            row = {
-                data.labels[k]: m
-                for k, m in enumerate(data.n_tensor[i][j])
-                if m
-            }
+            row = {data.labels[k]: m for k, m in data.products[i][j]}
             if row:
                 fusion[f"{data.labels[i]}|{data.labels[j]}"] = dict(sorted(row.items()))
     doc["fusion"] = fusion
@@ -388,20 +405,22 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
     _expect(isinstance(doc, dict), "top level must be a JSON object")
     _expect(doc.get("kind") == "morphism", 'morphism files carry "kind": "morphism"')
     for key in ("source", "target"):
-        _expect(isinstance(doc.get(key), dict), f'"{key}" must be an embedded fusion document')
+        _expect(isinstance(doc.get(key), dict), '"{}" must be an embedded fusion document', key)
     src = _parse_fusion_doc(doc["source"]).data
     tgt = _parse_fusion_doc(doc["target"]).data
     images = doc.get("images", {})
     _expect(isinstance(images, dict), '"images" must be an object')
     matrix = [[0] * src.rank for _ in range(tgt.rank)]
     for s_label, column in images.items():
-        _expect(s_label in src.labels, f"unknown source label {s_label!r}")
-        _expect(isinstance(column, dict), f"images[{s_label!r}] must be an object")
+        _expect(s_label in src.labels, "unknown source label {!r}", s_label)
+        _expect(isinstance(column, dict), "images[{!r}] must be an object", s_label)
         for t_label, mult in column.items():
-            _expect(t_label in tgt.labels, f"unknown target label {t_label!r}")
+            _expect(t_label in tgt.labels, "unknown target label {!r}", t_label)
             _expect(
                 isinstance(mult, int) and not isinstance(mult, bool) and mult >= 0,
-                f"images[{s_label!r}][{t_label!r}] must be a nonnegative integer",
+                "images[{!r}][{!r}] must be a nonnegative integer",
+                s_label,
+                t_label,
             )
             matrix[tgt.index(t_label)][src.index(s_label)] = mult
     twist = None
@@ -410,10 +429,11 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
         _expect(isinstance(raw_twist, dict), '"twist" must be an object or null')
         coeffs = [0] * src.rank
         for label, c in raw_twist.items():
-            _expect(label in src.labels, f"unknown twist label {label!r}")
+            _expect(label in src.labels, "unknown twist label {!r}", label)
             _expect(
                 isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                f"twist[{label!r}] must be a nonnegative integer",
+                "twist[{!r}] must be a nonnegative integer",
+                label,
             )
             coeffs[src.index(label)] = c
         twist = MultisetElement(src, tuple(coeffs))

@@ -223,24 +223,21 @@ def galois_trivial_subring(data: FusionData, annotation: GaloisAnnotation) -> Fu
                 f"dual of Galois-trivial {data.labels[i]} is not Galois trivial"
             )
         for j in trivial:
-            for k, m in enumerate(data.n_tensor[i][j]):
-                if m and k not in keep:
+            for k, _ in data.products[i][j]:
+                if k not in keep:
                     raise InconsistentAnnotationError(
                         f"product {data.labels[i]}*{data.labels[j]} leaves the "
                         f"Galois-trivial simples at {data.labels[k]}"
                     )
     position = {g: i for i, g in enumerate(trivial)}
-    r = len(trivial)
-    tensor = tuple(
-        tuple(
-            tuple(data.n_tensor[i][j][k] for k in trivial)
-            for j in trivial
-        )
+    # trivial is ascending, so each row stays in ascending order
+    products = [
+        [tuple((position[k], m) for k, m in data.products[i][j]) for j in trivial]
         for i in trivial
-    )
+    ]
     return FusionData(
         labels=tuple(data.labels[i] for i in trivial),
-        n_tensor=tensor,
+        products=products,
         dual=tuple(position[data.dual[i]] for i in trivial),
         eps=tuple(data.eps[i] for i in trivial),
         endo_degree=data.endo_degree,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import FusionData, MultisetElement, multiply
+from .errors import InconsistentDataError
 from .fpengine import (
     AlgebraicNumber,
     ExactValue,
@@ -33,6 +34,7 @@ from .fpengine import (
 )
 from .regular import fpdim_category
 from .report import ValidationReport, Violation
+from .validate import check_structural
 
 Rat = Union[int, Fraction]
 ValueLike = Union[Rat, AlgebraicNumber]
@@ -126,7 +128,9 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     """Certify FPdim(f(x)) = FPdim(D) FPdim(x) for all source simples, and,
     when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly:
     the first by _scaled_fpdim_violations (no products, so no degree cap), the
-    second by _regular_transport_violations in the source's Perron field."""
+    second by _regular_transport_violations in the source's Perron field.
+    Raises InconsistentDataError unless both rings pass check_structural:
+    on non-associative data the two FPdim readings need not agree."""
     hom = check_homomorphism(f)
     if not hom.passed:
         return hom
@@ -136,6 +140,24 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     if check_dominant(f):
         violations += _regular_transport_violations(f)
     return ValidationReport.from_violations(violations)
+
+
+@lru_cache(maxsize=128)
+def _structural_failure(data: FusionData) -> Optional[str]:
+    """The first check_structural violation of data, or None."""
+    report = check_structural(data)
+    return None if report.passed else report.violations[0].message
+
+
+def _require_fpdim_rings(f: SemiringMorphism) -> None:
+    """The gates of the FPdim checks on both rings: ensure_fpdim_ready, then
+    check_structural, whose failure raises InconsistentDataError."""
+    for data in (f.source, f.target):
+        ensure_fpdim_ready(data)
+    for role, data in (("source", f.source), ("target", f.target)):
+        failure = _structural_failure(data)
+        if failure is not None:
+            raise InconsistentDataError(f"the {role} fails structural checks: {failure}")
 
 
 # Elements of a Perron field K = Q(mu) below are integer coefficient tuples
@@ -169,7 +191,7 @@ def _fpdims(data: FusionData, w: Sequence[tuple[int, ...]]) -> list[tuple[int, .
     """W_unit FPdim(y) = (y W)_unit = Sum_i N[y][i][unit] W_i; eps_y W_y would
     trust eps."""
     u = data.unit_index
-    return [_combine(w, [row[u] for row in plane]) for plane in data.n_tensor]
+    return [_combine(w, [dict(row).get(u, 0) for row in plane]) for plane in data.products]
 
 
 def _scaled_fpdim_violations(
@@ -182,7 +204,7 @@ def _scaled_fpdim_violations(
     v = v_u FPdim (else flag where off); then exact_cmp(FPdim(f(1)),
     scalar()) fixes v_u (else flag every simple)."""
     src = f.source
-    ensure_fpdim_ready(src)
+    _require_fpdim_rings(f)
     m, w = perron_data(f.target)
     fpdims = _fpdims(f.target, w)
     v = [_combine(fpdims, col) for col in zip(*f.matrix)]
@@ -280,7 +302,8 @@ def check_adjoint_matrix(adjoint: SemiringMorphism, fpdim_d: ValueLike) -> Valid
     X the FPdim of the image must be FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B))
     FPdim(X): _scaled_fpdim_violations with the scalar adjoint_fpdim(..., 1),
     whose degree cap (UnrepresentableError) and ValueError on FPdim(D) <= 0
-    this check inherits.
+    this check inherits, and InconsistentDataError unless both rings pass
+    check_structural.
     """
     src, tgt = adjoint.source, adjoint.target
 

@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 
+#: modulus of the rank test in _light_generators
+PRIME = 2**31 - 1
+
+
 def check_structural(data: FusionData) -> ValidationReport:
     """Verify the multifusion-semiring axioms.
 
@@ -30,11 +34,23 @@ def check_structural(data: FusionData) -> ValidationReport:
     orthogonal multiplicity-one idempotents whose sum is a two-sided identity,
     the product is associative, and the duality axiom (a unique unit summand
     appears in a*b, and in b*a, exactly when b is the dual of a).
+
+    Associativity is decided by Light's associativity test (Clifford and
+    Preston, The Algebraic Theory of Semigroups, Vol. I, section 1.2).  The
+    a with (x*a)*y = x*(a*y) for all x, y form a subspace M closed under
+    products, and M contains 1 once the unit law holds.  So if the words
+    s1*(s2*(...*1)) over a set S of simples span the whole space, it is
+    enough to check the identity for each a in S: r^2 |S| triples instead
+    of r^3.  The span is measured as a rank modulo the prime PRIME: a full
+    rank mod p gives an r x r minor that is nonzero mod p, so nonzero, and
+    the rank over Q is full too; the test is exact.  When the unit law or a
+    checked triple fails, every triple is checked and every violation is
+    reported.
     """
     violations: list[Violation] = []
     labels = data.labels
     r = data.rank
-    n = data.n_tensor
+    products = data.products
 
     for i, d in enumerate(data.dual):
         if data.dual[d] != i:
@@ -51,62 +67,58 @@ def check_structural(data: FusionData) -> ValidationReport:
     units, unit_report = unit_decomposition(data)
     violations.extend(unit_report.violations)
 
-    one = data.one()
+    one = [(u, data.unit.count(u)) for u in units]
+    unit_law = True
     for i in range(r):
-        x = data.basis(i)
-        left = one * x
-        right = x * one
-        if left.coeffs != x.coeffs:
-            violations.append(
-                Violation("unit_law", (i,), f"1*{labels[i]} = {left}, expected {labels[i]}")
-            )
-        if right.coeffs != x.coeffs:
-            violations.append(
-                Violation("unit_law", (i,), f"{labels[i]}*1 = {right}, expected {labels[i]}")
-            )
+        for left in (True, False):
+            times_one: dict[int, int] = {}
+            for u, c in one:
+                for k, m in products[u][i] if left else products[i][u]:
+                    times_one[k] = times_one.get(k, 0) + c * m
+            if times_one != {i: 1}:
+                unit_law = False
+                x = data.basis(i)
+                got = data.one() * x if left else x * data.one()
+                term = f"1*{labels[i]}" if left else f"{labels[i]}*1"
+                violations.append(
+                    Violation("unit_law", (i,), f"{term} = {got}, expected {labels[i]}")
+                )
 
-    # (i*j)*k and i*(j*k) as sparse vectors; only a mismatch walks l
-    products = data.products
-    for i in range(r):
-        left_i = products[i]
-        for j in range(r):
-            ij = left_i[j]
-            for k in range(r):
-                lhs: dict[int, int] = {}
-                for m, a in ij:
-                    for l, b in products[m][k]:
-                        lhs[l] = lhs.get(l, 0) + a * b
-                rhs: dict[int, int] = {}
-                for m, a in products[j][k]:
-                    for l, b in left_i[m]:
-                        rhs[l] = rhs.get(l, 0) + a * b
-                if lhs == rhs:
-                    continue
-                for l in range(r):
-                    x, y = lhs.get(l, 0), rhs.get(l, 0)
-                    if x != y:
-                        violations.append(
-                            Violation(
-                                "associativity",
-                                (i, j, k, l),
-                                f"({labels[i]}*{labels[j]})*{labels[k]} and "
-                                f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
-                                f"{labels[l]}: {x} vs {y}",
-                            )
-                        )
+    light = unit_law and all(
+        _associative_triple(products, x, a, y)[0]
+        for a in _light_generators(data)
+        for x in range(r)
+        for y in range(r)
+    )
+    for i, j, k in () if light else product(range(r), repeat=3):
+        same, lhs, rhs = _associative_triple(products, i, j, k)
+        if same:
+            continue
+        for l in range(r):
+            x, y = lhs.get(l, 0), rhs.get(l, 0)
+            if x != y:
+                violations.append(
+                    Violation(
+                        "associativity",
+                        (i, j, k, l),
+                        f"({labels[i]}*{labels[j]})*{labels[k]} and "
+                        f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
+                        f"{labels[l]}: {x} vs {y}",
+                    )
+                )
 
     unit_set = set(units)
     for a in range(r):
         for b in range(r):
-            appearing = {u for u in unit_set if n[a][b][u] > 0}
+            appearing = sum(k in unit_set for k, _ in products[a][b])
             want = b == data.dual[a]
-            if want and len(appearing) != 1:
+            if want and appearing != 1:
                 violations.append(
                     Violation(
                         "duality",
                         (a, b),
                         f"{labels[a]}*{labels[b]} should contain exactly one unit "
-                        f"summand (dual pair), found {len(appearing)}",
+                        f"summand (dual pair), found {appearing}",
                     )
                 )
             if not want and appearing:
@@ -122,6 +134,71 @@ def check_structural(data: FusionData) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
+def _associative_triple(products, i: int, j: int, k: int) -> tuple[bool, dict, dict]:
+    """(equal, (i*j)*k, i*(j*k)), the two products as sparse dicts."""
+    lhs: dict[int, int] = {}
+    for m, a in products[i][j]:
+        for l, b in products[m][k]:
+            lhs[l] = lhs.get(l, 0) + a * b
+    rhs: dict[int, int] = {}
+    left_i = products[i]
+    for m, a in products[j][k]:
+        for l, b in left_i[m]:
+            rhs[l] = rhs.get(l, 0) + a * b
+    return lhs == rhs, lhs, rhs
+
+
+def _light_generators(data: FusionData) -> list[int]:
+    """Simples S whose words s1*(s2*(...*1)) span the space mod PRIME,
+    given the unit law.  A simple joins S when it is not yet in the span, so
+    S * 1 puts it there and the loop ends with every simple in the span."""
+    r = data.rank
+    products = data.products
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
+
+    def reduced(v: list[int]) -> list[int]:
+        for c, row in rows:
+            a = v[c]
+            if a:
+                v = [(x - a * y) % PRIME for x, y in zip(v, row)]
+        return v
+
+    def keep(v: list[int]) -> bool:
+        v = reduced(v)
+        for c, x in enumerate(v):
+            if x:
+                inverse = pow(x, -1, PRIME)
+                rows.append((c, [y * inverse % PRIME for y in v]))
+                return True
+        return False
+
+    one = [0] * r
+    for u in data.unit:
+        one[u] += 1
+    span = [one]
+    keep(one)
+    generators: list[int] = []
+    for g in range(r):
+        if len(rows) == r:
+            break
+        if not any(reduced([int(k == g) for k in range(r)])):
+            continue
+        generators.append(g)
+        todo = [(g, v) for v in span]
+        while todo:
+            s, v = todo.pop()
+            w = [0] * r
+            for j, c in enumerate(v):
+                if c:
+                    for k, m in products[s][j]:
+                        w[k] += c * m
+            w = [x % PRIME for x in w]
+            if keep(w):
+                span.append(w)
+                todo += [(t, w) for t in generators]
+    return generators
+
+
 def check_eps_consistency(data: FusionData) -> ValidationReport:
     """Verify the cyclic relations between eps and the product tensor.
 
@@ -130,50 +207,75 @@ def check_eps_consistency(data: FusionData) -> ValidationReport:
         eps_z N[x][y][z~] = eps_z N[y~][x~][z]
     where ~ is duality.  At z = 1 these force N[a][a~][1] = eps_a, which is
     asserted separately so a violation names the simple directly.
+
+    Each of the four sides is read, at the triples where it is nonzero, from
+    the one nonzero product N[i][j][k] that gives it, through the preimages
+    under the dual map; at every other triple all four are 0.  Only when the
+    sides differ somewhere are their triples walked, in (x, y, z) order.
     """
     if not data.is_fusion:
         raise NotFusionError("eps-consistency is defined for fusion data only")
     violations: list[Violation] = []
     labels = data.labels
     r = data.rank
-    n = data.n_tensor
+    products = data.products
     dual = data.dual
     eps = data.eps
+    preimage: list[list[int]] = [[] for _ in range(r)]
+    for z, d in enumerate(dual):
+        preimage[d].append(z)
 
-    for x in range(r):
-        for y in range(r):
-            for z in range(r):
-                base = eps[z] * n[x][y][dual[z]]
-                cyc1 = eps[y] * n[z][x][dual[y]]
-                cyc2 = eps[x] * n[y][z][dual[x]]
-                if not (base == cyc1 == cyc2):
-                    violations.append(
-                        Violation(
-                            "eps_cyclic",
-                            (x, y, z),
-                            f"cyclic relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
-                            f"{base}, {cyc1}, {cyc2}",
-                        )
+    # the four sides of the relations above, at the triples (x, y, z) where
+    # they are nonzero
+    base: dict[tuple[int, int, int], int] = {}
+    cyc1: dict[tuple[int, int, int], int] = {}
+    cyc2: dict[tuple[int, int, int], int] = {}
+    transposed: dict[tuple[int, int, int], int] = {}
+    for i in range(r):
+        for j in range(r):
+            for k, m in products[i][j]:
+                # m = N[i][j][k] is N[x][y][z~], N[z][x][y~], N[y][z][x~] and
+                # N[y~][x~][z] at these triples
+                for w in preimage[k]:
+                    base[i, j, w] = eps[w] * m
+                    cyc1[j, w, i] = eps[w] * m
+                    cyc2[w, i, j] = eps[w] * m
+                for y in preimage[i]:
+                    for x in preimage[j]:
+                        transposed[x, y, k] = eps[k] * m
+
+    if not (base == cyc1 == cyc2 == transposed):
+        for t in sorted(base.keys() | cyc1.keys() | cyc2.keys() | transposed.keys()):
+            x, y, z = t
+            b, c1, c2, tr = (side.get(t, 0) for side in (base, cyc1, cyc2, transposed))
+            if not (b == c1 == c2):
+                violations.append(
+                    Violation(
+                        "eps_cyclic",
+                        t,
+                        f"cyclic relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{b}, {c1}, {c2}",
                     )
-                transposed = eps[z] * n[dual[y]][dual[x]][z]
-                if base != transposed:
-                    violations.append(
-                        Violation(
-                            "eps_transpose",
-                            (x, y, z),
-                            f"transpose relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
-                            f"{base} vs {transposed}",
-                        )
+                )
+            if b != tr:
+                violations.append(
+                    Violation(
+                        "eps_transpose",
+                        t,
+                        f"transpose relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{b} vs {tr}",
                     )
+                )
 
     u = data.unit_index
     for a in range(r):
-        if n[a][dual[a]][u] != eps[a]:
+        pairing = dict(products[a][dual[a]]).get(u, 0)
+        if pairing != eps[a]:
             violations.append(
                 Violation(
                     "eps_unit_pairing",
                     (a,),
-                    f"N[{labels[a]}][{labels[dual[a]]}][1] = {n[a][dual[a]][u]}, "
+                    f"N[{labels[a]}][{labels[dual[a]]}][1] = {pairing}, "
                     f"expected eps = {eps[a]}",
                 )
             )
@@ -183,14 +285,17 @@ def check_eps_consistency(data: FusionData) -> ValidationReport:
 
 def check_transitivity(data: FusionData) -> ValidationReport:
     """For every pair of simples (x, y), find simples u, v with y <= u*x and
-    y <= x*v.  Brute force over the basis; rank is small by design."""
+    y <= x*v: y must lie in the supports of t*x and x*t, where t is the sum
+    of all simples."""
     violations: list[Violation] = []
     r = data.rank
-    n = data.n_tensor
+    products = data.products
     labels = data.labels
     for x in range(r):
+        left = {k for plane in products for k, _ in plane[x]}
+        right = {k for row in products[x] for k, _ in row}
         for y in range(r):
-            if not any(n[u][x][y] for u in range(r)):
+            if y not in left:
                 violations.append(
                     Violation(
                         "transitivity",
@@ -198,7 +303,7 @@ def check_transitivity(data: FusionData) -> ValidationReport:
                         f"no simple u with {labels[y]} <= u*{labels[x]}",
                     )
                 )
-            if not any(n[x][v][y] for v in range(r)):
+            if y not in right:
                 violations.append(
                     Violation(
                         "transitivity",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -53,6 +54,12 @@ def mutate_tensor(data, i, j, k, delta):
         endo_degree=data.endo_degree,
         unit=data.unit,
     )
+
+
+def cyclic(n: int) -> fr.FusionData:
+    """The group ring of Z/n."""
+    labels = tuple("1" if i == 0 else f"g{i}" for i in range(n))
+    return fr.vec_group(labels, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
 def su2(k: int) -> fr.FusionData:
@@ -111,6 +118,160 @@ def fpdim_transport_oracle(f) -> list:
                 )
             )
     return violations
+
+
+# ---------------------------------------------------------------------------
+# dense references for the axiom checks: the loops over every entry of
+# n_tensor that the sparse checks in the package replace
+
+
+def dense_unit_law(data: fr.FusionData) -> list[Violation]:
+    """1*x = x = x*1 for every simple x, with the unit 1 = Sum of the
+    declared summands, through MultisetElement products."""
+    out = []
+    one = data.one()
+    for i, x in enumerate(data.simples()):
+        for term, got in ((f"1*{data.labels[i]}", one * x), (f"{data.labels[i]}*1", x * one)):
+            if got.coeffs != x.coeffs:
+                out.append(
+                    Violation("unit_law", (i,), f"{term} = {got}, expected {data.labels[i]}")
+                )
+    return out
+
+
+def dense_associativity(data: fr.FusionData) -> list[Violation]:
+    """The O(r^5) associativity loop over (i, j, k, l)."""
+    n, labels, r = data.n_tensor, data.labels, data.rank
+    out = []
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
+        rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
+        if lhs != rhs:
+            out.append(
+                Violation(
+                    "associativity",
+                    (i, j, k, l),
+                    f"({labels[i]}*{labels[j]})*{labels[k]} and "
+                    f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
+                    f"{labels[l]}: {lhs} vs {rhs}",
+                )
+            )
+    return out
+
+
+def dense_duality(data: fr.FusionData) -> list[Violation]:
+    """A unique unit summand appears in a*b exactly when b is the dual of a."""
+    n, labels, r = data.n_tensor, data.labels, data.rank
+    units = sorted(set(data.unit))
+    out = []
+    for a, b in itertools.product(range(r), repeat=2):
+        appearing = sum(1 for u in units if n[a][b][u] > 0)
+        if b == data.dual[a] and appearing != 1:
+            out.append(
+                Violation(
+                    "duality",
+                    (a, b),
+                    f"{labels[a]}*{labels[b]} should contain exactly one unit "
+                    f"summand (dual pair), found {appearing}",
+                )
+            )
+        if b != data.dual[a] and appearing:
+            out.append(
+                Violation(
+                    "duality",
+                    (a, b),
+                    f"{labels[a]}*{labels[b]} contains a unit summand but "
+                    f"{labels[b]} is not the dual of {labels[a]}",
+                )
+            )
+    return out
+
+
+def dense_unit_orthogonality(data: fr.FusionData) -> list[Violation]:
+    """a*b = delta_{a,b} a for the declared unit summands a, b."""
+    n, labels, r = data.n_tensor, data.labels, data.rank
+    units = sorted(set(data.unit))
+    return [
+        Violation(
+            "unit_orthogonality",
+            (a, b),
+            f"{labels[a]}*{labels[b]} should be {labels[a] if a == b else '0'}",
+        )
+        for a, b in itertools.product(units, repeat=2)
+        if list(n[a][b]) != [int(a == b == k) for k in range(r)]
+    ]
+
+
+def dense_structural(data: fr.FusionData) -> list[Violation]:
+    """check_structural's violations in its order: the dual-map and unit
+    multiplicity checks, which read no product, from the package, then the
+    dense references."""
+    got = fr.check_structural(data).violations
+    head = [v for v in got if v.rule in ("dual_involution", "unit_multiplicity")]
+    return (
+        head
+        + dense_unit_orthogonality(data)
+        + dense_unit_law(data)
+        + dense_associativity(data)
+        + dense_duality(data)
+    )
+
+
+def dense_eps_consistency(data: fr.FusionData) -> list[Violation]:
+    """The cyclic and transpose relations at every triple (x, y, z), then
+    N[a][a~][1] = eps_a."""
+    n, labels, r, dual, eps = data.n_tensor, data.labels, data.rank, data.dual, data.eps
+    out = []
+    for x, y, z in itertools.product(range(r), repeat=3):
+        base = eps[z] * n[x][y][dual[z]]
+        cyc1 = eps[y] * n[z][x][dual[y]]
+        cyc2 = eps[x] * n[y][z][dual[x]]
+        where = f"({labels[x]},{labels[y]},{labels[z]})"
+        if not (base == cyc1 == cyc2):
+            out.append(
+                Violation(
+                    "eps_cyclic",
+                    (x, y, z),
+                    f"cyclic relation fails at {where}: {base}, {cyc1}, {cyc2}",
+                )
+            )
+        transposed = eps[z] * n[dual[y]][dual[x]][z]
+        if base != transposed:
+            out.append(
+                Violation(
+                    "eps_transpose",
+                    (x, y, z),
+                    f"transpose relation fails at {where}: {base} vs {transposed}",
+                )
+            )
+    u = data.unit_index
+    for a in range(r):
+        if n[a][dual[a]][u] != eps[a]:
+            out.append(
+                Violation(
+                    "eps_unit_pairing",
+                    (a,),
+                    f"N[{labels[a]}][{labels[dual[a]]}][1] = {n[a][dual[a]][u]}, "
+                    f"expected eps = {eps[a]}",
+                )
+            )
+    return out
+
+
+def dense_transitivity(data: fr.FusionData) -> list[Violation]:
+    """Simples u, v with y <= u*x and y <= x*v, probed one by one."""
+    n, labels, r = data.n_tensor, data.labels, data.rank
+    out = []
+    for x, y in itertools.product(range(r), repeat=2):
+        if not any(n[u][x][y] for u in range(r)):
+            out.append(
+                Violation("transitivity", (x, y), f"no simple u with {labels[y]} <= u*{labels[x]}")
+            )
+        if not any(n[x][v][y] for v in range(r)):
+            out.append(
+                Violation("transitivity", (x, y), f"no simple v with {labels[y]} <= {labels[x]}*v")
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,23 @@ def test_validate_pass(capsys):
     assert doc["violations"] == []
 
 
+@pytest.mark.parametrize("command", ["validate", "integrality", "fpdim", "regular"])
+def test_commands_on_a_file_never_build_the_dense_tensor(capsys, tmp_path, monkeypatch, command):
+    built = []
+    dense = fr.FusionData.n_tensor
+
+    def n_tensor(self):
+        built.append(self.labels)
+        return dense.func(self)
+
+    monkeypatch.setattr(fr.FusionData, "n_tensor", property(n_tensor))
+    for name in fr.list_builtins():
+        path = tmp_path / f"{name}.json"
+        path.write_text(fr.emit_entry(fr.get_builtin(name)))
+        assert run_command([command, str(path)]) in (0, 1)
+    assert built == []
+
+
 def test_validate_corrupted_file(capsys, tmp_path):
     doc = json.loads(fr.emit_entry(fr.get_builtin("rep_f2_z3")))
     doc["fusion"]["v|v"] = {"v": 1}  # unit dropped from v*v

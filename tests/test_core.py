@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -37,6 +38,58 @@ def test_products_index_matches_tensor(name):
                 assert m > 0
                 dense[k] = m
             assert tuple(dense) == data.n_tensor[i][j]
+
+
+def _in_basis_order(data):
+    """data as a fusion file that lists the simples in basis order."""
+    labels = data.labels
+    doc = {
+        "endo_degree": data.endo_degree,
+        "unit": [labels[u] for u in data.unit],
+        "simples": [
+            {"label": labels[i], "endo_dim": data.eps[i], "dual": labels[data.dual[i]]}
+            for i in range(data.rank)
+        ],
+        "fusion": {
+            f"{labels[i]}|{labels[j]}": {labels[k]: m for k, m in enumerate(row)}
+            for i, plane in enumerate(data.n_tensor)
+            for j, row in enumerate(plane)
+        },
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_tensor_and_products_give_equal_data(name):
+    data = fusion_data(name)
+    fields = dict(dual=data.dual, eps=data.eps, endo_degree=data.endo_degree, unit=data.unit)
+    dense = [[list(row) for row in plane] for plane in data.n_tensor]
+    from_tensor = fr.FusionData(labels=list(data.labels), n_tensor=dense, **fields)
+    from_products = fr.FusionData(labels=data.labels, products=data.products, **fields)
+    parsed = fr.parse_fusion_file(_in_basis_order(data)).data
+    assert "n_tensor" not in vars(parsed)  # the dense view is built on demand
+    for other in (from_tensor, from_products, parsed):
+        assert other == data and hash(other) == hash(data)
+        assert other.products == data.products
+        assert other.n_tensor == tuple(tuple(tuple(row) for row in plane) for plane in dense)
+
+
+def test_fusion_data_rejects_bad_tensors():
+    labels, fields = ("1", "g"), dict(dual=(0, 1), eps=(1, 1), endo_degree=1, unit=(0,))
+    with pytest.raises(ValueError, match="rank x rank x rank"):
+        fr.FusionData(labels=labels, n_tensor=(((1, 0),), ((0, 1),)), **fields)
+    with pytest.raises(ValueError, match=r"N\[g\]\[g\]\[1\] = -1 is not a nonnegative integer"):
+        fr.FusionData(labels=labels, n_tensor=(((1, 0), (0, 1)), ((0, 1), (-1, 0))), **fields)
+    with pytest.raises(ValueError, match="0.0 is not a nonnegative integer"):
+        fr.FusionData(labels=labels, n_tensor=(((1, 0), (0, 1)), ((0, 1), (1, 0.0))), **fields)
+    unsorted = ((((0, 1),), ((1, 1),)), (((1, 1),), ((1, 1), (0, 1))))
+    with pytest.raises(ValueError, match="ascending"):
+        fr.FusionData(labels=labels, products=unsorted, **fields)
+    zero = ((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 0),)))
+    with pytest.raises(ValueError, match="= 0 is not a positive integer"):
+        fr.FusionData(labels=labels, products=zero, **fields)
+    with pytest.raises(TypeError):
+        fr.FusionData(labels=labels, **fields)
 
 
 def test_multiply_vec_z2_self_inverse():

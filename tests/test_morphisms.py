@@ -177,17 +177,19 @@ def test_regular_transport_detects_eps_mismatch():
 
 
 def test_regular_transport_requires_an_eigenvector():
+    # f(R_A) = b is off the eigenvector of the target's L_t only because the
+    # target is not associative, and the structural gate refuses it first
     f = twist_into_non_associative()
     assert fr.check_homomorphism(f).passed and fr.check_dominant(f)
-    report = fr.verify_fpdim_transport(f)
-    assert [(v.rule, v.witness) for v in report.violations] == [("regular_transport", (1,))]
+    with pytest.raises(fr.InconsistentDataError, match="the target fails structural"):
+        fr.verify_fpdim_transport(f)
 
 
 def test_transport_flags_simples_off_the_eigenvector():
     # Fib into a non-associative target with a*a = 1 + a: the char poly of
     # L_a still gives FPdim(a) = phi, but (a R)_unit = R_a in the target's
-    # Perron field does not, so the image FPdims are not proportional to
-    # (1, phi) and the check flags x, where they stray
+    # Perron field does not, so the two FPdim readings disagree; both checks
+    # refuse the target rather than give a verdict that depends on the reading
     fib = fusion_data("fib")
     target = fr.FusionData(
         labels=("1", "a", "c"),
@@ -203,9 +205,11 @@ def test_transport_flags_simples_off_the_eigenvector():
     )
     f = fr.SemiringMorphism(fib, target, ((1, 0), (0, 1), (0, 0)))
     assert fr.check_homomorphism(f).passed and not fr.check_structural(target).passed
-    assert [(v.rule, v.witness) for v in fr.verify_fpdim_transport(f).violations] == [
-        ("fpdim_transport", (1,))
-    ]
+    with pytest.raises(fr.InconsistentDataError, match="the target fails structural"):
+        fr.verify_fpdim_transport(f)
+    adjoint = fr.SemiringMorphism(target, fib, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(fr.InconsistentDataError, match="the source fails structural"):
+        fr.check_adjoint_matrix(adjoint, 1)
 
 
 FIB, FIB2 = fusion_data("fib"), tensor_product(fusion_data("fib"), fusion_data("fib"))
@@ -224,7 +228,6 @@ DIFFERENTIAL = {
     "rep_f2_z3->eps_copy": lambda: fr.SemiringMorphism(
         fusion_data("rep_f2_z3"), eps_copy_rep_f2_z3(), ((1, 0), (0, 1))
     ),
-    "twist_into_non_associative": twist_into_non_associative,
     "fib->fib2": lambda: by_images(FIB, FIB2, {"1": {"1.1": 1}, "x": {"x.1": 1}}),
     "fib2->fib": lambda: by_images(
         FIB2, FIB, {"1.1": {"1": 1}, "1.x": {"x": 1}, "x.1": {"x": 1}, "x.x": {"1": 1, "x": 1}}

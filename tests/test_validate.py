@@ -1,12 +1,22 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 import fusionring as fr
-from conftest import ALL_NAMES, FUSION_NAMES, fusion_data, mutate_tensor
+from conftest import (
+    ALL_NAMES,
+    FUSION_NAMES,
+    cyclic,
+    dense_eps_consistency,
+    dense_structural,
+    dense_transitivity,
+    fusion_data,
+    mutate_tensor,
+    su2,
+    tensor_product,
+)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -33,26 +43,6 @@ def test_structural_detects_broken_duality():
     assert any(v.rule == "duality" for v in report.violations)
 
 
-def dense_associativity(data):
-    """Reference: the dense O(r^5) associativity loop over (i, j, k, l)."""
-    n, labels, r = data.n_tensor, data.labels, data.rank
-    out = []
-    for i, j, k, l in itertools.product(range(r), repeat=4):
-        lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
-        rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
-        if lhs != rhs:
-            out.append(
-                fr.Violation(
-                    "associativity",
-                    (i, j, k, l),
-                    f"({labels[i]}*{labels[j]})*{labels[k]} and "
-                    f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
-                    f"{labels[l]}: {lhs} vs {rhs}",
-                )
-            )
-    return out
-
-
 @pytest.mark.parametrize("name", ["fib", "gal7", "jj_bim", "m2_vec", "rep_r_q8", "vec_s3"])
 def test_structural_matches_dense_associativity_reference(name):
     rng = random.Random(name)
@@ -62,15 +52,95 @@ def test_structural_matches_dense_associativity_reference(name):
         i, j, k = (rng.randrange(r) for _ in range(3))
         delta = -1 if data.n_tensor[i][j][k] and rng.random() < 0.5 else 1
         data = mutate_tensor(data, i, j, k, delta)
-        got = list(fr.check_structural(data).violations)
-        # associativity violations come after the unit checks and before
-        # the duality checks
-        expected = (
-            [v for v in got if v.rule not in ("associativity", "duality")]
-            + dense_associativity(data)
-            + [v for v in got if v.rule == "duality"]
-        )
-        assert got == expected
+        assert list(fr.check_structural(data).violations) == dense_structural(data)
+
+
+def perturbations(data, seed):
+    """Four seeded single-entry +-1 perturbations of data: two away from the
+    unit summands, which keep the unit law (so Light's test runs and has to
+    fall back), then two anywhere."""
+    rng = random.Random(seed)
+    r = data.rank
+    away = [i for i in range(r) if i not in data.unit]
+    out = []
+    for pool in (away, away, range(r), range(r)):
+        if not pool:
+            continue
+        i, j, k = rng.choice(pool), rng.choice(pool), rng.randrange(r)
+        delta = -1 if data.n_tensor[i][j][k] and rng.random() < 0.5 else 1
+        out.append(mutate_tensor(data, i, j, k, delta))
+    return out
+
+
+def with_dual(data, dual):
+    return fr.FusionData(
+        labels=data.labels,
+        n_tensor=data.n_tensor,
+        dual=dual,
+        eps=data.eps,
+        endo_degree=data.endo_degree,
+        unit=data.unit,
+    )
+
+
+def assert_checks_match_dense(data):
+    assert list(fr.check_structural(data).violations) == dense_structural(data)
+    assert list(fr.check_transitivity(data).violations) == dense_transitivity(data)
+    if data.is_fusion:
+        assert list(fr.check_eps_consistency(data).violations) == dense_eps_consistency(data)
+
+
+def differential_cases(data, seed):
+    """data, its perturbations, and data with a seeded map for a dual, which
+    is rarely an involution and often not injective."""
+    rng = random.Random(seed)
+    dual = tuple(rng.randrange(data.rank) for _ in range(data.rank))
+    return [data, *perturbations(data, seed), with_dual(data, dual)]
+
+
+GENERATED = {
+    **{f"z{n}": (lambda n=n: cyclic(n)) for n in range(2, 13)},
+    **{
+        f"z{m}xz{k}": (lambda m=m, k=k: tensor_product(cyclic(m), cyclic(k)))
+        for m, k in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3))
+    },
+    **{f"su2_{k}": (lambda k=k: su2(k)) for k in range(1, 12)},
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_checks_match_dense_references_on_builtins(name):
+    for data in differential_cases(fusion_data(name), f"dense:{name}"):
+        assert_checks_match_dense(data)
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_checks_match_dense_references_on_generated_rings(name):
+    data = GENERATED[name]()
+    assert data.rank <= 12
+    for case in differential_cases(data, f"dense:{name}"):
+        assert_checks_match_dense(case)
+
+
+def test_differential_perturbations_reach_the_fallback():
+    # perturbations that keep the unit law but break associativity: there
+    # Light's test finds a failing triple and the full loop reports
+    rings = {name: fusion_data(name) for name in ALL_NAMES}
+    rings.update((name, make()) for name, make in GENERATED.items())
+    rules = [
+        {v.rule for v in fr.check_structural(data).violations}
+        for name, ring in rings.items()
+        for data in perturbations(ring, f"dense:{name}")[:2]
+    ]
+    assert sum("associativity" in r and "unit_law" not in r for r in rules) >= 60
+
+
+def test_eps_consistency_reads_dual_preimages():
+    # vec_z3 with both non-unit simples sent to g1: g2 is nobody's dual, and
+    # g1 is the dual of two simples
+    data = with_dual(fusion_data("vec_z3"), (0, 1, 1))
+    got = list(fr.check_eps_consistency(data).violations)
+    assert got == dense_eps_consistency(data) and got
 
 
 def test_structural_detects_broken_associativity():

@@ -16,7 +16,11 @@ command line:
 and once each: morita on every ordered pair of builtins in json and text
 format, catalog list, catalog emit for every builtin, and USAGE_RUNS, a
 fixed list of help, version, usage-error and abbreviated-option argument
-lists.  Python standard library only.
+lists.  Last come the invalid inputs of invalid_inputs(), each read from
+standard input by validate (json and text), fpdim, regular and integrality:
+seeded single-entry perturbations of every builtin, so that the checks'
+full violation lists show, and MALFORMED, files that break the schema, so
+that the parser's messages show.  Python standard library only.
 
     PYTHONPATH=src python tools/cli_digest.py [FILE ...] > digest.txt
 
@@ -33,14 +37,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
 from pathlib import Path
 from typing import Iterator, Optional
 
 from fusionring.catalog import FixtureEntry, get_builtin, list_builtins
 from fusionring.cli import run_command
+from fusionring.core import FusionData
 from fusionring.errors import FusionError
-from fusionring.fileformat import parse_fusion_file
+from fusionring.fileformat import emit_fusion_file, parse_fusion_file
 
 FORMATS = ("json", "text")
 PRECISIONS = ("0", "64", "1024")
@@ -109,6 +115,79 @@ USAGE_RUNS = (
 )
 
 
+_SIMPLES = '[{"label": "1", "dual": "1"}, {"label": "g", "dual": "g"}]'
+_FUSION = '{"1|1": {"1": 1}, "1|g": {"g": 1}, "g|1": {"g": 1}, "g|g": {"1": 1}}'
+#: (name, text) of fusion files that break the schema, one way each
+MALFORMED = tuple(
+    (f"malformed-{i}", text)
+    for i, text in enumerate(
+        (
+            "",
+            "[]",
+            '{"simples": [',
+            '{"simples": []}',
+            '{"simples": [{"label": ""}]}',
+            '{"simples": [{"label": "1"}, {"label": "1"}]}',
+            '{"simples": [{"label": "1", "endo_dim": 0}]}',
+            '{"simples": [{"label": "1", "dual": "x"}]}',
+            '{"simples": [{"label": "1"}], "unit": ["u"]}',
+            '{"simples": [{"label": "1"}], "endo_degree": true}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1g": {{"g": 1}}}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1|h": {{"g": 1}}}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1|g": {{"h": 1}}}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1|g": {{"g": -1}}}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1|g": {{"g": true}}}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {{"1|g": [1]}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {_FUSION}, "group": {{"elements": [1]}}}}',
+            f'{{"simples": {_SIMPLES}, "fusion": {_FUSION}, "division_types": {{"1": "R"}}}}',
+            '{"simples": [{"label": "1", "galois": {"group_element": "e"}}]}',
+            '{"simples": [{"label": "1", "galois": 3}]}',
+        )
+    )
+)
+
+
+def _perturbed(data: FusionData, i: int, j: int, k: int, delta: int) -> FusionData:
+    tensor = [[list(row) for row in plane] for plane in data.n_tensor]
+    tensor[i][j][k] += delta
+    return FusionData(
+        labels=data.labels,
+        n_tensor=tensor,
+        dual=data.dual,
+        eps=data.eps,
+        endo_degree=data.endo_degree,
+        unit=data.unit,
+    )
+
+
+def invalid_inputs() -> list[tuple[str, str]]:
+    """(name, fusion file) of the invalid inputs: for every builtin, four
+    seeded single-entry +-1 perturbations, the first two away from the unit
+    summands so that the unit law still holds, then MALFORMED."""
+    out = []
+    for name in list_builtins():
+        data = get_builtin(name).data
+        rng = random.Random(f"cli_digest:{name}")
+        others = [i for i in range(data.rank) if i not in data.unit] or list(range(data.rank))
+        for n in range(4):
+            pool = others if n < 2 else range(data.rank)
+            i, j = rng.choice(pool), rng.choice(pool)
+            k = rng.randrange(data.rank)
+            delta = -1 if data.n_tensor[i][j][k] and rng.random() < 0.5 else 1
+            text = emit_fusion_file(_perturbed(data, i, j, k, delta), name=f"{name}~{n}")
+            out.append((f"{name}~{n}", text))
+    return out + list(MALFORMED)
+
+
+INVALID_VARIANTS = (
+    ["validate", "-", "--format", "json"],
+    ["validate", "-", "--format", "text"],
+    ["fpdim", "-"],
+    ["regular", "-"],
+    ["integrality", "-"],
+)
+
+
 def _entry(arg: str) -> Optional[FixtureEntry]:
     """Entry of a builtin name or a fusion file; None if unreadable.  Only
     its data, annotation and desc are read, which parse_fusion_file's
@@ -140,15 +219,23 @@ def _runs(arg: str, partners: list[str]) -> Iterator[list[str]]:
                 yield ["deligne", partner, arg, "--format", fmt]
 
 
-def digest(argv: list[str]) -> str:
+def digest(argv: list[str], stdin: Optional[tuple[str, str]] = None) -> str:
+    """The digest line of one run; stdin is (name, text) of what the run
+    reads from standard input, and the name ends the line."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            outcome = str(run_command(argv))
-        except Exception as exc:  # a traceback at the CLI: record, keep going
-            outcome = f"raised {type(exc).__name__}"
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin[1] if stdin else "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                outcome = str(run_command(argv))
+            except Exception as exc:  # a traceback at the CLI: record, keep going
+                outcome = f"raised {type(exc).__name__}"
+    finally:
+        sys.stdin = saved
     hashes = (hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err))
-    return f"{outcome} {' '.join(hashes)} {' '.join(argv)}"
+    line = f"{outcome} {' '.join(hashes)} {' '.join(argv)}"
+    return f"{line} < {stdin[0]}" if stdin else line
 
 
 def main(files: list[str]) -> None:
@@ -166,6 +253,9 @@ def main(files: list[str]) -> None:
     runs += USAGE_RUNS
     for argv in dict.fromkeys(map(tuple, runs)):  # deligne pairs come twice
         print(digest(list(argv)), flush=True)
+    for stdin in invalid_inputs():
+        for argv in INVALID_VARIANTS:
+            print(digest(argv, stdin), flush=True)
 
 
 if __name__ == "__main__":
