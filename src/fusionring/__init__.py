@@ -49,7 +49,6 @@ from .fileformat import (
     parse_morphism_file,
 )
 from .fpengine import (
-    DEFAULT_WIDTH,
     AlgebraicNumber,
     RationalMatrix,
     algebraic_equal,

@@ -23,6 +23,11 @@ Tensor = tuple[tuple[tuple[int, ...], ...], ...]
 SparseProducts = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
+def is_int(v: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, init=False)
 class FusionData:
     """Basis presentation of a multifusion semiring.
@@ -122,13 +127,13 @@ class FusionData:
         object.__setattr__(self, "eps", tuple(eps))
         object.__setattr__(self, "endo_degree", endo_degree)
         object.__setattr__(self, "unit", tuple(unit))
-        if len(self.dual) != r or any(not (0 <= d < r) for d in self.dual):
+        if len(self.dual) != r or any(not (is_int(d) and 0 <= d < r) for d in self.dual):
             raise ValueError("dual map must assign a basis index to every simple")
-        if len(self.eps) != r or any(not isinstance(e, int) or e < 1 for e in self.eps):
+        if len(self.eps) != r or any(not (is_int(e) and e >= 1) for e in self.eps):
             raise ValueError("endomorphism dimensions must be positive integers")
-        if not isinstance(self.endo_degree, int) or self.endo_degree < 1:
+        if not (is_int(self.endo_degree) and self.endo_degree >= 1):
             raise ValueError("endomorphism degree must be a positive integer")
-        if not self.unit or any(not (0 <= u < r) for u in self.unit):
+        if not self.unit or any(not (is_int(u) and 0 <= u < r) for u in self.unit):
             raise ValueError("unit summand indices must be a nonempty subset of the basis")
 
     @property

@@ -35,7 +35,7 @@ import sys
 from typing import Any, Optional
 
 from .catalog import FixtureEntry
-from .core import FusionData
+from .core import FusionData, is_int
 from .deligne import DivisionType, SemisimpleDesc
 from .errors import SchemaError
 from .galois import FiniteGroup, GaloisAnnotation, GaloisMark
@@ -72,7 +72,7 @@ def _get_positive_int(doc: dict, key: str, default: Optional[int]) -> Optional[i
     if value is None:
         return None
     _expect(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        is_int(value) and value >= 1,
         '"{}" must be a positive integer, got {!r}',
         key,
         value,
@@ -138,7 +138,7 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
         labels.append(label)
         dim = simple.get("endo_dim", 1)
         _expect(
-            isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
+            is_int(dim) and dim >= 1,
             'simple {!r}: "endo_dim" must be a positive integer, got {!r}',
             label,
             dim,
@@ -417,7 +417,7 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
         for t_label, mult in column.items():
             _expect(t_label in tgt.labels, "unknown target label {!r}", t_label)
             _expect(
-                isinstance(mult, int) and not isinstance(mult, bool) and mult >= 0,
+                is_int(mult) and mult >= 0,
                 "images[{!r}][{!r}] must be a nonnegative integer",
                 s_label,
                 t_label,
@@ -431,7 +431,7 @@ def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
         for label, c in raw_twist.items():
             _expect(label in src.labels, "unknown twist label {!r}", label)
             _expect(
-                isinstance(c, int) and not isinstance(c, bool) and c >= 0,
+                is_int(c) and c >= 0,
                 "twist[{!r}] must be a nonnegative integer",
                 label,
             )

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import FusionData, MultisetElement
 from .errors import (
@@ -50,9 +50,6 @@ from .poly import (
 from .validate import check_transitivity
 
 Rat = Union[int, Fraction]
-
-#: default certified interval width, far below any fixture's root separation
-DEFAULT_WIDTH = Fraction(1, 2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +232,12 @@ class AlgebraicNumber:
         return (self.lo + self.hi) / 2
 
     def __float__(self) -> float:
-        return float(self.midpoint())
+        """The double nearest the root: the interval is refined until both
+        ends round to the same double (a dyadic root becomes a point)."""
+        x = self
+        while float(x.lo) != float(x.hi):
+            x = refine(x, x.width / 2**64)
+        return float(x.lo)
 
     def scaled(self, c: Rat) -> "AlgebraicNumber":
         """Exact product with a nonzero rational."""
@@ -305,16 +307,17 @@ def _bisect(
 
 
 def isolate_max_real_root(
-    p: RationalPolynomial, width: Fraction = DEFAULT_WIDTH
+    p: RationalPolynomial, width: Optional[Fraction] = None
 ) -> AlgebraicNumber:
     """Certified isolation of the largest real root of p.
 
     Works on the squarefree part, narrows by Sturm counts until one root
-    remains above, then bisects on the sign of the polynomial.  Rational
-    roots collapse to exact point intervals (complete whenever the width is
-    below 16 over the leading coefficient of the primitive integer form,
-    which any default-width call satisfies).  The narrowing carries the sign
-    variations at its endpoints, so each halving evaluates the chain once.
+    remains above, then bisects on the sign of the polynomial, down to
+    `width` or, when width is None, to 16 over the leading coefficient of
+    the primitive integer form.  Rational roots collapse to exact point
+    intervals, which is complete at any width up to that default; refine
+    narrows the result further.  The narrowing carries the sign variations
+    at its endpoints, so each halving evaluates the chain once.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
@@ -347,6 +350,8 @@ def isolate_max_real_root(
             lo = mid
         else:
             hi = mid
+    if width is None:
+        width = Fraction(16, chain[0][-1])
     lo, hi = _bisect(chain[0], lo, hi, width)
     if lo < hi:
         roots = rational_roots_between(chain[0], lo, hi)
@@ -546,9 +551,12 @@ def fpdim_element(
     x: MultisetElement,
     *,
     waive_transitivity: bool = False,
-    width: Fraction = DEFAULT_WIDTH,
+    width: Optional[Fraction] = None,
 ) -> AlgebraicNumber:
-    """Maximal nonnegative eigenvalue of the left-multiplication matrix of x.
+    """Maximal nonnegative eigenvalue of the left-multiplication matrix of x,
+    isolated by isolate_max_real_root: to `width` when given, else only as
+    far as the rational-root check needs (a rational FPdim is still a
+    point); refine narrows it.
 
     For basis elements the characteristic polynomial is monic with integer
     coefficients, so the result is an algebraic integer by construction.
@@ -569,9 +577,11 @@ def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> Perron
 
     mu = FPdim(t), t = Sum of all simples, is an algebraic integer, so its
     minimal polynomial m is monic with integer coefficients (m[-1] == 1) and
-    Z[mu] = Z[t]/(m).  W = q(L) e_unit is the unnormalised Perron vector of
-    left multiplication L by t, each W_x a polynomial in mu of degree below
-    deg m with integer coefficients.  On transitive data L is strictly
+    Z[mu] = Z[t]/(m); mu is isolated only as far as picking the factor m of
+    char_poly(L) needs, at isolate_max_real_root's default width.  W =
+    q(L) e_unit is the unnormalised Perron vector of left multiplication L
+    by t, each W_x a polynomial in mu of degree below deg m with integer
+    coefficients.  On transitive data L is strictly
     positive, so mu is a simple eigenvalue and W, nonzero at the unit, spans
     its eigenspace: q = char_poly(L)/(t - mu) over K, since
     (L - mu) q(L) = 0.  q comes from synthetic division and q(L) e_unit from

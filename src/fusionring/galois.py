@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FusionData
+from .core import FusionData, is_int
 from .errors import InconsistentAnnotationError, InsufficientDataError
-from .fpengine import (
-    DEFAULT_WIDTH,
-    ExactValue,
-    exact_cmp,
-    exact_mul,
-    exact_square,
-    ensure_fpdim_ready,
-)
+from .fpengine import ExactValue, ensure_fpdim_ready, exact_cmp, exact_mul
 from .regular import fpdim_category
 
 
@@ -145,8 +138,9 @@ class GaloisAnnotation:
                     self.group.index(mark.element)  # raises on unknown labels
         elif any(mark.kind == "element" for mark in self.marks):
             raise ValueError("element marks need an attached group")
-        if self.center_degree is not None and self.center_degree < 1:
-            raise ValueError("center degree must be a positive integer")
+        degree = self.center_degree
+        if degree is not None and not (is_int(degree) and degree >= 1):
+            raise ValueError(f"center degree must be a positive integer, got {degree!r}")
 
     def is_trivial(self, i: int) -> bool:
         mark = self.marks[i]
@@ -259,7 +253,7 @@ def center_endo_degree(
     """
     annotation.validate_against(data)
     if user_value is not None:
-        if not isinstance(user_value, int) or isinstance(user_value, bool) or user_value < 1:
+        if not (is_int(user_value) and user_value >= 1):
             raise ValueError(f"center degree must be a positive integer, got {user_value!r}")
         return user_value
     if annotation.center_degree is not None:
@@ -307,37 +301,25 @@ def center_fpdim_prediction(
     annotation: GaloisAnnotation,
     *,
     user_center_degree: Optional[int] = None,
-    width: Fraction = DEFAULT_WIDTH,
+    width: Optional[Fraction] = None,
 ) -> CenterPrediction:
     """Evaluate (d_Z/d) FPdim(im F) FPdim(C) and certify the inequality
     against FPdim(C)^2.  No center data is constructed; this is the
-    prediction the annotated fusion data determines."""
+    prediction the annotated fusion data determines.
+
+    FPdim(C) > 0, so the bound is decided as ratio = (d_Z/d) FPdim(im F)
+    against FPdim(C), and FPdim(C)^2 is never formed; only the predicted
+    product goes through exact_mul (and its degree cap).  `width` is passed
+    to fpdim_category."""
     ensure_fpdim_ready(data)
     image = galois_trivial_subring(data, annotation)
     d_z = center_endo_degree(data, annotation, user_center_degree)
-    fp_image = fpdim_category(image, width=width)
     fp_cat = fpdim_category(data, width=width)
+    ratio = exact_mul(Fraction(d_z, data.endo_degree), fpdim_category(image, width=width))
+    cmp = exact_cmp(ratio, fp_cat)
     all_trivial = all(annotation.is_trivial(i) for i in range(data.rank))
-
-    if all_trivial and d_z == data.endo_degree:
-        # im F is the whole ring, so the prediction is FPdim(C)^2 on the nose
-        predicted = exact_square(fp_cat)
-        return CenterPrediction(
-            predicted=predicted,
-            bound_ok=True,
-            equality=True,
-            strict=False,
-            consistent=True,
-            center_degree=d_z,
-            image=image,
-        )
-
-    scalar = Fraction(d_z, data.endo_degree)
-    predicted = exact_mul(exact_mul(scalar, fp_image), fp_cat)
-    square = exact_square(fp_cat)
-    cmp = exact_cmp(predicted, square)
     return CenterPrediction(
-        predicted=predicted,
+        predicted=exact_mul(ratio, fp_cat),
         bound_ok=cmp <= 0,
         equality=all_trivial,
         strict=cmp < 0,

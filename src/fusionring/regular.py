@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .core import FusionData, dual_element, multiply
 from .errors import InconsistentDataError, NonTransitiveError
 from .fpengine import (
-    DEFAULT_WIDTH,
     AlgebraicNumber,
     ExactValue,
     _field_inverse,
@@ -52,7 +51,7 @@ def regular_element(
     data: FusionData,
     *,
     waive_transitivity: bool = False,
-    width: Fraction = DEFAULT_WIDTH,
+    width: Optional[Fraction] = None,
 ) -> ExtendedElement:
     """The preferred normalization: coordinate of X is FPdim(X)/eps_X."""
     coeffs = tuple(
@@ -79,10 +78,11 @@ def fpdim_category(
     data: FusionData,
     *,
     waive_transitivity: bool = False,
-    width: Fraction = DEFAULT_WIDTH,
+    width: Optional[Fraction] = None,
 ) -> AlgebraicNumber:
     """FPdim of the regular element, computed exactly as the Perron root of
-    left multiplication by s = Sum x*dual(x)/eps_x."""
+    left multiplication by s = Sum x*dual(x)/eps_x; `width` as in
+    fpdim_element."""
     ensure_fpdim_ready(data, waive_transitivity)
     matrix = left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))
     return isolate_max_real_root(char_poly(matrix), width)
@@ -161,7 +161,7 @@ def certify_integrality(
     data: FusionData,
     *,
     waive_transitivity: bool = False,
-    width: Fraction = DEFAULT_WIDTH,
+    width: Optional[Fraction] = None,
 ) -> IntegralityCertificate:
     """Minimal polynomial of FPdim of the category and whether it is monic
     with integer coefficients.  A false flag is a finding about abstract

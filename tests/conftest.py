@@ -97,6 +97,55 @@ def tensor_product(a: fr.FusionData, b: fr.FusionData) -> fr.FusionData:
     )
 
 
+def tambara_yamagami(n: int) -> fr.FusionData:
+    """TY(Z/n): group simples g0..g{n-1} and m with g*m = m*g = m and
+    m*m = sum of all g; FPdim(m) = sqrt(n)."""
+    r = n + 1
+
+    def n_(a: int, b: int, c: int) -> int:
+        if a < n and b < n:
+            return int(c == (a + b) % n)
+        if a == n and b == n:
+            return int(c < n)
+        return int(c == n)
+
+    return fr.FusionData(
+        labels=tuple(f"g{a}" for a in range(n)) + ("m",),
+        n_tensor=[[[n_(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)],
+        dual=tuple((-a) % n for a in range(n)) + (n,),
+        eps=(1,) * r,
+        endo_degree=1,
+        unit=(0,),
+    )
+
+
+def galois_product(
+    entry: fr.FixtureEntry, b: fr.FusionData
+) -> tuple[fr.FusionData, fr.GaloisAnnotation]:
+    """tensor_product(entry.data, b) annotated by entry's marks: simple
+    (x, y) carries the mark of x, so the Galois-trivial subring is
+    (trivial part of entry) x b."""
+    data = tensor_product(entry.data, b)
+    marks = tuple(mark for mark in entry.annotation.marks for _ in range(b.rank))
+    return data, fr.GaloisAnnotation(marks, group=entry.annotation.group)
+
+
+def center_prediction_oracle(
+    data: fr.FusionData, annotation: fr.GaloisAnnotation, user_center_degree=None
+) -> tuple:
+    """(predicted, bound_ok, strict, equality, consistent) by the square
+    formula: predicted = (d_Z/d) FPdim(im F) FPdim(C) compared by exact_cmp
+    with exact_square(FPdim(C)); equality iff every simple is Galois
+    trivial, and consistent iff the comparison agrees with it."""
+    d_z = fr.center_endo_degree(data, annotation, user_center_degree)
+    fp_image = fr.fpdim_category(fr.galois_trivial_subring(data, annotation))
+    fp_cat = fr.fpdim_category(data)
+    predicted = exact_mul(exact_mul(Fraction(d_z, data.endo_degree), fp_image), fp_cat)
+    cmp = exact_cmp(predicted, fr.exact_square(fp_cat))
+    equality = all(annotation.is_trivial(i) for i in range(data.rank))
+    return predicted, cmp <= 0, cmp < 0, equality, (cmp == 0) == equality
+
+
 def fpdim_transport_oracle(f) -> list:
     """The fpdim_transport violations of f, decided per source simple and
     independently of the Perron-field test in the package: FPdim(f(x)) and

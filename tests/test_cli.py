@@ -9,6 +9,7 @@ import pytest
 
 import fusionring as fr
 from fusionring.cli import MAX_PRECISION_BITS, run_command
+from conftest import galois_product, su2, tambara_yamagami, tensor_product
 
 
 def run(capsys, *argv):
@@ -293,6 +294,45 @@ def test_precision_changes_only_intervals(capsys):
     _, a, _ = run_json(capsys, "fpdim", "rep_f2_z3", "--category", "--precision", "32")
     _, b, _ = run_json(capsys, "fpdim", "rep_f2_z3", "--category", "--precision", "96")
     assert a == b  # exact rationals are untouched by precision
+
+
+def _without_intervals(doc):
+    """doc with every "interval" and "approx" entry dropped, at any depth."""
+    if isinstance(doc, dict):
+        return {k: _without_intervals(v) for k, v in doc.items() if k not in ("interval", "approx")}
+    if isinstance(doc, list):
+        return [_without_intervals(v) for v in doc]
+    return doc
+
+
+def test_precision_moves_only_intervals(capsys, tmp_path):
+    # every exact decision is taken at the width certification needs, so a
+    # coarse --precision changes no exit code and no value but the intervals
+    fib, gal7 = fr.get_builtin("fib").data, fr.get_builtin("gal7")
+    generated = {
+        "su2_3": (su2(3), None),
+        "ty_z5": (tambara_yamagami(5), None),
+        "fib2": (tensor_product(fib, fib), None),
+        "gal7xfib": galois_product(gal7, fib),
+    }
+    inputs = [(name, fr.get_builtin(name).annotation) for name in fr.list_builtins()]
+    for name, (data, annotation) in generated.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(fr.emit_fusion_file(data, name=name, annotation=annotation))
+        inputs.append((str(path), annotation))
+    runs = 0
+    for arg, annotation in inputs:
+        variants = [["fpdim"], ["fpdim", "--category"], ["regular"], ["integrality"]]
+        if annotation is not None:
+            variants.append(["center"])
+        for variant in variants:
+            code, doc, _ = run_json(capsys, *variant, arg, "--precision", "64")
+            for bits in ("0", "3", "8"):
+                got_code, got, _ = run_json(capsys, *variant, arg, "--precision", bits)
+                assert got_code == code, (variant, arg, bits)
+                assert _without_intervals(got) == _without_intervals(doc), (variant, arg, bits)
+                runs += 1
+    assert runs == 3 * (4 * len(inputs) + 4)  # center on 3 builtins and gal7xfib
 
 
 @pytest.mark.parametrize("bits", ["-1", str(MAX_PRECISION_BITS + 1), "many"])

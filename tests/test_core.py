@@ -74,6 +74,23 @@ def test_tensor_and_products_give_equal_data(name):
         assert other.n_tensor == tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dual", (0.0, 1), "dual map"),
+        ("dual", (0, True), "dual map"),
+        ("unit", (0.0,), "unit summand"),
+        ("unit", (False,), "unit summand"),
+        ("eps", (True, 1), "endomorphism dimensions"),
+        ("endo_degree", True, "endomorphism degree"),
+    ],
+)
+def test_fusion_data_rejects_non_int_fields(field, value, message):
+    fields = {"dual": (0, 1), "eps": (1, 1), "endo_degree": 1, "unit": (0,), field: value}
+    with pytest.raises(ValueError, match=message):
+        fr.FusionData(labels=("1", "g"), n_tensor=(((1, 0), (0, 1)), ((0, 1), (1, 0))), **fields)
+
+
 def test_fusion_data_rejects_bad_tensors():
     labels, fields = ("1", "g"), dict(dual=(0, 1), eps=(1, 1), endo_degree=1, unit=(0,))
     with pytest.raises(ValueError, match="rank x rank x rank"):

@@ -13,7 +13,17 @@ from fusionring.fpengine import companion_matrix, left_mult_matrix_from_coeffs
 from fusionring.poly import RationalPolynomial as P
 from fusionring.poly import cauchy_root_bound
 from fusionring.regular import _category_matrix_coeffs
-from conftest import ALL_NAMES, FUSION_NAMES, fusion_data, sign_variations, sturm_chain
+from conftest import (
+    ALL_NAMES,
+    FUSION_NAMES,
+    cyclic,
+    fusion_data,
+    sign_variations,
+    sturm_chain,
+    su2,
+    tambara_yamagami,
+    tensor_product,
+)
 
 
 def golden_ratio_bounds(digits: int) -> tuple[Fraction, Fraction]:
@@ -223,13 +233,69 @@ def test_isolate_rational_roots_collapse():
 
 
 def test_isolate_golden_ratio():
-    alpha = fr.isolate_max_real_root(P((-1, -1, 1)))
+    alpha = fr.isolate_max_real_root(P((-1, -1, 1)), width=Fraction(1, 2**64))
     assert not alpha.is_point
     assert alpha.width <= Fraction(1, 2**64)
     # the 30-digit independent enclosure is far narrower than the interval,
     # so overlapping it certifies the root is inside
     lo, hi = golden_ratio_bounds(30)
     assert alpha.lo <= hi and lo <= alpha.hi
+
+
+def _small_rings() -> dict[str, fr.FusionData]:
+    rings = {name: fusion_data(name) for name in FUSION_NAMES}
+    rings.update(
+        su2_3=su2(3),
+        su2_4=su2(4),
+        z4=cyclic(4),
+        z5=cyclic(5),
+        ty_z3=tambara_yamagami(3),
+        ty_z4=tambara_yamagami(4),
+        fib2=tensor_product(rings["fib"], rings["fib"]),
+    )
+    return rings
+
+
+SMALL_RINGS = _small_rings()
+REFINE_WIDTHS = [Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1, 2**200)]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RINGS))
+def test_default_width_refines_to_the_explicit_width(name):
+    # without a width the bisection stops early on the same dyadic grid, so
+    # refining afterwards lands on the cell an explicit width bisects to
+    data = SMALL_RINGS[name]
+    for width in REFINE_WIDTHS:
+        for x in data.simples():
+            assert fr.refine(fr.fpdim_element(x), width) == fr.fpdim_element(x, width=width)
+        assert fr.refine(fr.fpdim_category(data), width) == fr.fpdim_category(data, width=width)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RINGS))
+def test_default_width_values_are_exact_and_float_accurate(name):
+    # a rational FPdim is a point, and float() does not depend on the width
+    data = SMALL_RINGS[name]
+    values = [fr.fpdim_element(x) for x in data.simples()] + [fr.fpdim_category(data)]
+    for value in values:
+        if fr.min_poly(value).degree == 1:
+            assert value.is_point, (name, value)
+        assert float(value) == float(fr.refine(value, Fraction(1, 2**64)))
+
+
+def test_default_width_rational_closed_forms():
+    for n in (4, 5):
+        assert all(fr.fpdim_element(x).value == 1 for x in cyclic(n).simples())
+    for n in (3, 4, 5):
+        ty = tambara_yamagami(n)
+        assert all(fr.fpdim_element(ty.basis(f"g{a}")).value == 1 for a in range(n))
+    assert fr.fpdim_element(tambara_yamagami(4).basis("m")).value == 2
+
+
+def test_float_is_the_nearest_double_at_default_width():
+    phi = fr.fpdim_element(fusion_data("fib").basis("x"))
+    assert not phi.is_point
+    lo, hi = golden_ratio_bounds(30)
+    assert float(phi) == float(lo) == float(hi)
 
 
 def test_isolate_picks_the_maximal_root():

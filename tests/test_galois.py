@@ -6,7 +6,15 @@ import pytest
 
 import fusionring as fr
 from fusionring.poly import RationalPolynomial as P
-from conftest import fusion_data
+from conftest import (
+    ALL_NAMES,
+    center_prediction_oracle,
+    fusion_data,
+    galois_product,
+    su2,
+    tambara_yamagami,
+    tensor_product,
+)
 
 
 def z2_group():
@@ -194,3 +202,44 @@ def test_center_degree_must_be_a_positive_int(degree):
         fr.center_endo_degree(gal.data, gal.annotation, degree)
     with pytest.raises(ValueError):
         fr.center_fpdim_prediction(gal.data, gal.annotation, user_center_degree=degree)
+    with pytest.raises(ValueError, match="center degree must be a positive integer"):
+        fr.GaloisAnnotation(gal.annotation.marks, group=gal.annotation.group, center_degree=degree)
+
+
+def _center_cases():
+    """(id, data, annotation, user_center_degree) for the square-formula
+    comparison."""
+    trivial = fr.GaloisAnnotation
+    gal7 = fr.get_builtin("gal7")
+    fib, vec_z3 = fusion_data("fib"), fusion_data("vec_z3")
+    cases = [
+        (name, entry.data, entry.annotation, None)
+        for name in ALL_NAMES
+        if (entry := fr.get_builtin(name)).annotation is not None
+    ]
+    cases += [
+        ("fib_trivial", fib, trivial((fr.GaloisMark.trivial(),) * 2), None),
+        ("vec_z3_trivial", vec_z3, trivial((fr.GaloisMark.trivial(),) * 3), None),
+    ]
+    bases = [(f"su2_{k}", su2(k)) for k in range(3, 9)]
+    bases += [("fib2", tensor_product(fib, fib)), ("ty_z5", tambara_yamagami(5))]
+    cases += [(f"gal7x{name}", *galois_product(gal7, base), None) for name, base in bases]
+    # d_Z above d: equal at 18, violated beyond it
+    cases += [(f"gal7_dz{dz}", gal7.data, gal7.annotation, dz) for dz in (12, 18, 24)]
+    cases += [("fib_trivial_dz2", fib, trivial((fr.GaloisMark.trivial(),) * 2), 2)]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("data, annotation, dz", _center_cases())
+def test_center_prediction_matches_square_formula(data, annotation, dz):
+    pred = fr.center_fpdim_prediction(data, annotation, user_center_degree=dz)
+    predicted, bound_ok, strict, equality, consistent = center_prediction_oracle(
+        data, annotation, dz
+    )
+    assert fr.exact_cmp(pred.predicted, predicted) == 0
+    assert (pred.bound_ok, pred.strict, pred.equality, pred.consistent) == (
+        bound_ok,
+        strict,
+        equality,
+        consistent,
+    )

@@ -9,12 +9,13 @@ command line:
   regular and integrality, in json and text format, at --precision 0, 64
   and 1024;
 - center on inputs with a Galois annotation, without --dz and with --dz 1,
-  2 and 6, in json and text format;
+  2 and 6, in json and text format, at --precision 0, 64 and 1024;
 - deligne on each such input paired with every builtin that carries
   division types (both orders), in json and text format;
 
 and once each: morita on every ordered pair of builtins in json and text
-format, catalog list, catalog emit for every builtin, and USAGE_RUNS, a
+format at --precision 0, 64 and 1024, catalog list, catalog emit for every
+builtin, and USAGE_RUNS, a
 fixed list of help, version, usage-error and abbreviated-option argument
 lists.  Last come the invalid inputs of invalid_inputs(), each read from
 standard input by validate (json and text), fpdim, regular and integrality:
@@ -212,7 +213,8 @@ def _runs(arg: str, partners: list[str]) -> Iterator[list[str]]:
                 yield [*variant, arg, "--format", fmt, "--precision", bits]
         if entry and entry.annotation is not None:
             for dz in ((), ("--dz", "1"), ("--dz", "2"), ("--dz", "6")):
-                yield ["center", arg, *dz, "--format", fmt]
+                for bits in PRECISIONS:
+                    yield ["center", arg, *dz, "--format", fmt, "--precision", bits]
         if entry and entry.desc is not None:
             for partner in partners:
                 yield ["deligne", arg, partner, "--format", fmt]
@@ -243,10 +245,11 @@ def main(files: list[str]) -> None:
     divided = [name for name in builtins if get_builtin(name).desc is not None]
     runs = [argv for arg in (*builtins, *files) for argv in _runs(arg, divided)]
     runs += [
-        ["morita", a, b, "--format", fmt]
+        ["morita", a, b, "--format", fmt, "--precision", bits]
         for a in builtins
         for b in builtins
         for fmt in FORMATS
+        for bits in PRECISIONS
     ]
     runs += [["catalog", "list", "--format", fmt] for fmt in FORMATS]
     runs += [["catalog", "emit", name] for name in builtins]
