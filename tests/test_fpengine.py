@@ -262,7 +262,8 @@ REFINE_WIDTHS = [Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1,
 
 @pytest.mark.parametrize("name", sorted(SMALL_RINGS))
 def test_default_width_refines_to_the_explicit_width(name):
-    # without a width the bisection stops early on the same dyadic grid, so
+    # without a width the bisection stops at 16 over the leading coefficient
+    # (here 1 or 2, so above every width below) on the same dyadic grid, so
     # refining afterwards lands on the cell an explicit width bisects to
     data = SMALL_RINGS[name]
     for width in REFINE_WIDTHS:

@@ -207,26 +207,26 @@ def test_center_degree_must_be_a_positive_int(degree):
 
 
 def _center_cases():
-    """(id, data, annotation, user_center_degree) for the square-formula
-    comparison."""
-    trivial = fr.GaloisAnnotation
+    """pytest params (data, annotation, user_center_degree) for the
+    square-formula comparison."""
     gal7 = fr.get_builtin("gal7")
     fib, vec_z3 = fusion_data("fib"), fusion_data("vec_z3")
+    fib_trivial = fr.GaloisAnnotation((fr.GaloisMark.trivial(),) * 2)
     cases = [
         (name, entry.data, entry.annotation, None)
         for name in ALL_NAMES
         if (entry := fr.get_builtin(name)).annotation is not None
     ]
     cases += [
-        ("fib_trivial", fib, trivial((fr.GaloisMark.trivial(),) * 2), None),
-        ("vec_z3_trivial", vec_z3, trivial((fr.GaloisMark.trivial(),) * 3), None),
+        ("fib_trivial", fib, fib_trivial, None),
+        ("vec_z3_trivial", vec_z3, fr.GaloisAnnotation((fr.GaloisMark.trivial(),) * 3), None),
     ]
     bases = [(f"su2_{k}", su2(k)) for k in range(3, 9)]
     bases += [("fib2", tensor_product(fib, fib)), ("ty_z5", tambara_yamagami(5))]
     cases += [(f"gal7x{name}", *galois_product(gal7, base), None) for name, base in bases]
     # d_Z above d: equal at 18, violated beyond it
     cases += [(f"gal7_dz{dz}", gal7.data, gal7.annotation, dz) for dz in (12, 18, 24)]
-    cases += [("fib_trivial_dz2", fib, trivial((fr.GaloisMark.trivial(),) * 2), 2)]
+    cases += [("fib_trivial_dz2", fib, fib_trivial, 2)]
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
@@ -237,9 +237,5 @@ def test_center_prediction_matches_square_formula(data, annotation, dz):
         data, annotation, dz
     )
     assert fr.exact_cmp(pred.predicted, predicted) == 0
-    assert (pred.bound_ok, pred.strict, pred.equality, pred.consistent) == (
-        bound_ok,
-        strict,
-        equality,
-        consistent,
-    )
+    flags = (pred.bound_ok, pred.strict, pred.equality, pred.consistent)
+    assert flags == (bound_ok, strict, equality, consistent)
