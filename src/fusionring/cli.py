@@ -368,8 +368,10 @@ def _cmd_catalog(args: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 # command table
 
-#: largest accepted --precision; bisection to 2^-BITS costs BITS rounds of
-#: evaluation at ever longer rationals, so unbounded values could stall a call
+#: largest accepted --precision; quadratic refinement to 2^-BITS takes
+#: O(log BITS) steps, but each evaluates a polynomial of degree up to the rank
+#: at rationals of about BITS bits, and the Sturm recount of the result reads
+#: the whole chain there, so unbounded values could still stall a call
 MAX_PRECISION_BITS = 1024
 
 PROG = "fusionring"

@@ -9,7 +9,12 @@ algebraic numbers).
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
 root.  Rational roots collapse to point intervals, so statements like
-"FPdim(V) = 2 exactly" are plain equalities.
+"FPdim(V) = 2 exactly" are plain equalities.  Sturm counts isolate a root;
+quadratic interval refinement (J. Abbott, "Quadratic Interval Refinement for
+Real Roots", 2006) narrows it, with secant steps certified by the signs of
+the integer polynomial at grid points.  It returns the interval bisection
+would, after a number of evaluations that grows with the logarithm of the
+bits asked for rather than with the bits.
 
 perron_data gives the whole regular element at once, exactly, in the ring's
 Perron field K = Q(mu), mu = FPdim(sum of simples), and keeps it in
@@ -43,6 +48,7 @@ from .poly import (
     RationalPolynomial,
     cauchy_root_bound,
     count_real_roots,
+    homogeneous_value,
     sign_at,
     sign_variations,
     sturm_chain,
@@ -278,32 +284,80 @@ def _sign(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
     return sign_at(chain[0], x.numerator, x.denominator)
 
 
-def _bisect(
+def _refine_on_grid(
     f: tuple[int, ...], lo: Fraction, hi: Fraction, width: Rat
 ) -> tuple[Fraction, Fraction]:
-    """Bisect a sign change of the integer polynomial f in (lo, hi) down to
-    `width`; a midpoint that is a root comes back as the point interval
-    (mid, mid).
+    """The result of bisecting the one sign change of the integer polynomial
+    f in (lo, hi) down to `width`, reached by quadratic interval refinement
+    (J. Abbott, "Quadratic Interval Refinement for Real Roots", 2006; Kerber
+    and Sagraloff, ISSAC 2011).
 
-    The endpoints stay on one integer grid, lo = a/den and hi = b/den: each
-    step doubles a, b and den and takes a + b as the midpoint, so no Fraction
-    is built until the end."""
+    Bisection would make the least n halvings with (hi - lo)/2^n <= width and
+    return the cell of level n of the grid lo + j (hi - lo)/2^n that holds
+    the root, or the point (x, x) when the root x is a grid point of level at
+    most n (a midpoint it evaluates).  The interval here is always a cell of
+    that grid, of level L: its ends are a/den and (a + g)/den, and the
+    integer values den^d f at them are kept.  Each step splits the cell
+    into N = 2^s subcells, s <= n - L.  The secant through the two values
+    picks the grid point nearest its root; the sign there says on which
+    side of it the root lies, and the sign at the neighbouring point on
+    that side certifies the subcell between them.  On success the cell
+    becomes that subcell and N squares; on failure the step is one plain
+    bisection and N shrinks to its square root.  A tested point where f
+    vanishes is the root, on the grid at level <= n, and is returned as a
+    point.  Every decision is a sign, so the result is bisection's to the
+    bit, after O(log n) steps once the secant converges instead of n."""
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    w_num, w_den = width.numerator, width.denominator
-    sign_lo = sign_at(f, a, den)
-    while (b - a) * w_den > w_num * den:
-        mid = a + b
-        a, b, den = 2 * a, 2 * b, 2 * den
-        s = sign_at(f, mid, den)
-        if s == 0:
+    g = hi.numerator * (den // hi.denominator) - a
+    # n: the least n with 2^n >= ceil(g / (den width)), so g / (den 2^n) <= width
+    n = (-(-g * width.denominator // (width.numerator * den)) - 1).bit_length()
+    d = len(f) - 1
+    fa, fb = homogeneous_value(f, a, den), homogeneous_value(f, a + g, den)
+    positive = fa > 0
+    level, s = 0, 1
+    while level < n:
+        s = min(s, n - level)
+        subcells, shift = 1 << s, s * d
+        a_s, den_s = a << s, den << s
+
+        def value(i: int) -> int:
+            if i == 0:
+                return fa << shift
+            if i == subcells:
+                return fb << shift
+            return homogeneous_value(f, a_s + i * g, den_s)
+
+        u, v = abs(fa), abs(fb)
+        m = (2 * subcells * u + u + v) // (2 * (u + v))
+        fm = value(m)
+        if fm == 0:
+            return Fraction(a_s + m * g, den_s), Fraction(a_s + m * g, den_s)
+        j = m if (fm > 0) == positive else m - 1
+        # j == subcells only if f has no sign change in the cell
+        if j < subcells:
+            k = m + 1 if j == m else j
+            fk = value(k)
+            if fk == 0:
+                return Fraction(a_s + k * g, den_s), Fraction(a_s + k * g, den_s)
+            fl, fr = (fm, fk) if j == m else (fk, fm)
+            if (fl > 0) == positive and (fr > 0) != positive:
+                a, den, fa, fb = a_s + j * g, den_s, fl, fr
+                level += s
+                s *= 2
+                continue
+        s = max(1, s // 2)
+        mid = 2 * a + g
+        a, den = 2 * a, 2 * den
+        f_mid = homogeneous_value(f, mid, den)
+        if f_mid == 0:
             return Fraction(mid, den), Fraction(mid, den)
-        if s == sign_lo:
-            a = mid
+        if (f_mid > 0) == positive:
+            a, fa, fb = mid, f_mid, fb << d
         else:
-            b = mid
-    return Fraction(a, den), Fraction(b, den)
+            fa, fb = fa << d, f_mid
+        level += 1
+    return Fraction(a, den), Fraction(a + g, den)
 
 
 def isolate_max_real_root(
@@ -312,13 +366,16 @@ def isolate_max_real_root(
     """Certified isolation of the largest real root of p.
 
     Works on the squarefree part, narrows by Sturm counts until one root
-    remains above, then bisects on the sign of the polynomial, down to
-    `width` or, when width is None, to 16 over the leading coefficient of
-    the primitive integer form.  Rational roots collapse to exact point
-    intervals, which is complete at any width up to that default; refine
-    narrows the result further.  The narrowing carries the sign variations
-    at its endpoints, so each halving evaluates the chain once.
+    remains above, then refines on the sign of the polynomial
+    (_refine_on_grid), down to `width` or, when width is None, to 16 over
+    the leading coefficient of the primitive integer form.  Rational roots
+    collapse to exact point intervals, which is complete at any width up to
+    that default; refine narrows the result further.  The narrowing carries
+    the sign variations at its endpoints, so each halving evaluates the
+    chain once.  A width that is not positive raises ValueError.
     """
+    if width is not None and width <= 0:
+        raise ValueError("target width must be positive")
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
     q = p.squarefree_part()
@@ -352,7 +409,7 @@ def isolate_max_real_root(
             hi = mid
     if width is None:
         width = Fraction(16, chain[0][-1])
-    lo, hi = _bisect(chain[0], lo, hi, width)
+    lo, hi = _refine_on_grid(chain[0], lo, hi, width)
     if lo < hi:
         roots = rational_roots_between(chain[0], lo, hi)
         if roots:
@@ -367,7 +424,7 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
         raise ValueError("target width must be positive")
     if alpha.is_point or alpha.width <= width:
         return alpha
-    lo, hi = _bisect(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
+    lo, hi = _refine_on_grid(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
     return AlgebraicNumber(alpha.poly, lo, hi)
 
 

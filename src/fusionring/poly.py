@@ -10,7 +10,7 @@ root.
 Sturm counting runs in integers only.  A chain is built once per polynomial
 (memoized) by integer pseudo-remainders, each member a positive integer
 multiple of the canonical member, and every sign is read off the integer
-homogeneous form den^k f(num/den) by `sign_at`.
+homogeneous form den^k f(num/den) (`homogeneous_value`, `sign_at`).
 """
 
 from __future__ import annotations
@@ -285,13 +285,20 @@ def sturm_chain(p: RationalPolynomial) -> tuple[tuple[int, ...], ...]:
     return tuple(chain)
 
 
-def sign_at(f: Sequence[int], num: int, den: int) -> int:
-    """Sign of the integer polynomial f (ascending coefficients) at num/den,
-    den > 0: the sign of den^k f(num/den), k = deg f, by homogeneous Horner."""
+def homogeneous_value(f: Sequence[int], num: int, den: int) -> int:
+    """den^k f(num/den), k = deg f, for the integer polynomial f (ascending
+    coefficients), by homogeneous Horner; for den > 0 it has the sign of
+    f(num/den)."""
     acc, power = 0, 1
     for c in reversed(f):
         acc = acc * num + c * power
         power *= den
+    return acc
+
+
+def sign_at(f: Sequence[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial f at num/den, den > 0."""
+    acc = homogeneous_value(f, num, den)
     return (acc > 0) - (acc < 0)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import fusionring as fr
 from fusionring.factor import rational_roots_between
+from fusionring import fpengine
 from fusionring.fpengine import companion_matrix, left_mult_matrix_from_coeffs
 from fusionring.poly import RationalPolynomial as P
 from fusionring.poly import cauchy_root_bound
@@ -421,7 +422,18 @@ def _reference_isolate(p: P, width: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-BISECTION_WIDTHS = [Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1, 2**512)]
+def _assert_refines_like_bisection(alpha: fr.AlgebraicNumber, widths) -> None:
+    for width in widths:
+        expected = (alpha.lo, alpha.hi)
+        if alpha.hi - alpha.lo > width:
+            expected = _reference_bisect(alpha.poly, alpha.lo, alpha.hi, width)
+        refined = fr.refine(alpha, width)
+        assert (refined.lo, refined.hi) == expected, (alpha, width)
+
+
+BISECTION_WIDTHS = [
+    Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1, 2**512), Fraction(1, 2**1024)
+]
 
 
 def test_isolation_and_refinement_match_fraction_bisection():
@@ -439,13 +451,7 @@ def test_isolation_and_refinement_match_fraction_bisection():
         for width in BISECTION_WIDTHS:
             alpha = fr.isolate_max_real_root(p, width)
             assert (alpha.lo, alpha.hi) == _reference_isolate(p, width), (p, width)
-        start = fr.isolate_max_real_root(p, Fraction(1))
-        for width in BISECTION_WIDTHS:
-            expected = (start.lo, start.hi)
-            if start.hi - start.lo > width:
-                expected = _reference_bisect(start.poly, start.lo, start.hi, width)
-            refined = fr.refine(start, width)
-            assert (refined.lo, refined.hi) == expected, (p, width)
+        _assert_refines_like_bisection(fr.isolate_max_real_root(p, Fraction(1)), BISECTION_WIDTHS)
     # refinement that collapses onto a dyadic root: 3/8 after three halvings
     for root, lo, hi in ((Fraction(3, 8), 0, 1), (Fraction(-5, 16), -1, 0), (Fraction(1, 2), 0, 1)):
         alpha = fr.AlgebraicNumber(P((-root, 1)), Fraction(lo), Fraction(hi))
@@ -454,6 +460,87 @@ def test_isolation_and_refinement_match_fraction_bisection():
             assert refined.is_point and refined.value == root
             expected = _reference_bisect(alpha.poly, alpha.lo, alpha.hi, width)
             assert (refined.lo, refined.hi) == expected
+
+
+def test_refinement_matches_bisection_when_the_secant_misses():
+    # roots clustered next to the isolated one, and a steep convex
+    # polynomial, bend the secant away from the root, so some quadratic
+    # steps fail and fall back to bisection
+    d = Fraction(1, 2**10)
+    cluster = P((-2, 0, 1)) * P((-(2 - d), 0, 1)) * P((-(2 - 2 * d), 0, 1)) * P((-(2 + d), 0, 1))
+    steep = fr.AlgebraicNumber(P((-2,) + (0,) * 31 + (1,)), Fraction(0), Fraction(2))
+    for alpha in (fr.isolate_max_real_root(cluster, Fraction(1)), steep):
+        _assert_refines_like_bisection(alpha, BISECTION_WIDTHS)
+
+
+def test_refinement_returns_a_deep_dyadic_root_as_a_point():
+    # 12345/2^40 lies on the grid of [0, 1] at level 40, inside a quadratic
+    # jump: coarser widths give bisection's cell, finer ones the point
+    root = Fraction(12345, 2**40)
+    alpha = fr.AlgebraicNumber(P((-root, 1)) * P((-2, 0, 1)), Fraction(0), Fraction(1))
+    widths = [Fraction(1, 2**e) for e in (8, 39, 40, 41, 64, 1024)]
+    _assert_refines_like_bisection(alpha, widths)
+    assert not fr.refine(alpha, Fraction(1, 2**39)).is_point
+    assert fr.refine(alpha, Fraction(1, 2**40)).value == root
+    below = fr.isolate_max_real_root(P((-root, 1)) * P((3, 1)), Fraction(1, 2**64))
+    assert below.is_point and below.value == root
+    # on [0, 1] the secant picks the grid point 1, and the point that
+    # certifies the subcell next to it is the root 1/2
+    half = Fraction(1, 2)
+    curved = P((-half, 1)) * P((-Fraction(3, 2), 1)) * P((-27, 1))
+    alpha = fr.AlgebraicNumber(curved, Fraction(0), Fraction(1))
+    _assert_refines_like_bisection(alpha, [Fraction(1, 2), Fraction(1, 2**64)])
+    assert fr.refine(alpha, half).value == half
+
+
+def test_refinement_stops_at_bisections_level_for_any_width():
+    # a width that is no power of two: the last quadratic jump is cut short
+    # at the level where bisection would stop
+    widths = [Fraction(3, 2**70), Fraction(5, 7), Fraction(7, 2**300), Fraction(3, 10**100)]
+    for p in (P((-1, -1, 1)), P((-2, 0, 0, 1)), P((1, 0, -10, 0, 1))):
+        alpha = fr.isolate_max_real_root(p, Fraction(1))
+        _assert_refines_like_bisection(alpha, widths)
+        for width in widths:
+            isolated = fr.isolate_max_real_root(p, width)
+            assert (isolated.lo, isolated.hi) == _reference_isolate(p, width), (p, width)
+
+
+def test_refinement_to_1024_bits_takes_few_evaluations(monkeypatch):
+    # quadratic refinement doubles the correct bits per step, so refining
+    # phi to 2^-1024 evaluates the polynomial a few dozen times, where
+    # bisection would evaluate it once per bit
+    evaluations = []
+    homogeneous_value = fpengine.homogeneous_value
+
+    def counting(f, num, den):
+        evaluations.append(num)
+        return homogeneous_value(f, num, den)
+
+    phi = fr.isolate_max_real_root(P((-1, -1, 1)), Fraction(1))
+    monkeypatch.setattr(fpengine, "homogeneous_value", counting)
+    refined = fr.refine(phi, Fraction(1, 2**1024))
+    assert refined.width <= Fraction(1, 2**1024)
+    assert len(evaluations) <= 40
+
+
+WIDTH_ENTRY_POINTS = {
+    "isolate_max_real_root": lambda w: fr.isolate_max_real_root(P((-1, -1, 1)), w),
+    "refine": lambda w: fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), w),
+    "fpdim_element": lambda w: fr.fpdim_element(fusion_data("fib").basis(1), width=w),
+    "regular_element": lambda w: fr.regular_element(fusion_data("fib"), width=w),
+    "fpdim_category": lambda w: fr.fpdim_category(fusion_data("fib"), width=w),
+    "certify_integrality": lambda w: fr.certify_integrality(fusion_data("fib"), width=w),
+    "center_fpdim_prediction": lambda w: fr.center_fpdim_prediction(
+        fr.get_builtin("gal7").data, fr.get_builtin("gal7").annotation, width=w
+    ),
+}
+
+
+@pytest.mark.parametrize("width", [Fraction(0), 0, Fraction(-1, 2)])
+@pytest.mark.parametrize("entry", sorted(WIDTH_ENTRY_POINTS))
+def test_widths_that_are_not_positive_are_refused(entry, width):
+    with pytest.raises(ValueError, match="target width must be positive"):
+        WIDTH_ENTRY_POINTS[entry](width)
 
 
 def test_min_poly_examples():

@@ -6,22 +6,22 @@ The runs, on every builtin fixture and on every fusion file named on the
 command line:
 
 - validate, fpdim (all simples, --category, and --element for each simple),
-  regular and integrality, in json and text format, at --precision 0, 64
-  and 1024;
+  regular and integrality, in json and text format, at --precision 0, 64,
+  256 and 1024;
 - center on inputs with a Galois annotation, without --dz and with --dz 1,
-  2 and 6, in json and text format, at --precision 0, 64 and 1024;
+  2 and 6, in json and text format, at --precision 0, 64, 256 and 1024;
 - deligne on each such input paired with every builtin that carries
   division types (both orders), in json and text format;
 
 and once each: morita on every ordered pair of builtins in json and text
-format at --precision 0, 64 and 1024, catalog list, catalog emit for every
-builtin, and USAGE_RUNS, a
-fixed list of help, version, usage-error and abbreviated-option argument
-lists.  Last come the invalid inputs of invalid_inputs(), each read from
-standard input by validate (json and text), fpdim, regular and integrality:
-seeded single-entry perturbations of every builtin, so that the checks'
-full violation lists show, and MALFORMED, files that break the schema, so
-that the parser's messages show.  Python standard library only.
+format at --precision 0, 64, 256 and 1024, catalog list, catalog emit for
+every builtin, and USAGE_RUNS, a fixed list of help, version, usage-error
+and abbreviated-option argument lists.  Last come the invalid inputs of
+invalid_inputs(), each read from standard input by validate (json and text),
+fpdim, regular and integrality: seeded single-entry perturbations of every
+builtin, so that the checks' full violation lists show, and MALFORMED, files
+that break the schema, so that the parser's messages show.  Python standard
+library only.
 
     PYTHONPATH=src python tools/cli_digest.py [FILE ...] > digest.txt
 
@@ -50,7 +50,7 @@ from fusionring.errors import FusionError
 from fusionring.fileformat import emit_fusion_file, parse_fusion_file
 
 FORMATS = ("json", "text")
-PRECISIONS = ("0", "64", "1024")
+PRECISIONS = ("0", "64", "256", "1024")
 # spelled out rather than read from fusionring.cli, so that the same
 # digest runs against checkouts whose cli has no command table
 COMMANDS = (
