@@ -1,7 +1,7 @@
 """Exact Frobenius-Perron machinery.
 
 Left-multiplication matrices read off the sparse product index,
-characteristic polynomials by Hessenberg reduction over the rationals,
+characteristic polynomials by Hessenberg reduction modulo a Mersenne prime,
 Sturm-certified isolation of the maximal real root, minimal polynomials, and
 a deliberately small algebra of exact values (rationals and isolated
 algebraic numbers).
@@ -41,6 +41,7 @@ from .errors import (
     NonTransitiveError,
     NoRealRootError,
     NotFusionError,
+    ResourceLimitError,
     UnrepresentableError,
 )
 from .factor import factor_squarefree_rational, rational_roots_between
@@ -49,6 +50,7 @@ from .poly import (
     cauchy_root_bound,
     count_real_roots,
     homogeneous_value,
+    rat,
     sign_at,
     sign_variations,
     sturm_chain,
@@ -62,14 +64,6 @@ Rat = Union[int, Fraction]
 # exact matrices
 
 
-def _exact_entry(c: Rat) -> Rat:
-    """int when c is integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
     """Square matrix over Q; integral entries are stored as int, the others
@@ -78,7 +72,7 @@ class RationalMatrix:
     rows: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_exact_entry(c) for c in row) for row in self.rows)
+        rows = tuple(tuple(map(rat, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -93,16 +87,9 @@ class RationalMatrix:
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        n, m = self.size, other.size
-        rows = []
-        for i in range(n):
-            for k in range(m):
-                rows.append(
-                    tuple(
-                        self.rows[i][j] * other.rows[k][l] for j in range(n) for l in range(m)
-                    )
-                )
-        return RationalMatrix(tuple(rows))
+        return RationalMatrix(
+            tuple(tuple(a * b for a in row for b in o) for row in self.rows for o in other.rows)
+        )
 
 
 def left_mult_matrix(x: MultisetElement) -> RationalMatrix:
@@ -126,26 +113,42 @@ def left_mult_matrix_from_coeffs(data: FusionData, coeffs: Sequence[Rat]) -> Rat
     return RationalMatrix(tuple(zip(*cols)))
 
 
-def char_poly(m: RationalMatrix) -> RationalPolynomial:
-    """Monic characteristic polynomial det(tI - M).
+#: Mersenne primes 2^k - 1, the moduli of char_poly, smallest first
+MERSENNE_PRIMES = tuple(
+    2**k - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941)
+)
 
-    M is first brought to upper Hessenberg form H by similarity transforms
-    over Q (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9): for each column, a nonzero entry on or below the
-    subdiagonal is swapped onto it and the entries below are eliminated,
-    every row operation paired with the inverse column operation; a column
-    that is zero from the subdiagonal down is already reduced.  The leading
-    principal minors p_k = det(tI - H[:k, :k]) then satisfy
+
+def char_poly(m: RationalMatrix) -> RationalPolynomial:
+    """Monic characteristic polynomial det(tI - M), computed modulo a prime.
+
+    With d the common denominator of M's entries and rho the largest
+    absolute row sum of dM, each coefficient of det(tI - dM) is at most
+    (1 + rho)^n in absolute value (that of t^(n-k) sums C(n, k) principal
+    k-minors, each at most rho^k).  So det(tI - dM) is computed modulo the
+    least P in MERSENNE_PRIMES above 2 (1 + rho)^n (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 5.5), read as symmetric residues and
+    scaled back to M's roots; a larger bound raises ResourceLimitError
+    before any reduction.  dM mod P is brought to upper Hessenberg form H by
+    similarity transforms (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9), each column's pivot swapped onto the subdiagonal
+    and the entries below it eliminated.  The leading principal minors
+    p_k = det(tI - H[:k, :k]) then satisfy
 
         p_k = (t - h[k-1][k-1]) p_{k-1}
               - sum_{i<k-1} h[i][k-1] * h[i+1][i] ... h[k-1][k-2] * p_i
 
-    and p_n is the result.  O(n^3) scalar operations, in Python ints as
-    long as the entries and the multipliers of the reduction are integral,
-    in Fractions from the first non-integral one on.
+    and p_n is the result: O(n^3) operations on residues.
     """
     n = m.size
-    h = [list(row) for row in m.rows]
+    d = lcm(*{c.denominator for row in m.rows for c in row})
+    h = [list(row) if d == 1 else [c.numerator * d // c.denominator for c in row] for row in m.rows]
+    bound = 2 * (1 + max(sum(map(abs, row)) for row in h)) ** n
+    prime = next((q for q in MERSENNE_PRIMES if q > bound), None)
+    if prime is None:
+        raise ResourceLimitError(f"char poly coefficients may need {bound.bit_length()} bits")
+    # entries of dM lie in (-P, P), so each is 0 mod P only if 0; every
+    # entry the reduction writes is reduced
     for c in range(n - 2):
         p = c + 1
         piv = next((i for i in range(p, n) if h[i][c]), None)
@@ -156,37 +159,36 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
             for row in h:
                 row[p], row[piv] = row[piv], row[p]
         pivot_row = h[p]
-        pivot = pivot_row[c]
+        inverse = pow(pivot_row[c], -1, prime)
         for i in range(p + 1, n):
             row_i = h[i]
             if not row_i[c]:
                 continue
-            u = Fraction(row_i[c], pivot)
-            if u.denominator == 1:
-                u = u.numerator
+            u = row_i[c] * inverse % prime
             for j in range(c, n):
                 if pivot_row[j]:
-                    row_i[j] -= u * pivot_row[j]
+                    row_i[j] = (row_i[j] - u * pivot_row[j]) % prime
             for row in h:
                 if row[i]:
-                    row[p] += u * row[i]
-    polys: list[list[Rat]] = [[1]]
+                    row[p] = (row[p] + u * row[i]) % prime
+    polys = [[1]]
     for k in range(n):
         prev = polys[k]
         nxt = [0] + prev
-        for d, a in enumerate(prev):
-            nxt[d] -= h[k][k] * a
+        for e, a in enumerate(prev):
+            nxt[e] -= h[k][k] * a
         sub = 1
         for i in range(k - 1, -1, -1):
-            sub *= h[i + 1][i]
+            sub = sub * h[i + 1][i] % prime
             if not sub:
                 break
             w = sub * h[i][k]
             if w:
-                for d, a in enumerate(polys[i]):
-                    nxt[d] -= w * a
-        polys.append(nxt)
-    return RationalPolynomial(polys[n])
+                for e, a in enumerate(polys[i]):
+                    nxt[e] -= w * a
+        polys.append([a % prime for a in nxt])
+    chi = RationalPolynomial([c - prime if 2 * c > prime else c for c in polys[n]])
+    return chi if d == 1 else chi.scale_root(Fraction(1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,9 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
 @dataclass(frozen=True)
 class AlgebraicNumber:
     """A real algebraic number: monic defining polynomial plus a rational
-    interval certified (Sturm count 1) to contain exactly one of its real
-    roots.  Point intervals (lo == hi) are exact rationals."""
+    interval certified to contain exactly one of its real roots (Sturm count
+    1, and a sign change of the polynomial across it).  Point intervals
+    (lo == hi) are exact rationals."""
 
     poly: RationalPolynomial
     lo: Fraction
@@ -211,14 +214,24 @@ class AlgebraicNumber:
         if self.lo > self.hi:
             raise ValueError("empty isolating interval")
         chain = sturm_chain(self.poly)
+        s_lo, s_hi = _sign(chain[0], self.lo), _sign(chain[0], self.hi)
         if self.lo == self.hi:
-            if _sign(chain, self.lo) != 0:
+            if s_lo:
                 raise ValueError("point interval does not sit on a root")
-        else:
-            if _sign(chain, self.lo) == 0 or _sign(chain, self.hi) == 0:
-                raise ValueError("isolating interval endpoints must not be roots")
-            if count_real_roots(chain, self.lo, self.hi) != 1:
-                raise ValueError("interval does not isolate exactly one real root")
+        elif not s_lo or not s_hi:
+            raise ValueError("isolating interval endpoints must not be roots")
+        elif s_lo == s_hi:
+            raise ValueError("defining polynomial does not change sign across the interval")
+        elif count_real_roots(chain, self.lo, self.hi) != 1:
+            raise ValueError("interval does not isolate exactly one real root")
+
+    @classmethod
+    def _certified(cls, poly: RationalPolynomial, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
+        """Skips the check, for an interval certified by construction: a
+        subcell of a certified one, or its image under x -> c x or x -> 1/x."""
+        alpha = object.__new__(cls)
+        vars(alpha).update(poly=poly, lo=lo, hi=hi)
+        return alpha
 
     @property
     def is_point(self) -> bool:
@@ -246,13 +259,14 @@ class AlgebraicNumber:
         return float(x.lo)
 
     def scaled(self, c: Rat) -> "AlgebraicNumber":
-        """Exact product with a nonzero rational."""
+        """Exact product with a nonzero rational; self itself for c = 1."""
         c = Fraction(c)
+        if c == 1:
+            return self
         if c == 0:
             raise ValueError("scaling an algebraic number by zero loses the field")
-        q = self.poly.scale_root(c)
         lo, hi = (c * self.lo, c * self.hi) if c > 0 else (c * self.hi, c * self.lo)
-        return AlgebraicNumber(q, lo, hi)
+        return AlgebraicNumber._certified(self.poly.scale_root(c), lo, hi)
 
     def cmp_rational(self, c: Rat) -> int:
         """Exact three-way comparison with a rational."""
@@ -263,11 +277,9 @@ class AlgebraicNumber:
             return 1
         if c > self.hi:
             return -1
-        chain = sturm_chain(self.poly)
-        if _sign(chain, c) == 0:
-            return 0  # c is the unique root in the interval
-        above = count_real_roots(chain, c, self.hi)
-        return 1 if above == 1 else -1
+        f = sturm_chain(self.poly)[0]  # the root is where f changes sign
+        s = _sign(f, c)
+        return s and (1 if s == _sign(f, self.lo) else -1)
 
     def __str__(self) -> str:
         if self.is_point:
@@ -275,13 +287,9 @@ class AlgebraicNumber:
         return f"root of {self.poly} in [{self.lo}, {self.hi}]"
 
 
-def _point(poly: RationalPolynomial, value: Fraction) -> AlgebraicNumber:
-    return AlgebraicNumber(poly, value, value)
-
-
-def _sign(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
-    """Sign at x of the polynomial whose Sturm chain this is."""
-    return sign_at(chain[0], x.numerator, x.denominator)
+def _sign(f: Sequence[int], x: Fraction) -> int:
+    """Sign at x of the integer polynomial f."""
+    return sign_at(f, x.numerator, x.denominator)
 
 
 def _refine_on_grid(
@@ -333,19 +341,18 @@ def _refine_on_grid(
         fm = value(m)
         if fm == 0:
             return Fraction(a_s + m * g, den_s), Fraction(a_s + m * g, den_s)
+        # f changes sign across the cell, so 0 <= j < subcells
         j = m if (fm > 0) == positive else m - 1
-        # j == subcells only if f has no sign change in the cell
-        if j < subcells:
-            k = m + 1 if j == m else j
-            fk = value(k)
-            if fk == 0:
-                return Fraction(a_s + k * g, den_s), Fraction(a_s + k * g, den_s)
-            fl, fr = (fm, fk) if j == m else (fk, fm)
-            if (fl > 0) == positive and (fr > 0) != positive:
-                a, den, fa, fb = a_s + j * g, den_s, fl, fr
-                level += s
-                s *= 2
-                continue
+        k = m + 1 if j == m else j
+        fk = value(k)
+        if fk == 0:
+            return Fraction(a_s + k * g, den_s), Fraction(a_s + k * g, den_s)
+        fl, fr = (fm, fk) if j == m else (fk, fm)
+        if (fl > 0) == positive and (fr > 0) != positive:
+            a, den, fa, fb = a_s + j * g, den_s, fl, fr
+            level += s
+            s *= 2
+            continue
         s = max(1, s // 2)
         mid = 2 * a + g
         a, den = 2 * a, 2 * den
@@ -396,13 +403,13 @@ def isolate_max_real_root(
             lo, v_lo = mid, v_mid
         else:
             hi = mid
-    if _sign(chain, hi) == 0:
-        return _point(q, hi)
+    if _sign(chain[0], hi) == 0:
+        return AlgebraicNumber(q, hi, hi)
     # clear a smaller root stranded exactly on the lower endpoint
-    while _sign(chain, lo) == 0:
+    while _sign(chain[0], lo) == 0:
         mid = (lo + hi) / 2
-        if _sign(chain, mid) == 0:
-            return _point(q, mid)
+        if _sign(chain[0], mid) == 0:
+            return AlgebraicNumber(q, mid, mid)
         if sign_variations(chain, mid) - v_hi == 1:
             lo = mid
         else:
@@ -413,8 +420,8 @@ def isolate_max_real_root(
     if lo < hi:
         roots = rational_roots_between(chain[0], lo, hi)
         if roots:
-            return _point(q, roots[0])
-    return AlgebraicNumber(q, lo, hi)
+            return AlgebraicNumber(q, roots[0], roots[0])
+    return AlgebraicNumber._certified(q, lo, hi)
 
 
 def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
@@ -425,7 +432,7 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     if alpha.is_point or alpha.width <= width:
         return alpha
     lo, hi = _refine_on_grid(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
-    return AlgebraicNumber(alpha.poly, lo, hi)
+    return AlgebraicNumber._certified(alpha.poly, lo, hi)
 
 
 @lru_cache(maxsize=512)
@@ -435,7 +442,8 @@ def min_poly(alpha: AlgebraicNumber) -> RationalPolynomial:
     if alpha.is_point:
         return RationalPolynomial((-alpha.value, 1))
     for g in factor_squarefree_rational(alpha.poly):
-        if g.degree >= 1 and count_real_roots(sturm_chain(g), alpha.lo, alpha.hi) == 1:
+        f = g.to_integer_coeffs()  # only the factor with the root changes sign
+        if _sign(f, alpha.lo) != _sign(f, alpha.hi):
             return g
     raise AssertionError("defining polynomial lost its root")  # pragma: no cover
 
@@ -547,7 +555,7 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
         y = refine(y, y.width / 2)
     while True:
         lo, hi = x.lo * y.lo, x.hi * y.hi
-        if _sign(chain, lo) and _sign(chain, hi) and count_real_roots(chain, lo, hi) == 1:
+        if _sign(chain[0], lo) and _sign(chain[0], hi) and count_real_roots(chain, lo, hi) == 1:
             break
         x, y = refine(x, x.width / 2), refine(y, y.width / 2)
         if x.is_point or y.is_point:
@@ -580,7 +588,7 @@ def reciprocal(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
         v = refine(v, v.width / 2)
     p = min_poly(v)
     q = RationalPolynomial(tuple(reversed(p.coeffs))).monic()
-    return AlgebraicNumber(q, 1 / v.hi, 1 / v.lo)
+    return AlgebraicNumber._certified(q, 1 / v.hi, 1 / v.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -728,4 +736,4 @@ def _field_inverse(a: RationalPolynomial, m: RationalPolynomial) -> RationalPoly
         quotient, rem = divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - quotient * s1
-    return s1.scale(1 / r1.coeffs[0]) % m
+    return s1.scale(Fraction(1, r1.coeffs[0])) % m

@@ -1,11 +1,11 @@
 """Dense univariate polynomials over the rationals, plus Sturm counting.
 
-Coefficients are ascending `Fraction`s with no trailing zeros; the zero
-polynomial has an empty coefficient tuple.  This is the substrate for the
-certified root isolation in fpengine: Sturm chains built here count distinct
-real roots exactly, with the zero-dropping sign convention so that counting
-over a half-open interval (a, b] stays correct even when an endpoint is a
-root.
+Coefficients are ascending, without trailing zeros, and exact: an `int` when
+integral, else a `Fraction` (`rat`), never a float; the zero polynomial has
+an empty coefficient tuple.  This is the substrate for the certified root
+isolation in fpengine: Sturm chains built here count distinct real roots
+exactly, with the zero-dropping sign convention so that counting over a
+half-open interval (a, b] stays correct even when an endpoint is a root.
 
 Sturm counting runs in integers only.  A chain is built once per polynomial
 (memoized) by integer pseudo-remainders, each member a positive integer
@@ -23,14 +23,22 @@ from typing import Iterable, Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def rat(c: Rat) -> Rat:
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [rat(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -53,7 +61,7 @@ class RationalPolynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Rat:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -86,7 +94,7 @@ class RationalPolynomial:
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero or other.is_zero:
             return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list[Rat] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -96,8 +104,8 @@ class RationalPolynomial:
         return RationalPolynomial(out)
 
     def scale(self, c: Rat) -> "RationalPolynomial":
-        c = Fraction(c)
-        if c == 0:
+        c = rat(c)
+        if not c:
             return RationalPolynomial.zero()
         return RationalPolynomial(tuple(c * a for a in self.coeffs))
 
@@ -109,9 +117,9 @@ class RationalPolynomial:
         rem = list(self.coeffs)
         dn = other.degree
         lead = other.leading
-        q = [Fraction(0)] * max(len(rem) - dn, 0)
+        q: list[Rat] = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
-            f = rem[i + dn] / lead
+            f = Fraction(rem[i + dn], lead)
             if not f:
                 continue
             q[i] = f
@@ -126,13 +134,13 @@ class RationalPolynomial:
         if self.is_zero or self.is_monic:
             return self
         lead = self.leading
-        return RationalPolynomial(tuple(c / lead for c in self.coeffs))
+        return RationalPolynomial(tuple(Fraction(c, lead) for c in self.coeffs))
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def evaluate(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, x: Rat) -> Rat:
+        acc: Rat = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -140,8 +148,8 @@ class RationalPolynomial:
     def scale_root(self, c: Rat) -> "RationalPolynomial":
         """Polynomial whose roots are c times the roots of self (c != 0);
         monic input gives monic output."""
-        c = Fraction(c)
-        if c == 0:
+        c = rat(c)
+        if not c:
             raise ValueError("root scaling factor must be nonzero")
         n = self.degree
         return RationalPolynomial(tuple(a * c ** (n - i) for i, a in enumerate(self.coeffs)))
@@ -229,7 +237,7 @@ def _primitive(ints: Sequence[int]) -> list[int]:
     return [v // g for v in ints] if g > 1 else list(ints)
 
 
-def _positive_integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
+def _positive_integer_multiple(coeffs: Sequence[Rat]) -> list[int]:
     """Primitive integer multiple of a rational polynomial by a positive
     factor, so every value keeps its sign."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -331,5 +339,4 @@ def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
     """Every real root of p has absolute value strictly below the bound."""
     if p.degree < 1:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading))

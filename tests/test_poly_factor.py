@@ -123,7 +123,7 @@ def test_integer_sturm_chain_matches_fraction_reference():
         for ints, member in zip(chain, reference):
             assert len(ints) == len(member.coeffs)
             if ints:
-                factor = ints[-1] / member.coeffs[-1]
+                factor = Fraction(ints[-1], member.coeffs[-1])
                 assert factor > 0
                 assert all(a == factor * b for a, b in zip(ints, member.coeffs))
                 assert gcd(*ints) == 1

@@ -11,6 +11,10 @@ and two verdicts:
 - within_bound: the change's median is worse than the parent's by no more
   than the metric's bound in BENCHMARK.json (end-to-end metrics only).
 
+After writing the file it prints one line per workload and metric: the
+parent's median, the change's median, their ratio, wins/losses, and the two
+verdicts ("-" where a verdict does not apply).
+
 Python standard library only.  Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent ../parent --pairs 10 --seconds 40 \\
@@ -96,6 +100,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return out
 
 
+def summary_line(workload: str, metric: str, entry: dict) -> str:
+    ratio = entry["median_ratio"]
+    return (
+        f"{workload} {metric}: {entry['parent']['median']:.6g} -> "
+        f"{entry['change']['median']:.6g} {entry['unit']}, "
+        f"ratio {'-' if ratio is None else f'{ratio:.3f}'}, "
+        f"wins/losses {entry['wins']}/{entry['losses']}, "
+        f"gain_shown {entry['gain_shown']}, within_bound {entry.get('within_bound', '-')}"
+    )
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -145,6 +160,9 @@ def main(argv: list[str]) -> int:
             "metrics": summarize(pairs, better, bounds),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, entry in report["workloads"].items():
+        for metric, stats in entry["metrics"].items():
+            print(summary_line(workload, metric, stats))
     return 0
 
 
