@@ -8,7 +8,9 @@ usage or schema error.
 Arguments are read against the COMMANDS table by cmdline.CommandLine in
 one left-to-right pass (its module docstring gives the grammar); usage
 errors keep the words of the argparse front end it replaced.  Nothing is
-built at import: a job pays only for parsing its own arguments.
+built at import: a job pays only for parsing its own arguments.  The heap
+left by import holds no garbage, so run_command freezes it (gc.freeze) for
+the length of the command, unless the caller has frozen objects itself.
 
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
@@ -18,6 +20,7 @@ widths, never minimal polynomials or exact values.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -482,13 +485,16 @@ parse_args = COMMAND_LINE.parse
 
 
 def run_command(argv: list[str]) -> int:
+    # frozen, the import-time heap is skipped by the command's collections
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         args = parse_args(argv)
+        return COMMANDS[args.command].handler(args)
     except ParseExit as exc:
         (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
         return exc.code
-    try:
-        return COMMANDS[args.command].handler(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -498,6 +504,9 @@ def run_command(argv: list[str]) -> int:
     except FusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def main() -> None:

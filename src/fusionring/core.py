@@ -136,6 +136,14 @@ class FusionData:
         if not self.unit or any(not (is_int(u) and 0 <= u < r) for u in self.unit):
             raise ValueError("unit summand indices must be a nonempty subset of the basis")
 
+    @classmethod
+    def _certified(cls, *fields) -> "FusionData":
+        """The data with `fields` in declaration order, unchecked: for tuples in
+        the stored form, checked as they were built (the fusion-file parser)."""
+        data = object.__new__(cls)
+        vars(data).update(zip(cls.__dataclass_fields__, fields, strict=True))
+        return data
+
     @property
     def rank(self) -> int:
         return len(self.labels)

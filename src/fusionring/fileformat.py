@@ -25,7 +25,9 @@ are all null and which carries neither "group" nor "center_degree" has no
 annotation at all.
 
 Parsing enforces the schema only; semiring axioms are the validator's job so
-that broken data can be loaded and reported on.
+that broken data can be loaded and reported on.  The schema covers every
+check of the FusionData constructor, so the parser builds the stored form of
+the tensor itself, each entry checked once, and hands it over unchecked.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _get_str(doc: dict, key: str, default: Optional[str] = None) -> Optional[str
 
 def _get_positive_int(doc: dict, key: str, default: Optional[int]) -> Optional[int]:
     value = doc.get(key, default)
-    if value is None:
+    if value is None and default is None:  # only an optional field may be null
         return None
     _expect(
         is_int(value) and value >= 1,
@@ -163,31 +165,32 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
         _expect(isinstance(u, str) and u in index, "unknown unit label {!r}", u)
 
     products = [[()] * rank for _ in range(rank)]
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     fusion = doc.get("fusion", {})
     _expect(isinstance(fusion, dict), '"fusion" must be an object')
     for key, row in fusion.items():
         parts = key.split("|")
-        _expect(
-            len(parts) == 2, 'fusion key {!r} must look like "left|right"', key
-        )
+        if len(parts) != 2:
+            raise SchemaError(f'fusion key {key!r} must look like "left|right"')
         left, right = parts
-        _expect(left in index, "fusion key {!r}: unknown label {!r}", key, left)
-        _expect(right in index, "fusion key {!r}: unknown label {!r}", key, right)
-        _expect(isinstance(row, dict), "fusion[{!r}] must be an object", key)
+        for label in parts:
+            if label not in index:
+                raise SchemaError(f"fusion key {key!r}: unknown label {label!r}")
+        if not isinstance(row, dict):
+            raise SchemaError(f"fusion[{key!r}] must be an object")
         entries = []
         for result, mult in row.items():
             k = index.get(result)
-            _expect(k is not None, "fusion[{!r}]: unknown label {!r}", key, result)
+            if k is None:
+                raise SchemaError(f"fusion[{key!r}]: unknown label {result!r}")
             # JSON gives no int subclass but bool
-            _expect(
-                type(mult) is int and mult >= 0,
-                "fusion[{!r}][{!r}] must be a nonnegative integer, got {!r}",
-                key,
-                result,
-                mult,
-            )
+            if type(mult) is not int or mult < 0:
+                raise SchemaError(
+                    f"fusion[{key!r}][{result!r}] must be a nonnegative integer, got {mult!r}"
+                )
             if mult:
-                entries.append((k, mult))
+                pair = (k, mult)
+                entries.append(pairs.setdefault(pair, pair))
         entries.sort()
         products[index[left]][index[right]] = tuple(entries)
 
@@ -204,7 +207,7 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
         _expect(
             isinstance(table, list)
             and all(isinstance(row, list) for row in table)
-            and all(isinstance(v, int) for row in table for v in row),
+            and all(is_int(v) for row in table for v in row),
             '"group.table" must be an array of arrays of element indices',
         )
         try:
@@ -273,17 +276,14 @@ def _parse_fusion_doc(doc: Any) -> FixtureEntry:
             kinds.append((label, DivisionType(value)))
         desc = SemisimpleDesc(tuple(kinds))
 
-    try:
-        data = FusionData(
-            labels=tuple(labels),
-            products=products,
-            dual=tuple(index[d] for d in dual_labels),
-            eps=tuple(endo_dims),
-            endo_degree=endo_degree,
-            unit=tuple(index[u] for u in unit_labels),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    data = FusionData._certified(
+        tuple(labels),
+        tuple(map(tuple, products)),
+        tuple(index[d] for d in dual_labels),
+        tuple(endo_dims),
+        endo_degree,
+        tuple(index[u] for u in unit_labels),
+    )
 
     return FixtureEntry(
         name=name, data=data, annotation=annotation, desc=desc, description=description

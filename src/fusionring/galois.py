@@ -35,7 +35,7 @@ class FiniteGroup:
             raise ValueError("group labels must be nonempty and distinct")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("multiplication table must be order x order")
-        if any(not (0 <= v < n) for row in self.table for v in row):
+        if any(not (is_int(v) and 0 <= v < n) for row in self.table for v in row):
             raise ValueError("table entries must be element indices")
         identity = None
         for e in range(n):

@@ -64,13 +64,12 @@ def regular_element(
 
 
 def _category_matrix_coeffs(data: FusionData) -> list[Union[int, Fraction]]:
+    """Coefficients of s = Sum x*dual(x)/eps_x, read off the product index:
+    x*dual(x) is products[x][dual(x)].  Ints unless some eps_x > 1."""
     s: list[Union[int, Fraction]] = [0] * data.rank
-    for i in range(data.rank):
-        prod = multiply(data.basis(i), dual_element(data.basis(i)))
-        e = data.eps[i]
-        for c, m in enumerate(prod.coeffs):
-            if m:
-                s[c] += m if e == 1 else Fraction(m, e)
+    for row, d, e in zip(data.products, data.dual, data.eps):
+        for c, m in row[d]:
+            s[c] += m if e == 1 else Fraction(m, e)
     return s
 
 

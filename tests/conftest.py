@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -117,6 +118,39 @@ def tambara_yamagami(n: int) -> fr.FusionData:
         endo_degree=1,
         unit=(0,),
     )
+
+
+def relabelled(data: fr.FusionData, seed: int) -> fr.FusionData:
+    """The same data on a shuffled basis with fresh labels, so that the
+    canonical file order (sorted labels) differs from the index order."""
+    rng = random.Random(seed)
+    order = list(range(data.rank))  # position p holds the old simple order[p]
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return fr.FusionData(
+        labels=tuple(f"s{rng.randrange(10**6)}.{p}" for p in range(data.rank)),
+        products=tuple(
+            tuple(tuple(sorted((where[k], m) for k, m in data.products[a][b])) for b in order)
+            for a in order
+        ),
+        dual=tuple(where[data.dual[a]] for a in order),
+        eps=tuple(data.eps[a] for a in order),
+        endo_degree=data.endo_degree,
+        unit=tuple(where[u] for u in data.unit),
+    )
+
+
+def category_matrix_coeffs_oracle(data: fr.FusionData) -> list[Rat]:
+    """The coefficients of s = Sum x*dual(x)/eps_x by core.multiply, one
+    product of two basis elements per simple."""
+    s: list[Rat] = [0] * data.rank
+    for i in range(data.rank):
+        prod = fr.multiply(data.basis(i), fr.dual_element(data.basis(i)))
+        e = data.eps[i]
+        for c, m in enumerate(prod.coeffs):
+            if m:
+                s[c] += m if e == 1 else Fraction(m, e)
+    return s
 
 
 def galois_product(

@@ -1,0 +1,57 @@
+"""tools/bench_pairs.py refuses to pair a checkout that has bytecode under
+src/ with one that has none."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _checkout(path: Path, bytecode: bool) -> Path:
+    shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+    shutil.copytree(
+        ROOT / "perfbench", path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__")
+    )
+    (path / "src" / "pkg").mkdir(parents=True)
+    (path / "src" / "pkg" / "mod.py").write_text("")
+    if bytecode:
+        (path / "src" / "pkg" / "__pycache__").mkdir()
+        (path / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+    return path
+
+
+def test_has_bytecode(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert not bench_pairs.has_bytecode(_checkout(tmp_path / "a", bytecode=False))
+    assert bench_pairs.has_bytecode(_checkout(tmp_path / "b", bytecode=True))
+
+
+def test_refuses_checkouts_that_differ_in_bytecode(tmp_path, monkeypatch):
+    # the other side is this checkout, whichever state its src/ is in
+    parent = _checkout(tmp_path, bytecode=not bench_pairs.has_bytecode(ROOT))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
+    with pytest.raises(SystemExit, match="has .pyc files under src/"):
+        bench_pairs.main(["--parent", str(parent), "--pairs", "1", "--out", str(tmp_path / "o.json")])
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_records_the_bytecode_state(tmp_path, monkeypatch):
+    state = bench_pairs.has_bytecode(ROOT)
+    parent = _checkout(tmp_path, bytecode=state)
+    result = {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: result)
+    out = tmp_path / "o.json"
+    argv = ["--parent", str(parent), "--pairs", "2", "--workload", "cli-pointed", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["settings"]["bytecode_under_src"] == {"parent": state, "change": state}

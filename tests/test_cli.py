@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fusionring as fr
+from fusionring import cli
 from fusionring.cli import MAX_PRECISION_BITS, run_command
+from fusionring.cmdline import Command
 from conftest import galois_product, su2, tambara_yamagami, tensor_product
 
 
@@ -361,3 +365,123 @@ def test_fpdim_refuses_multifusion(capsys):
     code, _, err = run(capsys, "fpdim", "m2_vec", "--category")
     assert code == 1
     assert "unit" in err or "fusion" in err
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("command", ["validate", "center"])
+def test_group_table_entries_must_be_ints(capsys, tmp_path, command, bad):
+    doc = json.loads(fr.emit_entry(fr.get_builtin("gal7")))
+    assert doc["group"]["table"][0][1] == 1
+    doc["group"]["table"][0][1] = bad
+    path = tmp_path / "gal7.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, str(path)) == (
+        2,
+        "",
+        'error: "group.table" must be an array of arrays of element indices\n',
+    )
+
+
+# ---------------------------------------------------------------------------
+# run_command freezes the heap it finds for the length of the command
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "fib"], 0),
+        (["morita", "fib", "vec_z2"], 1),
+        (["validate", "no_such_file.json"], 2),
+        (["validate", "fib", "--bogus"], 2),
+        (["--version"], 0),
+    ],
+    ids=["pass", "fail", "schema-error", "usage-error", "version"],
+)
+def test_run_command_leaves_gc_state_as_found(capsys, argv, code):
+    before = _gc_state()
+    assert before == (True, 0)
+    assert run(capsys, *argv)[0] == code
+    assert _gc_state() == before
+
+
+def test_run_command_freezes_only_during_the_command(capsys, monkeypatch):
+    seen = []
+    handler = cli.COMMANDS["validate"].handler
+
+    def spy(args):
+        seen.append(_gc_state())
+        return handler(args)
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", Command(spy, "", (cli._FILE,)))
+    assert run(capsys, "validate", "fib")[0] == 0
+    assert seen[0][0] is True and seen[0][1] > 0
+    assert _gc_state() == (True, 0)
+
+
+def test_run_command_restores_gc_state_when_a_handler_raises(monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", Command(boom, "", (cli._FILE,)))
+    before = _gc_state()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_command(["validate", "fib"])
+    assert _gc_state() == before
+
+
+def test_run_command_keeps_a_callers_freeze(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(gc, "unfreeze", lambda: calls.append("unfreeze"))
+    monkeypatch.setattr(gc, "get_freeze_count", lambda: 17)
+    assert run(capsys, "validate", "fib")[0] == 0
+    assert calls == []
+    monkeypatch.undo()
+    gc.freeze()
+    try:
+        assert gc.get_freeze_count() > 0
+        assert run(capsys, "validate", "fib")[0] == 0
+        assert gc.get_freeze_count() > 0 and gc.isenabled()
+    finally:
+        gc.unfreeze()
+    assert _gc_state() == (True, 0)
+
+
+class _Node:
+    pass
+
+
+def test_cycles_made_during_a_command_are_collected(capsys, monkeypatch):
+    refs = {}
+
+    def make_cycles(args):
+        for name in ("inside", "after"):
+            node = _Node()
+            node.self = node
+            refs[name] = weakref.ref(node)
+            del node
+            if name == "inside":
+                gc.collect()
+                refs["dead inside"] = refs["inside"]() is None
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", Command(make_cycles, "", (cli._FILE,)))
+    assert run(capsys, "validate", "fib")[0] == 0
+    assert refs["dead inside"]
+    gc.collect()
+    assert refs["after"]() is None
+
+
+def test_library_calls_leave_the_collector_alone(monkeypatch):
+    def refuse():
+        raise AssertionError("the library touched the collector")
+
+    for name in ("freeze", "unfreeze", "disable", "collect"):
+        monkeypatch.setattr(gc, name, refuse)
+    entry = fr.parse_fusion_file(fr.emit_entry(fr.get_builtin("rep_f2_z3")))
+    assert fr.fpdim_category(entry.data).value == 3
+    assert fr.check_structural(entry.data).passed

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 import fusionring as fr
-from conftest import ALL_NAMES
+from fusionring.cli import run_command
+from conftest import ALL_NAMES, relabelled, su2, tambara_yamagami, tensor_product
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -174,3 +176,141 @@ def test_parse_accepts_bytes_and_rejects_bad_utf8():
     assert fr.parse_fusion_file(fr.emit_entry(entry).encode()).data == entry.data
     with pytest.raises(fr.SchemaError):
         fr.parse_fusion_file(b"\xff\xfe{}")
+
+
+# ---------------------------------------------------------------------------
+# the parser hands FusionData its fields unchecked: it must build exactly what
+# the public constructor builds, and refuse every file the constructor would
+
+FIELDS = ("labels", "products", "dual", "eps", "endo_degree", "unit")
+
+
+def _assert_as_public_constructor_builds(data):
+    public = fr.FusionData(**{name: getattr(data, name) for name in FIELDS})
+    for name in FIELDS:
+        ours, theirs = getattr(data, name), getattr(public, name)
+        assert ours == theirs and type(ours) is type(theirs), name
+    assert all(type(row) is tuple for plane in data.products for row in plane)
+    assert all(type(plane) is tuple for plane in data.products)
+    pairs = [pair for plane in data.products for row in plane for pair in row]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))  # one tuple per pair
+    assert data == public and hash(data) == hash(public)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_parsed_builtin_equals_public_constructor(capsys, name):
+    assert run_command(["catalog", "emit", name]) == 0
+    _assert_as_public_constructor_builds(fr.parse_fusion_file(capsys.readouterr().out).data)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: su2(5),
+        lambda: su2(9),
+        lambda: tambara_yamagami(5),
+        lambda: tensor_product(su2(2), tambara_yamagami(3)),
+        lambda: tensor_product(fr.get_builtin("rep_f2_z3").data, fr.get_builtin("fib").data),
+    ],
+    ids=["su2_5", "su2_9", "ty_5", "su2_2xty_3", "rep_f2_z3xfib"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parsed_generated_ring_equals_public_constructor(make, seed):
+    text = fr.emit_fusion_file(relabelled(make(), seed))
+    _assert_as_public_constructor_builds(fr.parse_fusion_file(text).data)
+
+
+def _set(doc, **changes):
+    doc.update(changes)
+
+
+def _simple(doc, pos, **changes):
+    doc["simples"][pos].update(changes)
+
+
+def _fusion(doc, key, row):
+    doc["fusion"][key] = row
+
+
+#: (constructor fields that raise ValueError, the same defect in a file).  A
+#: file cannot list a product's results out of order: the parser sorts them.
+CONSTRUCTOR_REFUSALS = {
+    "empty-basis": (
+        dict(labels=(), products=(), dual=(), eps=()),
+        lambda d: _set(d, simples=[], fusion={}),
+    ),
+    "duplicate-labels": (dict(labels=("1", "1")), lambda d: _simple(d, 1, label="1")),
+    "shape": (
+        dict(products=(((), ()),)),
+        lambda d: _fusion(d, "1|w", {"v": 1}),
+    ),
+    "index-out-of-range": (
+        dict(products=((((0, 1),), ((2, 1),)), (((1, 1),), ((0, 2), (1, 1))))),
+        lambda d: _fusion(d, "1|v", {"w": 1}),
+    ),
+    "negative-multiplicity": (
+        dict(products=((((0, 1),), ((1, -1),)), (((1, 1),), ((0, 2), (1, 1))))),
+        lambda d: _fusion(d, "1|v", {"v": -1}),
+    ),
+    "float-multiplicity": (
+        dict(products=((((0, 1),), ((1, 1.0),)), (((1, 1),), ((0, 2), (1, 1))))),
+        lambda d: _fusion(d, "1|v", {"v": 1.0}),
+    ),
+    "unknown-dual": (dict(dual=(0, 2)), lambda d: _simple(d, 1, dual="w")),
+    "int-dual": (dict(dual=(0, True)), lambda d: _simple(d, 1, dual=1)),
+    "null-dual": (dict(dual=(0, None)), lambda d: _simple(d, 1, dual=None)),
+    "zero-eps": (dict(eps=(1, 0)), lambda d: _simple(d, 1, endo_dim=0)),
+    "bool-eps": (dict(eps=(1, True)), lambda d: _simple(d, 1, endo_dim=True)),
+    "float-eps": (dict(eps=(1, 2.0)), lambda d: _simple(d, 1, endo_dim=2.0)),
+    "null-eps": (dict(eps=(1, None)), lambda d: _simple(d, 1, endo_dim=None)),
+    "zero-endo-degree": (dict(endo_degree=0), lambda d: _set(d, endo_degree=0)),
+    "bool-endo-degree": (dict(endo_degree=True), lambda d: _set(d, endo_degree=True)),
+    "float-endo-degree": (dict(endo_degree=1.0), lambda d: _set(d, endo_degree=1.0)),
+    "string-endo-degree": (dict(endo_degree="1"), lambda d: _set(d, endo_degree="1")),
+    "empty-unit": (dict(unit=()), lambda d: _set(d, unit=[])),
+    "unknown-unit": (dict(unit=(2,)), lambda d: _set(d, unit=["w"])),
+    "bool-unit": (dict(unit=(True,)), lambda d: _set(d, unit=[True])),
+}
+
+
+@pytest.mark.parametrize("fields, spoil", CONSTRUCTOR_REFUSALS.values(), ids=CONSTRUCTOR_REFUSALS)
+def test_every_constructor_refusal_is_a_schema_error(capsys, monkeypatch, fields, spoil):
+    data = fr.get_builtin("rep_f2_z3").data
+    with pytest.raises(ValueError):
+        fr.FusionData(**{**{name: getattr(data, name) for name in FIELDS}, **fields})
+    doc = _minimal()
+    assert fr.parse_fusion_file(json.dumps(doc)).data == data
+    spoil(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run_command(["validate", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_null_endo_degree_is_a_schema_error():
+    # the constructor raises TypeError on a missing field, which escaped the
+    # parser as a traceback; an optional field may be null, endo_degree not
+    doc = _minimal()
+    doc["endo_degree"] = None
+    with pytest.raises(fr.SchemaError, match='"endo_degree" must be a positive integer, got None'):
+        fr.parse_fusion_file(json.dumps(doc))
+    doc["endo_degree"] = 1
+    doc["center_degree"] = None
+    assert fr.parse_fusion_file(json.dumps(doc)).annotation is None
+
+
+def test_parser_sorts_results_listed_out_of_order():
+    doc = _minimal()
+    doc["fusion"]["v|v"] = {"v": 1, "1": 2}
+    data = fr.parse_fusion_file(json.dumps(doc)).data
+    assert data.products[1][1] == ((0, 2), (1, 1))
+    _assert_as_public_constructor_builds(data)
+
+
+@pytest.mark.parametrize("mult", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
+def test_parser_alone_refuses_non_int_multiplicities(mult):
+    # the constructor takes bools, so the parser's check is the only one
+    doc = _minimal()
+    doc["fusion"]["v|v"]["v"] = mult
+    with pytest.raises(fr.SchemaError, match=r"fusion\['v\|v'\]\['v'\] must be a nonnegative integer"):
+        fr.parse_fusion_file(json.dumps(doc))

@@ -35,6 +35,12 @@ def test_group_axioms_checked():
         fr.FiniteGroup(("a", "b"), ((1, 0), (0, 0)))  # no identity
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_group_table_entries_are_ints(bad):
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        fr.FiniteGroup(("1", "c"), ((0, bad), (bad, 0)))
+
+
 def test_group_helpers():
     g = z6_group()
     assert g.identity == 0

@@ -7,14 +7,21 @@ import pytest
 import fusionring as fr
 from fusionring.fpengine import perron_vector
 from fusionring.poly import RationalPolynomial as P
+from fusionring.regular import _category_matrix_coeffs
 from conftest import (
+    ALL_NAMES,
     FUSION_NAMES,
+    category_matrix_coeffs_oracle,
     as_interval,
     fusion_data,
     iv_add,
     iv_mul,
     iv_scale,
     iv_separation,
+    mutate_tensor,
+    su2,
+    tambara_yamagami,
+    tensor_product,
 )
 
 WIDTH = Fraction(1, 10**12)
@@ -221,3 +228,38 @@ def test_regular_refuses_multifusion():
         fr.regular_element(fusion_data("m2_vec"))
     with pytest.raises(fr.NotFusionError):
         fr.fpdim_category(fusion_data("m2_vec"))
+
+
+def _assert_category_coeffs_match_oracle(data):
+    ours, oracle = _category_matrix_coeffs(data), category_matrix_coeffs_oracle(data)
+    assert ours == oracle
+    assert [type(c) for c in ours] == [type(c) for c in oracle]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_category_coeffs_match_multiply_oracle_on_builtins(name):
+    _assert_category_coeffs_match_oracle(fusion_data(name))
+
+
+def test_category_coeffs_see_eps_above_one():
+    for name in ("jj_bim", "rep_f2_z3", "rep_r_q8"):
+        data = fusion_data(name)
+        assert max(data.eps) > 1
+        assert any(isinstance(c, Fraction) for c in _category_matrix_coeffs(data))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: su2(7),
+        lambda: tambara_yamagami(6),
+        lambda: tensor_product(fusion_data("rep_f2_z3"), fusion_data("jj_bim")),
+        lambda: tensor_product(su2(2), fusion_data("rep_r_q8")),
+        # broken data: the coefficients are read off whatever products hold
+        lambda: mutate_tensor(fusion_data("rep_f2_z3"), 1, 1, 1, 2),
+        lambda: mutate_tensor(tambara_yamagami(3), 3, 3, 3, 1),
+    ],
+    ids=["su2_7", "ty_6", "rep_f2_z3xjj_bim", "su2_2xrep_r_q8", "mutated-rep_f2_z3", "mutated-ty_3"],
+)
+def test_category_coeffs_match_multiply_oracle_on_generated_rings(make):
+    _assert_category_coeffs_match_oracle(make())

@@ -23,8 +23,11 @@ Python standard library only.  Run from the root of a checkout:
 Pair i uses seed --seed + i on both sides; even pairs run the parent first,
 odd pairs the change first.  The two checkouts must hold byte-identical
 perfbench/ directories and BENCHMARK.json, so that both sides run the same
-benchmark.  Every run's own result file stays under its checkout's
-perfbench/out/.  --trace 1 collects the per-layer metrics instead.
+benchmark, and must agree on whether src/ holds .pyc files: a side with
+bytecode loads it where the other compiles the source, which moves setup_s
+and peak_rss_mib.  That state is recorded in the settings.  Every run's own
+result file stays under its checkout's perfbench/out/.  --trace 1 collects
+the per-layer metrics instead.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ def benchmark_files(checkout: Path) -> dict[str, bytes]:
         if path.is_file() and rel.parts[1] not in ("out", "__pycache__"):
             files[str(rel)] = path.read_bytes()
     return files
+
+
+def has_bytecode(checkout: Path) -> bool:
+    """Whether any .pyc file lies under the checkout's src/."""
+    return any((checkout / "src").rglob("*.pyc"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -128,6 +136,13 @@ def main(argv: list[str]) -> int:
     parent, change = args.parent.resolve(), ROOT
     if benchmark_files(parent) != benchmark_files(change):
         raise SystemExit("error: the two checkouts run different benchmarks")
+    bytecode = {"parent": has_bytecode(parent), "change": has_bytecode(change)}
+    if bytecode["parent"] != bytecode["change"]:
+        with_pyc = "parent" if bytecode["parent"] else "change"
+        raise SystemExit(
+            f"error: only the {with_pyc} checkout has .pyc files under src/; "
+            "remove them there or compile both"
+        )
     spec = json.loads((change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -137,6 +152,7 @@ def main(argv: list[str]) -> int:
             "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace,
             "seeds": [args.seed + i for i in range(args.pairs)],
             "order": "parent first in even pairs, change first in odd pairs",
+            "bytecode_under_src": bytecode,
         },
         "workloads": {},
     }

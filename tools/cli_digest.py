@@ -143,6 +143,9 @@ MALFORMED = tuple(
             f'{{"simples": {_SIMPLES}, "fusion": {_FUSION}, "division_types": {{"1": "R"}}}}',
             '{"simples": [{"label": "1", "galois": {"group_element": "e"}}]}',
             '{"simples": [{"label": "1", "galois": 3}]}',
+            f'{{"simples": {_SIMPLES}, "fusion": {_FUSION}, '
+            '"group": {"elements": ["e", "c"], "table": [[0, true], [true, 0]]}}',
+            '{"simples": [{"label": "1"}], "endo_degree": null}',
         )
     )
 )
