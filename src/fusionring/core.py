@@ -90,7 +90,7 @@ class FusionData:
             # keep whatever is nonzero or not an int, for the check below
             products = [
                 [
-                    [(k, m) for k, m in enumerate(row) if m or not isinstance(m, int)]
+                    [(k, m) for k, m in enumerate(row) if m or not is_int(m)]
                     for row in plane
                 ]
                 for plane in n_tensor
@@ -107,11 +107,11 @@ class FusionData:
                 last = -1
                 shared = []
                 for k, m in row:
-                    if not (isinstance(k, int) and last < k < r):
+                    if not (is_int(k) and last < k < r):
                         raise ValueError(
                             f"products[{i}][{j}] must list basis indices in ascending order"
                         )
-                    if not isinstance(m, int) or m < 1:
+                    if not is_int(m) or m < 1:
                         raise ValueError(
                             f"multiplicity N[{labels[i]}][{labels[j]}][{labels[k]}] = {m!r} "
                             f"is not a {'positive' if n_tensor is None else 'nonnegative'} integer"
@@ -219,7 +219,7 @@ class MultisetElement:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != self.data.rank:
             raise ValueError("coefficient vector does not match the basis")
-        if any(not isinstance(c, int) or c < 0 for c in self.coeffs):
+        if any(not is_int(c) or c < 0 for c in self.coeffs):
             raise ValueError("multiset coefficients must be nonnegative integers")
 
     def support(self) -> tuple[int, ...]:

@@ -1,14 +1,21 @@
 """Factorization of squarefree integer polynomials over the rationals.
 
-Classic Zassenhaus pipeline: pick a prime keeping the polynomial squarefree,
-factor mod p with Berlekamp's algorithm (deterministic, fine for the small
-primes that occur here), lift the modular factors with multifactor Hensel
-lifting past the Mignotte coefficient bound, then recombine by exhaustive
-subset search.  No degree is capped here: the characteristic polynomials
-of left-multiplication matrices have degree up to the semiring rank, and the
+Rational roots come first: every root a/b, with b dividing the leading and
+a the constant coefficient and |a/b| below Fujiwara's root bound, splits
+off bt - a by exact division.  When that search is exhaustive and leaves
+degree at most 3, the rest is irreducible, since a reducible polynomial of
+degree at most 3 has a linear factor.  Only a larger rest, or one left
+after a search that gave up on a huge coefficient, goes through the classic
+Zassenhaus pipeline: pick a prime keeping the polynomial squarefree, factor
+mod p with Berlekamp's algorithm (deterministic, fine for the small primes
+that occur here), lift the modular factors with multifactor Hensel lifting
+past the Mignotte coefficient bound, then recombine by exhaustive subset
+search.  No degree is capped here: the characteristic polynomials of
+left-multiplication matrices have degree up to the semiring rank, and the
 products built by fpengine.mul_algebraic up to fpengine.MAX_PRODUCT_DEGREE.
-Berlekamp and Hensel lifting are polynomial in the degree; the subset search
-is exponential only in the number of modular factors.
+Berlekamp and Hensel lifting are polynomial in the degree; the subset
+search is exponential in the number of modular factors, and gives up with
+ResourceLimitError past MAX_RECOMBINATION_SUBSETS subsets.
 
 Integer polynomials are plain lists of ints, ascending, no trailing zeros.
 """
@@ -20,7 +27,15 @@ from itertools import combinations
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
+from .errors import ResourceLimitError
 from .poly import RationalPolynomial, exact_quotient, sign_at
+
+#: subsets of lifted factors the recombination tries before it gives up;
+#: 11 modular factors (SU(2)_31) need about 2^10
+MAX_RECOMBINATION_SUBSETS = 1 << 16
+#: trial divisions each divisor search of the rational-root step may make
+#: (constant terms up to about 2^26 stay exhaustive)
+ROOT_SEARCH_BUDGET = 1 << 13
 
 # ---------------------------------------------------------------------------
 # arithmetic mod p
@@ -317,11 +332,32 @@ def _divides(g: list[int], f: list[int]) -> list[int] | None:
 
 def factor_integer_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors (primitive, positive leading coeff) of a primitive
-    squarefree integer polynomial of degree >= 1."""
-    f = _trim(list(f))
-    n = len(f) - 1
-    if n < 1:
+    squarefree integer polynomial of degree >= 1, sorted by (length,
+    coefficients): the linear factors of its rational roots, then the rest
+    as it is when the root search was exhaustive and left degree <= 3, else
+    the rest through Zassenhaus."""
+    rest = _trim(list(f))
+    if len(rest) < 2:
         raise ValueError("constant polynomials have no factorization here")
+    factors = []
+    complete = True
+    if not rest[0]:  # squarefree, so 0 is a simple root
+        factors.append([0, 1])
+        rest = rest[1:]
+    if len(rest) > 1:
+        bound = _root_bound(rest)
+        roots, complete = _rational_roots(rest, -bound, bound, ROOT_SEARCH_BUDGET, True)
+        for root in roots:
+            factors.append([-root.numerator, root.denominator])
+            rest = exact_quotient(rest, factors[-1])
+    if len(rest) > 1:
+        factors.extend(_zassenhaus(rest) if len(rest) > 4 or not complete else [_primitive(rest)])
+    return sorted(factors, key=lambda g: (len(g), g))
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a primitive squarefree f of degree >= 1."""
+    n = len(f) - 1
     if n == 1:
         return [_primitive(f)]
 
@@ -355,8 +391,15 @@ def factor_integer_squarefree(f: list[int]) -> list[list[int]]:
     remaining = f
     active = list(range(len(lifted)))
     size = 1
+    tried = 0
     while 2 * size <= len(active):
         for subset in combinations(active, size):
+            tried += 1
+            if tried > MAX_RECOMBINATION_SUBSETS:
+                raise ResourceLimitError(
+                    f"recombining {len(lifted)} modular factors takes more than "
+                    f"{MAX_RECOMBINATION_SUBSETS} subsets"
+                )
             candidate = [remaining[-1] % modulus]
             for i in subset:
                 candidate = _mul_mod(candidate, lifted[i], modulus)
@@ -371,7 +414,7 @@ def factor_integer_squarefree(f: list[int]) -> list[list[int]]:
             size += 1
     if len(remaining) - 1 >= 1:
         result.append(_primitive(remaining))
-    return sorted(result, key=lambda g: (len(g), g))
+    return result
 
 
 def factor_squarefree_rational(p: RationalPolynomial) -> list[RationalPolynomial]:
@@ -385,36 +428,74 @@ def factor_squarefree_rational(p: RationalPolynomial) -> list[RationalPolynomial
     return sorted(monics, key=lambda g: (g.degree, g.coeffs))
 
 
-def _divisors(n: int, budget: int = 1 << 20) -> list[int]:
+def _divisors(n: int, budget: int = 1 << 20) -> tuple[list[int], bool]:
+    """The positive divisors of n, ascending, and whether that list is all of
+    them: trial division gives up past `budget`, keeping those found and n."""
     n = abs(n)
     out = []
     d = 1
     while d * d <= n:
+        if d > budget:
+            return sorted(set(out + [1, n])), False
         if n % d == 0:
             out.append(d)
             if d != n // d:
                 out.append(n // d)
         d += 1
-        if d > budget:
-            # give up on exhaustive enumeration; 1 and n still cover the
-            # monic and anti-monic candidates
-            return sorted(set(out + [1, n]))
-    return sorted(out)
+    return sorted(out), True
+
+
+def _root_bound(f: list[int]) -> int:
+    """A power of two at least Fujiwara's bound 2 max_k |f[n-k] / f[n]|^(1/k)
+    on the modulus of every complex root of f (each term rounded up to a
+    power of two)."""
+    lead = abs(f[-1])
+    exponent = 0
+    for k, c in enumerate(reversed(f[:-1]), 1):
+        bits = (-(-abs(c) // lead)).bit_length()  # |c / lead| < 2^bits
+        exponent = max(exponent, -(-bits // k))
+    return 2 << exponent
+
+
+def _rational_roots(
+    f: list[int],
+    lo: Fraction | int,
+    hi: Fraction | int,
+    budget: int = 1 << 20,
+    exhaustive: bool = False,
+) -> tuple[list[Fraction], bool]:
+    """Rational roots num/den of the integer polynomial f in [lo, hi], by the
+    rational root theorem, and whether the search missed none.  den runs
+    over the divisors of the leading coefficient; for each, every num in
+    [lo den, hi den] is tried when they are at most 17, else, when
+    `exhaustive` (f(0) != 0), the signed divisors of f(0) among them, else
+    none.  `budget` bounds each divisor search (_divisors)."""
+    dens, complete = _divisors(f[-1], budget)
+    numerators = None
+    roots = set()
+    for den in dens:
+        start = ceil(lo * den)
+        stop = floor(hi * den)
+        if stop - start <= 16:
+            candidates = range(start, stop + 1)
+        elif not exhaustive:
+            complete = False
+            continue
+        else:
+            if numerators is None:
+                divisors, found_all = _divisors(f[0], budget)
+                complete = complete and found_all
+                numerators = [s * d for d in divisors for s in (1, -1)]
+            candidates = [num for num in numerators if start <= num <= stop]
+        roots.update(Fraction(num, den) for num in candidates if sign_at(f, num, den) == 0)
+    return sorted(roots), complete
 
 
 def rational_roots_between(f: Sequence[int], lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Rational roots of an integer polynomial inside [lo, hi], via the
-    rational root theorem restricted to the interval."""
+    rational root theorem restricted to the interval; a denominator whose
+    numerators there are more than 17 is skipped."""
     f = _trim(list(f))
     if len(f) - 1 < 1:
         return []
-    roots = []
-    for den in _divisors(f[-1]):
-        start = ceil(lo * den)
-        stop = floor(hi * den)
-        if stop - start > 16:
-            continue  # interval far too wide for a point collapse
-        for num in range(start, stop + 1):
-            if sign_at(f, num, den) == 0:
-                roots.append(Fraction(num, den))
-    return sorted(set(roots))
+    return _rational_roots(f, lo, hi)[0]

@@ -1,6 +1,7 @@
 """Exact Frobenius-Perron machinery.
 
-Left-multiplication matrices read off the sparse product index,
+Left-multiplication matrices read off the sparse product index, Perron
+roots certified by constant line sums (perron_root) where they can be,
 characteristic polynomials by Hessenberg reduction modulo a Mersenne prime,
 Sturm-certified isolation of the maximal real root, minimal polynomials, and
 a deliberately small algebra of exact values (rationals and isolated
@@ -619,15 +620,43 @@ def fpdim_element(
     width: Optional[Fraction] = None,
 ) -> AlgebraicNumber:
     """Maximal nonnegative eigenvalue of the left-multiplication matrix of x,
-    isolated by isolate_max_real_root: to `width` when given, else only as
-    far as the rational-root check needs (a rational FPdim is still a
-    point); refine narrows it.
+    by perron_root: the point c when its row or column sums all equal c
+    (invertible and other integral simples, mostly), else isolated by
+    isolate_max_real_root to `width` when given, else only as far as the
+    rational-root check needs (a rational FPdim is still a point); refine
+    narrows it.
 
     For basis elements the characteristic polynomial is monic with integer
     coefficients, so the result is an algebraic integer by construction.
     """
     ensure_fpdim_ready(x.data, waive_transitivity)
-    return isolate_max_real_root(char_poly(left_mult_matrix(x)), width)
+    return perron_root(left_mult_matrix(x), width)
+
+
+def perron_root(matrix: RationalMatrix, width: Optional[Fraction] = None) -> AlgebraicNumber:
+    """The largest real eigenvalue of a nonnegative matrix M, as
+    isolate_max_real_root(char_poly(M), width) gives it.
+
+    When every row sum of M, or every column sum, is one number c, the
+    all-ones vector is a positive eigenvector of M or of its transpose, so c
+    is the Perron root (Collatz-Wielandt), and by Perron-Frobenius the
+    largest real eigenvalue even of a reducible M.  Then the result is the
+    point c, defined by t - c, with no char poly.  The char poly path
+    returns a rational root of denominator d as a point whenever
+    d * width <= 16, as the default width always allows; past that, and for
+    every other matrix, it runs.  A width that is not positive raises
+    ValueError.
+    """
+    if width is not None and width <= 0:
+        raise ValueError("target width must be positive")
+    rows = matrix.rows
+    if all(c >= 0 for row in rows for c in row):
+        for sums in (set(map(sum, rows)), set(map(sum, zip(*rows)))):
+            if len(sums) == 1:
+                c = Fraction(sums.pop())
+                if width is None or c.denominator * width <= 16:
+                    return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
+    return isolate_max_real_root(char_poly(matrix), width)
 
 
 #: (m, W) of perron_data: ascending integer coefficients of m, and per simple

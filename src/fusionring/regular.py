@@ -19,16 +19,15 @@ from .fpengine import (
     AlgebraicNumber,
     ExactValue,
     _field_inverse,
-    char_poly,
     ensure_fpdim_ready,
     exact_mul,
     field_apply,
     field_matrix,
     fpdim_element,
-    isolate_max_real_root,
     left_mult_matrix_from_coeffs,
     min_poly,
     perron_data,
+    perron_root,
 )
 from .poly import RationalPolynomial
 from .report import ValidationReport, Violation
@@ -80,11 +79,11 @@ def fpdim_category(
     width: Optional[Fraction] = None,
 ) -> AlgebraicNumber:
     """FPdim of the regular element, computed exactly as the Perron root of
-    left multiplication by s = Sum x*dual(x)/eps_x; `width` as in
+    left multiplication by s = Sum x*dual(x)/eps_x (fpengine.perron_root,
+    so constant line sums give it with no char poly); `width` as in
     fpdim_element."""
     ensure_fpdim_ready(data, waive_transitivity)
-    matrix = left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))
-    return isolate_max_real_root(char_poly(matrix), width)
+    return perron_root(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data)), width)
 
 
 def verify_regular_eigenproperty(

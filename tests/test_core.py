@@ -109,6 +109,22 @@ def test_fusion_data_rejects_bad_tensors():
         fr.FusionData(labels=labels, **fields)
 
 
+def test_fusion_data_and_elements_reject_bools():
+    labels, fields = ("1", "g"), dict(dual=(0, 1), eps=(1, 1), endo_degree=1, unit=(0,))
+    for one, zero in ((True, 0), (1, False)):
+        tensor = (((one, zero), (0, 1)), ((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            fr.FusionData(labels=labels, n_tensor=tensor, **fields)
+    for pair in ((False, 1), (0, True)):
+        products = (((pair,), ((1, 1),)), (((1, 1),), ((0, 1),)))
+        with pytest.raises(ValueError, match="ascending|is not a positive integer"):
+            fr.FusionData(labels=labels, products=products, **fields)
+    data = fusion_data("vec_z2")
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        data.element((True, 0))
+    assert data.element((1, 0)).coeffs == (1, 0)
+
+
 def test_multiply_vec_z2_self_inverse():
     data = fusion_data("vec_z2")
     g = data.basis("g")

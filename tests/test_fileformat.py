@@ -256,6 +256,14 @@ CONSTRUCTOR_REFUSALS = {
         dict(products=((((0, 1),), ((1, 1.0),)), (((1, 1),), ((0, 2), (1, 1))))),
         lambda d: _fusion(d, "1|v", {"v": 1.0}),
     ),
+    "bool-multiplicity": (
+        dict(products=((((0, 1),), ((1, True),)), (((1, 1),), ((0, 2), (1, 1))))),
+        lambda d: _fusion(d, "1|v", {"v": True}),
+    ),
+    "bool-index": (
+        dict(products=((((0, 1),), ((True, 1),)), (((1, 1),), ((0, 2), (1, 1))))),
+        lambda d: _fusion(d, "1|v", {"true": 1}),
+    ),
     "unknown-dual": (dict(dual=(0, 2)), lambda d: _simple(d, 1, dual="w")),
     "int-dual": (dict(dual=(0, True)), lambda d: _simple(d, 1, dual=1)),
     "null-dual": (dict(dual=(0, None)), lambda d: _simple(d, 1, dual=None)),
@@ -309,7 +317,8 @@ def test_parser_sorts_results_listed_out_of_order():
 
 @pytest.mark.parametrize("mult", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
 def test_parser_alone_refuses_non_int_multiplicities(mult):
-    # the constructor takes bools, so the parser's check is the only one
+    # the parser's own message, which names the file's key; the constructor
+    # refuses the same multiplicities (CONSTRUCTOR_REFUSALS)
     doc = _minimal()
     doc["fusion"]["v|v"]["v"] = mult
     with pytest.raises(fr.SchemaError, match=r"fusion\['v\|v'\]\['v'\] must be a nonnegative integer"):

@@ -533,6 +533,11 @@ WIDTH_ENTRY_POINTS = {
     "center_fpdim_prediction": lambda w: fr.center_fpdim_prediction(
         fr.get_builtin("gal7").data, fr.get_builtin("gal7").annotation, width=w
     ),
+    # pointed data, whose Perron roots the line sums certify
+    "fpdim_element-z3-simple": lambda w: fr.fpdim_element(fusion_data("vec_z3").basis(1), width=w),
+    "fpdim_element-z3-unit": lambda w: fr.fpdim_element(fusion_data("vec_z3").one(), width=w),
+    "fpdim_category-z3": lambda w: fr.fpdim_category(fusion_data("vec_z3"), width=w),
+    "certify_integrality-z3": lambda w: fr.certify_integrality(fusion_data("vec_z3"), width=w),
 }
 
 
