@@ -20,13 +20,14 @@ widths, never minimal polynomials or exact values.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Optional, TextIO
 
 from . import __version__
 from .catalog import FixtureEntry, get_builtin, list_builtins
@@ -137,12 +138,32 @@ def _text_scalar(value: Any) -> str:
 # input loading
 
 
+#: errnos of a path that names no file, at which Path.exists() reads False
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _open(path: str) -> Optional[TextIO]:
+    """The file at path, open for reading, or None when the path names no
+    file (where Path.exists() reads False); any other error propagates."""
+    try:
+        return open(Path(path), encoding="utf-8")
+    except ValueError:  # a NUL byte: no file has that name
+        return None
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise
+
+
 def _load(arg: str) -> FixtureEntry:
+    """The entry of standard input ("-"), of the file at arg, or of the
+    builtin named arg when no file is there (a file wins over a builtin)."""
     try:
         if arg == "-":
             text = sys.stdin.read()
-        elif Path(arg).exists():
-            text = Path(arg).read_text(encoding="utf-8")
+        elif (handle := _open(arg)) is not None:
+            with handle:
+                text = handle.read()
         elif arg in list_builtins():
             return get_builtin(arg)
         else:

@@ -182,10 +182,12 @@ class FusionData:
             raise KeyError(f"unknown simple label {label!r}") from None
 
     def basis(self, key: Union[int, str]) -> "MultisetElement":
-        i = key if isinstance(key, int) else self.index(key)
+        """The simple at index `key`, or labelled `key`; any other key,
+        a bool included, is looked up as a label, so it raises KeyError."""
+        i = key if is_int(key) else self.index(key)
         coeffs = [0] * self.rank
         coeffs[i] = 1
-        return MultisetElement(self, tuple(coeffs))
+        return MultisetElement._certified(self, tuple(coeffs))
 
     def element(self, coeffs: Union[Mapping[str, int], Sequence[int]]) -> "MultisetElement":
         if isinstance(coeffs, Mapping):
@@ -196,13 +198,13 @@ class FusionData:
         return MultisetElement(self, tuple(coeffs))
 
     def zero(self) -> "MultisetElement":
-        return MultisetElement(self, (0,) * self.rank)
+        return MultisetElement._certified(self, (0,) * self.rank)
 
     def one(self) -> "MultisetElement":
         coeffs = [0] * self.rank
         for u in self.unit:
             coeffs[u] += 1
-        return MultisetElement(self, tuple(coeffs))
+        return MultisetElement._certified(self, tuple(coeffs))
 
     def simples(self) -> Iterable["MultisetElement"]:
         return (self.basis(i) for i in range(self.rank))
@@ -222,6 +224,17 @@ class MultisetElement:
         if any(not is_int(c) or c < 0 for c in self.coeffs):
             raise ValueError("multiset coefficients must be nonnegative integers")
 
+    @classmethod
+    def _certified(cls, data: FusionData, coeffs: tuple[int, ...]) -> "MultisetElement":
+        """The element with `coeffs` over `data`, unchecked: for a tuple of
+        data.rank nonnegative ints computed from inputs already checked (a
+        product, dual, meet or sum of elements, a morphism image, a basis
+        vector, the unit, zero).  Equal to, and hashing as,
+        MultisetElement(data, coeffs), which checks every coefficient."""
+        element = object.__new__(cls)
+        vars(element).update(data=data, coeffs=coeffs)
+        return element
+
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
@@ -231,7 +244,9 @@ class MultisetElement:
 
     def __add__(self, other: "MultisetElement") -> "MultisetElement":
         data = _same_context(self, other)
-        return MultisetElement(data, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return MultisetElement._certified(
+            data, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __mul__(self, other: "MultisetElement") -> "MultisetElement":
         return multiply(self, other)
@@ -275,7 +290,7 @@ def multiply(a: MultisetElement, b: MultisetElement) -> MultisetElement:
             w = ai * bj
             for k, m in row[j]:
                 out[k] += w * m
-    return MultisetElement(data, tuple(out))
+    return MultisetElement._certified(data, tuple(out))
 
 
 class Comparison(NamedTuple):
@@ -289,7 +304,9 @@ def compare(a: MultisetElement, b: MultisetElement) -> Comparison:
     data = _same_context(a, b)
     leq = all(x <= y for x, y in zip(a.coeffs, b.coeffs))
     geq = all(x >= y for x, y in zip(a.coeffs, b.coeffs))
-    meet = MultisetElement(data, tuple(min(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+    meet = MultisetElement._certified(
+        data, tuple(min(x, y) for x, y in zip(a.coeffs, b.coeffs))
+    )
     return Comparison(leq, geq, meet)
 
 
@@ -299,7 +316,7 @@ def dual_element(a: MultisetElement) -> MultisetElement:
     for i, c in enumerate(a.coeffs):
         if c:
             out[a.data.dual[i]] += c
-    return MultisetElement(a.data, tuple(out))
+    return MultisetElement._certified(a.data, tuple(out))
 
 
 class UnitDecomposition(NamedTuple):

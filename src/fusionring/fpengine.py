@@ -649,14 +649,21 @@ def perron_root(matrix: RationalMatrix, width: Optional[Fraction] = None) -> Alg
     """
     if width is not None and width <= 0:
         raise ValueError("target width must be positive")
+    c = _line_sum_root(matrix)
+    if c is not None and (width is None or c.denominator * width <= 16):
+        return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
+    return isolate_max_real_root(char_poly(matrix), width)
+
+
+def _line_sum_root(matrix: RationalMatrix) -> Optional[Fraction]:
+    """The Perron root c of perron_root when M is nonnegative and all its row
+    sums, or all its column sums, equal c; else None."""
     rows = matrix.rows
     if all(c >= 0 for row in rows for c in row):
         for sums in (set(map(sum, rows)), set(map(sum, zip(*rows)))):
             if len(sums) == 1:
-                c = Fraction(sums.pop())
-                if width is None or c.denominator * width <= 16:
-                    return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
-    return isolate_max_real_root(char_poly(matrix), width)
+                return Fraction(sums.pop())
+    return None
 
 
 #: (m, W) of perron_data: ascending integer coefficients of m, and per simple
@@ -671,11 +678,12 @@ def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> Perron
 
     mu = FPdim(t), t = Sum of all simples, is an algebraic integer, so its
     minimal polynomial m is monic with integer coefficients (m[-1] == 1) and
-    Z[mu] = Z[t]/(m); mu is isolated only as far as picking the factor m of
-    char_poly(L) needs, at isolate_max_real_root's default width.  W =
-    q(L) e_unit is the unnormalised Perron vector of left multiplication L
-    by t, each W_x a polynomial in mu of degree below deg m with integer
-    coefficients.  On transitive data L is strictly
+    Z[mu] = Z[t]/(m).  When the line sums of left multiplication L by t
+    certify mu as an integer, as in perron_root, m = t - mu; otherwise mu is
+    isolated only as far as picking the factor m of char_poly(L) needs, at
+    isolate_max_real_root's default width.  W = q(L) e_unit is the
+    unnormalised Perron vector of L, each W_x a polynomial in mu of degree
+    below deg m with integer coefficients.  On transitive data L is strictly
     positive, so mu is a simple eigenvalue and W, nonzero at the unit, spans
     its eigenspace: q = char_poly(L)/(t - mu) over K, since
     (L - mu) q(L) = 0.  q comes from synthetic division and q(L) e_unit from
@@ -694,7 +702,11 @@ def _perron_data(data: FusionData) -> PerronData:
     r = data.rank
     matrix = left_mult_matrix_from_coeffs(data, [1] * r)
     p = char_poly(matrix)
-    m = tuple(int(c) for c in min_poly(isolate_max_real_root(p)).coeffs)
+    mu = _line_sum_root(matrix)
+    if mu is not None:  # an integer, as L has integer entries
+        m = (-int(mu), 1)
+    else:
+        m = tuple(int(c) for c in min_poly(isolate_max_real_root(p)).coeffs)
     # coefficients of q, highest degree first: q_{k-1} = p_k + mu q_k
     q = [(1,) + (0,) * (len(m) - 2)]
     for c in reversed(p.coeffs[1:-1]):

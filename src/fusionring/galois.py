@@ -224,18 +224,20 @@ def galois_trivial_subring(data: FusionData, annotation: GaloisAnnotation) -> Fu
                         f"Galois-trivial simples at {data.labels[k]}"
                     )
     position = {g: i for i, g in enumerate(trivial)}
-    # trivial is ascending, so each row stays in ascending order
-    products = [
-        [tuple((position[k], m) for k, m in data.products[i][j]) for j in trivial]
+    # every field is a restriction of data's, checked when data was built,
+    # to a set closed under product and duality that holds the unit (checked
+    # above); trivial is ascending, so each row stays in ascending order
+    products = tuple(
+        tuple(tuple((position[k], m) for k, m in data.products[i][j]) for j in trivial)
         for i in trivial
-    ]
-    return FusionData(
-        labels=tuple(data.labels[i] for i in trivial),
-        products=products,
-        dual=tuple(position[data.dual[i]] for i in trivial),
-        eps=tuple(data.eps[i] for i in trivial),
-        endo_degree=data.endo_degree,
-        unit=tuple(position[u] for u in data.unit),
+    )
+    return FusionData._certified(
+        tuple(data.labels[i] for i in trivial),
+        products,
+        tuple(position[data.dual[i]] for i in trivial),
+        tuple(data.eps[i] for i in trivial),
+        data.endo_degree,
+        tuple(position[u] for u in data.unit),
     )
 
 

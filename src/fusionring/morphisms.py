@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .core import FusionData, MultisetElement, multiply
+from .core import FusionData, MultisetElement, is_int, multiply
 from .errors import InconsistentDataError
 from .fpengine import (
     AlgebraicNumber,
@@ -60,7 +60,7 @@ class SemiringMorphism:
             len(row) != self.source.rank for row in self.matrix
         ):
             raise ValueError("matrix must be target_rank x source_rank")
-        if any(not isinstance(m, int) or m < 0 for row in self.matrix for m in row):
+        if any(not is_int(m) or m < 0 for row in self.matrix for m in row):
             raise ValueError("matrix entries must be nonnegative integers")
         if self.twist is not None and self.twist.data != self.source:
             raise ValueError("twist element must live in the source")
@@ -74,13 +74,14 @@ class SemiringMorphism:
         out = [
             sum(row[s] * x.coeffs[s] for s in range(self.source.rank)) for row in self.matrix
         ]
-        return MultisetElement(self.target, tuple(out))
+        return MultisetElement._certified(self.target, tuple(out))
 
 
 def check_homomorphism(f: SemiringMorphism) -> ValidationReport:
     """Verify f(x) f(y) = f(x D y) on all basis pairs (bilinearity extends
     this to everything), plus the unit condition: f(1) = 1 untwisted, and
-    f(1) >= 1 twisted."""
+    f(1) >= 1 twisted.  Each basis image f(y) is formed once; the unit
+    violation comes first, then the pair violations in (x, y) order."""
     violations: list[Violation] = []
     src, tgt = f.source, f.target
     d = f.twist_element()
@@ -97,13 +98,12 @@ def check_homomorphism(f: SemiringMorphism) -> ValidationReport:
                     "unit_image", (), f"f(1) = {one_image} does not dominate the target unit"
                 )
             )
-    for x in range(src.rank):
-        bx = src.basis(x)
-        fx = f.apply(bx)
+    simples = list(src.simples())
+    images = [f.apply(b) for b in simples]
+    for x, bx in enumerate(simples):
         xd = multiply(bx, d)
-        for y in range(src.rank):
-            by = src.basis(y)
-            lhs = multiply(fx, f.apply(by))
+        for y, by in enumerate(simples):
+            lhs = multiply(images[x], images[y])
             rhs = f.apply(multiply(xd, by))
             if lhs.coeffs != rhs.coeffs:
                 violations.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import FusionData, dual_element, multiply
+from .core import FusionData, dual_element, is_int, multiply
 from .errors import InconsistentDataError, NonTransitiveError
 from .fpengine import (
     AlgebraicNumber,
@@ -172,7 +172,7 @@ def certify_integrality(
 def is_invertible(data: FusionData, x: Union[int, str]) -> bool:
     """True iff x * dual(x) is exactly the unit; cross-checked against
     FPdim(x) = 1 when transitivity allows FPdim to be evaluated."""
-    i = x if isinstance(x, int) else data.index(x)
+    i = x if is_int(x) else data.index(x)
     product = multiply(data.basis(i), dual_element(data.basis(i)))
     invertible = product.coeffs == data.one().coeffs
     try:

@@ -318,7 +318,18 @@ def search_idempotents_above_unit(
     data: FusionData, coeff_bound: int, max_candidates: int = 2_000_000
 ) -> list[MultisetElement]:
     """Exhaustively enumerate p with 1 <= p, coefficients <= coeff_bound and
-    p*p = p.  For a multifusion semiring the result must be exactly {1}.
+    p*p = p, in the order of itertools.product over the coefficient ranges
+    (first coefficient slowest).  For a multifusion semiring the result must
+    be exactly {1}.
+
+    The search is depth first in that order, and still exhaustive.  For an
+    assigned prefix p_0..p_d it keeps the part of p*p made of the terms
+    p_i p_j N[i][j] with i, j <= d.  Every term is a product of nonnegative
+    ints, so that part is a lower bound on p*p, and a prefix is dropped as
+    soon as it exceeds an assigned p_k or coeff_bound: no completion of it
+    is idempotent.  The budget is the size of the whole box, as for a plain
+    enumeration, and a box above max_candidates raises ResourceLimitError
+    before anything is searched.
     """
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be at least 1")
@@ -332,9 +343,37 @@ def search_idempotents_above_unit(
             f"{total} candidates exceed the budget of {max_candidates}; "
             "lower the bound or raise max_candidates"
         )
-    found = []
-    for coeffs in product(*ranges):
-        p = MultisetElement(data, coeffs)
-        if (p * p).coeffs == coeffs:
-            found.append(p)
+    r = data.rank
+    products = data.products
+    found: list[MultisetElement] = []
+    p = [0] * r
+
+    def extend(d: int, square: list[int]) -> None:
+        """Search the completions of p_0..p_{d-1}, whose own terms of p*p
+        sum to `square`."""
+        if d == r:
+            if square == p:
+                found.append(MultisetElement._certified(data, tuple(p)))
+            return
+        # assigning p_d = v adds v * lin + v^2 * quad to square
+        lin = [0] * r
+        for j in range(d):
+            if p[j]:
+                for k, m in products[d][j]:
+                    lin[k] += p[j] * m
+                for k, m in products[j][d]:
+                    lin[k] += p[j] * m
+        quad = [0] * r
+        for k, m in products[d][d]:
+            quad[k] = m
+        for v in ranges[d]:
+            nxt = [s + v * a + v * v * b for s, a, b in zip(square, lin, quad)]
+            # each entry grows with v, so a larger v fails these tests too
+            if max(nxt) > coeff_bound or any(nxt[k] > p[k] for k in range(d)):
+                break
+            if nxt[d] <= v:
+                p[d] = v
+                extend(d + 1, nxt)
+
+    extend(0, [0] * r)
     return found

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence, Union
 
 import pytest
 
 import fusionring as fr
-from fusionring.errors import NonTransitiveError
+from fusionring.errors import NonTransitiveError, SchemaError
+from fusionring.fileformat import parse_fusion_file
 from fusionring.fpengine import (
     AlgebraicNumber,
     _field_inverse,
@@ -496,3 +499,106 @@ def sign_variations(chain: Sequence[RationalPolynomial], x: Rat) -> int:
         if s != t:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# the plain loops that the pruned idempotent search, the hoisted
+# homomorphism check, the certified subring and the single-open file
+# reader replace
+
+
+def idempotents_oracle(
+    data: fr.FusionData, coeff_bound: int, max_candidates: int = 2_000_000
+) -> list[fr.MultisetElement]:
+    """Every p in the box [1, coeff_bound]^r with p*p = p, tried one by one
+    in itertools.product order through validated elements and
+    core.multiply; the same budget refusal before any candidate."""
+    if coeff_bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
+    one = data.one().coeffs
+    ranges = [range(max(c, 0), coeff_bound + 1) if c <= coeff_bound else range(0) for c in one]
+    total = 1
+    for rng in ranges:
+        total *= len(rng)
+    if total > max_candidates:
+        raise fr.ResourceLimitError(
+            f"{total} candidates exceed the budget of {max_candidates}; "
+            "lower the bound or raise max_candidates"
+        )
+    found = []
+    for coeffs in itertools.product(*ranges):
+        p = fr.MultisetElement(data, coeffs)
+        if (p * p).coeffs == coeffs:
+            found.append(p)
+    return found
+
+
+def homomorphism_oracle(f) -> list[Violation]:
+    """The check_homomorphism violations of f with every image and product
+    formed afresh for each pair (x, y) of source simples."""
+    violations: list[Violation] = []
+    src, tgt = f.source, f.target
+    d = f.twist_element()
+    one_image = f.apply(src.one())
+    if f.twist is None:
+        if one_image.coeffs != tgt.one().coeffs:
+            violations.append(
+                Violation("unit_image", (), f"f(1) = {one_image}, expected the target unit")
+            )
+    elif not all(a >= b for a, b in zip(one_image.coeffs, tgt.one().coeffs)):
+        violations.append(
+            Violation("unit_image", (), f"f(1) = {one_image} does not dominate the target unit")
+        )
+    for x in range(src.rank):
+        bx = src.basis(x)
+        fx = f.apply(bx)
+        xd = fr.multiply(bx, d)
+        for y in range(src.rank):
+            by = src.basis(y)
+            lhs = fr.multiply(fx, f.apply(by))
+            rhs = f.apply(fr.multiply(xd, by))
+            if lhs.coeffs != rhs.coeffs:
+                violations.append(
+                    Violation(
+                        "twisted_homomorphism",
+                        (x, y),
+                        f"f({src.labels[x]}) f({src.labels[y]}) = {lhs} but "
+                        f"f({src.labels[x]} D {src.labels[y]}) = {rhs}",
+                    )
+                )
+    return violations
+
+
+def galois_trivial_subring_oracle(
+    data: fr.FusionData, annotation: fr.GaloisAnnotation
+) -> fr.FusionData:
+    """The full subring on the Galois-trivial simples through the public,
+    checking FusionData constructor, from the dense tensor."""
+    trivial = [i for i in range(data.rank) if annotation.is_trivial(i)]
+    position = {g: i for i, g in enumerate(trivial)}
+    return fr.FusionData(
+        labels=[data.labels[i] for i in trivial],
+        n_tensor=[[[data.n_tensor[i][j][k] for k in trivial] for j in trivial] for i in trivial],
+        dual=[position[data.dual[i]] for i in trivial],
+        eps=[data.eps[i] for i in trivial],
+        endo_degree=data.endo_degree,
+        unit=[position[u] for u in data.unit],
+    )
+
+
+def load_oracle(arg: str) -> fr.FixtureEntry:
+    """cli._load as a stat of the path followed by a second open: standard
+    input for "-", the file when Path(arg).exists(), else the builtin named
+    arg, else SchemaError."""
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        elif Path(arg).exists():
+            text = Path(arg).read_text(encoding="utf-8")
+        elif arg in fr.list_builtins():
+            return fr.get_builtin(arg)
+        else:
+            raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise SchemaError(f"cannot read {arg!r}: {exc}") from None
+    return parse_fusion_file(text)

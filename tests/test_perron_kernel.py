@@ -18,6 +18,7 @@ from fusionring.errors import FusionError
 from fusionring.morphisms import SemiringMorphism
 from conftest import (
     FUSION_NAMES,
+    cyclic,
     eigenproperty_oracle,
     fusion_data,
     mutate_tensor,
@@ -139,3 +140,24 @@ def test_waiver_stays_outside_the_cache():
         fpengine.perron_data(broken, waive_transitivity=True)
         with pytest.raises(fr.NonTransitiveError, match="not transitive"):
             fpengine.perron_data(broken)
+
+
+def test_perron_data_takes_integer_line_sums_without_isolating(monkeypatch):
+    # L_t of a group ring, of rep_r_q8 and of rep_r_q8 (x) Z/3 has constant
+    # row sums, so mu is that integer and m = t - mu; fib's has not
+    rings = [fusion_data(n) for n in ("vec_z2", "vec_z3", "vec_s3", "rep_r_q8")]
+    rings += [cyclic(12), RINGS["rep_r_q8.vec_z3"]]
+    expected = [perron_vector_oracle(data) for data in rings]
+
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("isolate_max_real_root called")
+
+    monkeypatch.setattr(fpengine, "isolate_max_real_root", no_isolation)
+    fpengine._perron_data.cache_clear()
+    try:
+        for data, (m, reg) in zip(rings, expected):
+            assert fpengine.perron_vector(data) == (m, reg) and m.degree == 1
+        with pytest.raises(AssertionError, match="isolate_max_real_root called"):
+            fpengine.perron_data(fusion_data("fib"))
+    finally:
+        fpengine._perron_data.cache_clear()

@@ -20,7 +20,9 @@ and abbreviated-option argument lists.  Last come the invalid inputs of
 invalid_inputs(), each read from standard input by validate (json and text),
 fpdim, regular and integrality: seeded single-entry perturbations of every
 builtin, so that the checks' full violation lists show, and MALFORMED, files
-that break the schema, so that the parser's messages show.  Python standard
+that break the schema, so that the parser's messages show.  The same five
+runs then read each path of MALFORMED_PATHS, from a scratch working
+directory, so that the messages of unreadable paths show.  Python standard
 library only.
 
     PYTHONPATH=src python tools/cli_digest.py [FILE ...] > digest.txt
@@ -38,8 +40,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -151,6 +155,34 @@ MALFORMED = tuple(
 )
 
 
+#: (name, path) of arguments that name no readable fusion file, or a file
+#: named like a builtin, which wins over the builtin; _path_cases makes them
+MALFORMED_PATHS = (
+    ("path-empty", ""),
+    ("path-directory", "dir"),
+    ("path-symlink-loop", "loop"),
+    ("path-dangling-symlink", "dangling"),
+    ("path-missing-parent", "missing/ring.json"),
+    ("path-nul-byte", "ring\0.json"),
+    ("path-named-like-builtin", "fib"),
+)
+
+
+@contextlib.contextmanager
+def _path_cases() -> Iterator[None]:
+    """Run the body in a scratch working directory holding the paths of
+    MALFORMED_PATHS: a directory, a symlink to itself, a symlink to nothing,
+    and a file fib holding the Z/2 group ring."""
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+        os.mkdir("dir")
+        os.symlink("loop", "loop")
+        os.symlink("nowhere", "dangling")
+        Path("fib").write_text(
+            emit_fusion_file(get_builtin("vec_z2").data, name="fib-file"), encoding="utf-8"
+        )
+        yield
+
+
 def _perturbed(data: FusionData, i: int, j: int, k: int, delta: int) -> FusionData:
     tensor = [[list(row) for row in plane] for plane in data.n_tensor]
     tensor[i][j][k] += delta
@@ -224,9 +256,12 @@ def _runs(arg: str, partners: list[str]) -> Iterator[list[str]]:
                 yield ["deligne", partner, arg, "--format", fmt]
 
 
-def digest(argv: list[str], stdin: Optional[tuple[str, str]] = None) -> str:
+def digest(
+    argv: list[str], stdin: Optional[tuple[str, str]] = None, shown: Optional[list[str]] = None
+) -> str:
     """The digest line of one run; stdin is (name, text) of what the run
-    reads from standard input, and the name ends the line."""
+    reads from standard input, and the name ends the line.  shown, when
+    given, is printed in place of argv."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin[1] if stdin else "")
@@ -239,7 +274,7 @@ def digest(argv: list[str], stdin: Optional[tuple[str, str]] = None) -> str:
     finally:
         sys.stdin = saved
     hashes = (hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err))
-    line = f"{outcome} {' '.join(hashes)} {' '.join(argv)}"
+    line = f"{outcome} {' '.join(hashes)} {' '.join(shown or argv)}"
     return f"{line} < {stdin[0]}" if stdin else line
 
 
@@ -262,6 +297,12 @@ def main(files: list[str]) -> None:
     for stdin in invalid_inputs():
         for argv in INVALID_VARIANTS:
             print(digest(argv, stdin), flush=True)
+    with _path_cases():
+        for name, path in MALFORMED_PATHS:
+            for argv in INVALID_VARIANTS:
+                run = [path if a == "-" else a for a in argv]
+                shown = [name if a == "-" else a for a in argv]
+                print(digest(run, shown=shown), flush=True)
 
 
 if __name__ == "__main__":
