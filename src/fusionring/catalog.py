@@ -36,13 +36,9 @@ def vec_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FusionDa
     multiplication table, duality the inverse, all eps = 1, degree 1."""
     group = FiniteGroup(tuple(labels), tuple(tuple(row) for row in table))
     n = group.order
-    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            tensor[i][j][group.table[i][j]] = 1
     return FusionData(
         labels=group.labels,
-        n_tensor=tensor,
+        products=tuple(tuple(((k, 1),) for k in row) for row in group.table),
         dual=tuple(group.inverse(i) for i in range(n)),
         eps=(1,) * n,
         endo_degree=1,
@@ -77,9 +73,9 @@ def _rank2_data(top_label: str, eps_top: int, endo_degree: int) -> FusionData:
     """Rank-2 data with x*x = eps_top * 1 + x for the non-unit simple x."""
     return FusionData(
         labels=("1", top_label),
-        n_tensor=(
-            ((1, 0), (0, 1)),
-            ((0, 1), (eps_top, 1)),
+        products=(
+            (((0, 1),), ((1, 1),)),
+            (((1, 1),), ((0, eps_top), (1, 1))),
         ),
         dual=(0, 1),
         eps=(1, eps_top),
@@ -89,19 +85,13 @@ def _rank2_data(top_label: str, eps_top: int, endo_degree: int) -> FusionData:
 
 
 def _rep_r_q8() -> FusionData:
-    r = 5
-    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i in range(4):  # Klein four-group on 1, a, b, c via bit xor
-        for j in range(4):
-            tensor[i][j][i ^ j] = 1
-    for i in range(4):
-        tensor[i][4][4] = 1
-        tensor[4][i][4] = 1
-    for k in range(4):
-        tensor[4][4][k] = 4
+    # the Klein four-group on 1, a, b, c via bit xor; h*h = 4(1 + a + b + c)
+    h = ((4, 1),)
+    products = [[((i ^ j, 1),) for j in range(4)] + [h] for i in range(4)]
+    products.append([h] * 4 + [tuple((k, 4) for k in range(4))])
     return FusionData(
         labels=("1", "a", "b", "c", "h"),
-        n_tensor=tensor,
+        products=products,
         dual=(0, 1, 2, 3, 4),
         eps=(1, 1, 1, 1, 4),
         endo_degree=1,
@@ -111,18 +101,13 @@ def _rep_r_q8() -> FusionData:
 
 def _m2_vec() -> FusionData:
     # matrix units E11, E12, E21, E22; E_ij E_kl = delta_jk E_il
-    labels = ("E11", "E12", "E21", "E22")
-    pos = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    coords = {v: k for k, v in pos.items()}
-    tensor = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            (i, j), (k, l) = coords[a], coords[b]
-            if j == k:
-                tensor[a][b][pos[(i, l)]] = 1
+    units = ((1, 1), (1, 2), (2, 1), (2, 2))
     return FusionData(
-        labels=labels,
-        n_tensor=tensor,
+        labels=("E11", "E12", "E21", "E22"),
+        products=[
+            [((units.index((i, l)), 1),) if j == k else () for k, l in units]
+            for i, j in units
+        ],
         dual=(0, 2, 1, 3),
         eps=(1, 1, 1, 1),
         endo_degree=1,
@@ -133,7 +118,7 @@ def _m2_vec() -> FusionData:
 def _vec_line(endo_degree: int) -> FusionData:
     return FusionData(
         labels=("1",),
-        n_tensor=(((1,),),),
+        products=((((0, 1),),),),
         dual=(0,),
         eps=(1,),
         endo_degree=endo_degree,

@@ -49,7 +49,6 @@ from .galois import center_fpdim_prediction
 from .morphisms import morita_ratio_equal
 from .poly import RationalPolynomial
 from .regular import (
-    certify_integrality,
     fpdim_category,
     regular_element,
     verify_regular_eigenproperty,
@@ -62,10 +61,6 @@ from .validate import check_eps_consistency, check_structural, check_transitivit
 # serialization helpers
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _decimal_str(q: Fraction, places: int = 15) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -76,17 +71,17 @@ def _decimal_str(q: Fraction, places: int = 15) -> str:
 
 
 def _poly_json(p: RationalPolynomial) -> list:
-    return [int(c) if c.denominator == 1 else _frac_str(c) for c in p.coeffs]
+    return [int(c) if c.denominator == 1 else str(c) for c in p.coeffs]
 
 
 def _value_payload(value: ExactValue | AlgebraicNumber, width: Fraction) -> dict[str, Any]:
     value = normalize_value(value)
     if isinstance(value, Fraction):
         return {
-            "value": _frac_str(value),
+            "value": str(value),
             "approx": _decimal_str(value),
             "min_poly": _poly_json(RationalPolynomial((-value, 1))),
-            "interval": [_frac_str(value), _frac_str(value)],
+            "interval": [str(value), str(value)],
         }
     refined = refine(value, width)
     poly = min_poly(refined)
@@ -94,7 +89,7 @@ def _value_payload(value: ExactValue | AlgebraicNumber, width: Fraction) -> dict
         "value": None,
         "approx": _decimal_str(refined.midpoint()),
         "min_poly": _poly_json(poly),
-        "interval": [_frac_str(refined.lo), _frac_str(refined.hi)],
+        "interval": [str(refined.lo), str(refined.hi)],
     }
 
 
@@ -216,39 +211,47 @@ def _cmd_validate(args: SimpleNamespace) -> int:
     return 0 if report.passed else 1
 
 
+def _with_integrality(payload: dict[str, Any]) -> dict[str, Any]:
+    """payload with "algebraic_integer": whether its (monic) min poly has
+    integer coefficients."""
+    payload["algebraic_integer"] = all(isinstance(c, int) for c in payload["min_poly"])
+    return payload
+
+
+def _category_payload(args: SimpleNamespace) -> dict[str, Any]:
+    """What fpdim --category prints, and integrality too: FPdim of the
+    category, its min poly and whether that is integral."""
+    entry = _load(args.file)
+    _gate_structural(entry)
+    width = Fraction(1, 2**args.precision)
+    value = fpdim_category(entry.data, waive_transitivity=args.waive_transitivity, width=width)
+    return _with_integrality({**_identify(entry), **_value_payload(value, width)})
+
+
 def _cmd_fpdim(args: SimpleNamespace) -> int:
+    if args.category:
+        sys.stdout.write(_render(_category_payload(args), args.format))
+        return 0
     entry = _load(args.file)
     _gate_structural(entry)
     data = entry.data
     width = Fraction(1, 2**args.precision)
     waive = args.waive_transitivity
-    if args.category:
-        value = fpdim_category(data, waive_transitivity=waive, width=width)
-        payload = {**_identify(entry), **_value_payload(value, width)}
-        payload["algebraic_integer"] = all(
-            isinstance(c, int) for c in payload["min_poly"]
-        )
-        sys.stdout.write(_render(payload, args.format))
-        return 0
     if args.element is not None:
         x = data.basis(args.element)
         value = fpdim_element(x, waive_transitivity=waive, width=width)
-        payload = {
+        payload = _with_integrality({
             **_identify(entry),
             "element": args.element,
             **_value_payload(value, width),
             "char_poly": _poly_json(char_poly(left_mult_matrix(x))),
-        }
-        payload["algebraic_integer"] = all(
-            isinstance(c, int) for c in payload["min_poly"]
-        )
-        sys.stdout.write(_render(payload, args.format))
-        return 0
-    elements = {}
-    for label in data.labels:
-        value = fpdim_element(data.basis(label), waive_transitivity=waive, width=width)
-        elements[label] = _value_payload(value, width)
-    payload = {**_identify(entry), "elements": elements}
+        })
+    else:
+        elements = {}
+        for label in data.labels:
+            value = fpdim_element(data.basis(label), waive_transitivity=waive, width=width)
+            elements[label] = _value_payload(value, width)
+        payload = {**_identify(entry), "elements": elements}
     sys.stdout.write(_render(payload, args.format))
     return 0
 
@@ -276,20 +279,9 @@ def _cmd_regular(args: SimpleNamespace) -> int:
 
 
 def _cmd_integrality(args: SimpleNamespace) -> int:
-    entry = _load(args.file)
-    _gate_structural(entry)
-    width = Fraction(1, 2**args.precision)
-    cert = certify_integrality(
-        entry.data, waive_transitivity=args.waive_transitivity, width=width
-    )
-    payload = {
-        **_identify(entry),
-        **_value_payload(cert.fpdim, width),
-        "min_poly": _poly_json(cert.min_poly),
-        "algebraic_integer": cert.is_algebraic_integer,
-    }
+    payload = _category_payload(args)
     sys.stdout.write(_render(payload, args.format))
-    return 0 if cert.is_algebraic_integer else 1
+    return 0 if payload["algebraic_integer"] else 1
 
 
 def _cmd_center(args: SimpleNamespace) -> int:
@@ -311,7 +303,7 @@ def _cmd_center(args: SimpleNamespace) -> int:
     predicted = normalize_value(prediction.predicted)
     payload = {
         **_identify(entry),
-        "predicted": _frac_str(predicted)
+        "predicted": str(predicted)
         if isinstance(predicted, Fraction)
         else _value_payload(predicted, width),
         "bound": "violated"
@@ -394,8 +386,8 @@ def _cmd_catalog(args: SimpleNamespace) -> int:
 
 #: largest accepted --precision; quadratic refinement to 2^-BITS takes
 #: O(log BITS) steps, but each evaluates a polynomial of degree up to the rank
-#: at rationals of about BITS bits, and the Sturm recount of the result reads
-#: the whole chain there, so unbounded values could still stall a call
+#: at rationals of about BITS bits, and every printed interval end carries
+#: about BITS bits, so unbounded values could still stall a call
 MAX_PRECISION_BITS = 1024
 
 PROG = "fusionring"

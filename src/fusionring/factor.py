@@ -322,14 +322,6 @@ def _primitive(f: list[int]) -> list[int]:
     return out
 
 
-def _divides(g: list[int], f: list[int]) -> list[int] | None:
-    """Quotient f/g over Z if g divides f exactly, else None."""
-    try:
-        return exact_quotient(f, g)
-    except ArithmeticError:
-        return None
-
-
 def factor_integer_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors (primitive, positive leading coeff) of a primitive
     squarefree integer polynomial of degree >= 1, sorted by (length,
@@ -404,12 +396,14 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
             for i in subset:
                 candidate = _mul_mod(candidate, lifted[i], modulus)
             candidate = _primitive([_balanced(c, modulus) for c in candidate])
-            quotient = _divides(candidate, remaining)
-            if quotient is not None:
-                result.append(candidate)
-                remaining = _primitive(quotient)
-                active = [i for i in active if i not in subset]
-                break  # retry the same subset size against the new remainder
+            try:
+                quotient = exact_quotient(remaining, candidate)
+            except ArithmeticError:
+                continue
+            result.append(candidate)
+            remaining = _primitive(quotient)
+            active = [i for i in active if i not in subset]
+            break  # retry the same subset size against the new remainder
         else:
             size += 1
     if len(remaining) - 1 >= 1:

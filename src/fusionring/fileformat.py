@@ -37,10 +37,11 @@ import sys
 from typing import Any, Optional
 
 from .catalog import FixtureEntry
-from .core import FusionData, is_int
+from .core import FusionData, MultisetElement, is_int
 from .deligne import DivisionType, SemisimpleDesc
 from .errors import SchemaError
 from .galois import FiniteGroup, GaloisAnnotation, GaloisMark
+from .morphisms import SemiringMorphism
 
 __all__ = [
     "ParsedFile",
@@ -363,12 +364,10 @@ def emit_entry(entry: FixtureEntry) -> str:
 # morphism files: embedded source/target documents plus label-keyed images
 
 
-def emit_morphism_file(f: "SemiringMorphism", *, name: str = "") -> str:
+def emit_morphism_file(f: SemiringMorphism, *, name: str = "") -> str:
     """Canonical JSON form of a semiring morphism.  The image of each source
     simple is keyed by labels, so it survives the label-sorted canonical
     ordering of the embedded fusion documents."""
-    from .morphisms import SemiringMorphism  # local import avoids a cycle
-
     assert isinstance(f, SemiringMorphism)
     images: dict[str, dict[str, int]] = {}
     for s in range(f.source.rank):
@@ -394,10 +393,7 @@ def emit_morphism_file(f: "SemiringMorphism", *, name: str = "") -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_morphism_file(source: str | bytes) -> "SemiringMorphism":
-    from .core import MultisetElement
-    from .morphisms import SemiringMorphism
-
+def parse_morphism_file(source: str | bytes) -> SemiringMorphism:
     try:
         doc = _loads(source)
     except json.JSONDecodeError as exc:

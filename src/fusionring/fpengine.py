@@ -568,10 +568,7 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
 
 
 def exact_square(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
-    v = normalize_value(v)
-    if isinstance(v, Fraction):
-        return v * v
-    return mul_algebraic(v, v)
+    return exact_mul(v, v)
 
 
 def reciprocal(v: Union[Rat, AlgebraicNumber]) -> ExactValue:

@@ -184,16 +184,13 @@ def from_galois_group(
                     f"subset is not closed under multiplication at "
                     f"{group.labels[g]}*{group.labels[h]}"
                 )
-    r = len(indices)
-    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for a, g in enumerate(indices):
-        for b, h in enumerate(indices):
-            tensor[a][b][position[group.table[g][h]]] = 1
     data = FusionData(
         labels=tuple(group.labels[g] for g in indices),
-        n_tensor=tensor,
+        products=tuple(
+            tuple(((position[group.table[g][h]], 1),) for h in indices) for g in indices
+        ),
         dual=tuple(position[group.inverse(g)] for g in indices),
-        eps=(1,) * r,
+        eps=(1,) * len(indices),
         endo_degree=group.order,
         unit=(position[group.identity],),
     )

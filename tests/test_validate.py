@@ -274,10 +274,8 @@ def test_idempotent_search_respects_budget():
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_unit_is_only_idempotent_up_to_rank_5(name):
+def test_unit_is_the_only_idempotent(name):
     data = fusion_data(name)
-    if data.rank > 5:
-        pytest.skip("search space grows too fast past rank 5")
     found = fr.search_idempotents_above_unit(data, 4)
     assert [p.coeffs for p in found] == [data.one().coeffs]
 
