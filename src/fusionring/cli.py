@@ -169,7 +169,7 @@ def _load(arg: str) -> FixtureEntry:
 
 
 def _gate_structural(entry: FixtureEntry) -> None:
-    report = check_structural(entry.data)
+    report = entry.data._fact("structural", check_structural)
     if not report.passed:
         messages = "; ".join(v.message for v in report.violations[:5])
         raise FusionError(
@@ -194,8 +194,7 @@ def _identify(entry: FixtureEntry) -> dict[str, Any]:
 def _cmd_validate(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     data = entry.data
-    structural = check_structural(data)
-    report = structural
+    report = data._fact("structural", check_structural)
     checks = ["structural"]
     if data.is_fusion:
         report = report.merged(check_eps_consistency(data))

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import ContextMismatchError, NotFusionError
 from .report import ValidationReport, Violation
 
 Tensor = tuple[tuple[tuple[int, ...], ...], ...]
 SparseProducts = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+T = TypeVar("T")
 
 
 def is_int(v: object) -> bool:
@@ -144,6 +145,15 @@ class FusionData:
         vars(data).update(zip(cls.__dataclass_fields__, fields, strict=True))
         return data
 
+    def _fact(self, name: str, build: Callable[["FusionData"], T]) -> T:
+        """build(self), such as the check_structural report or the Perron data,
+        made on first use and kept on the instance as n_tensor is; equality,
+        hashing and repr read only the fields, and a build that raises keeps nothing."""
+        facts = vars(self)
+        if name not in facts:
+            facts[name] = build(self)
+        return facts[name]
+
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -234,9 +244,6 @@ class MultisetElement:
         element = object.__new__(cls)
         vars(element).update(data=data, coeffs=coeffs)
         return element
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
 
     @property
     def is_zero(self) -> bool:

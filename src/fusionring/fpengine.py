@@ -24,7 +24,7 @@ in Z[t], and the unnormalised Perron vector W has coordinates in Z[mu].
 Products reduce by the monic m without division (field_matrix, field_apply;
 Cohen, A Course in Computational Algebraic Number Theory, 4.2), and checks
 compare R = W / W_unit through identities homogeneous in W.  The data are
-built once per ring behind a bounded cache; perron_vector is the normalised
+built once per ring and kept on it; perron_vector is the normalised
 Fraction view for messages and tests.
 """
 
@@ -670,8 +670,8 @@ PerronData = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> PerronData:
     """(m, W): the ring's Perron field and regular element, in integers,
-    built once per ring (bounded cache; the transitivity gate runs on every
-    call).
+    built once per ring and kept on it (FusionData._fact; the transitivity
+    gate runs on every call).
 
     mu = FPdim(t), t = Sum of all simples, is an algebraic integer, so its
     minimal polynomial m is monic with integer coefficients (m[-1] == 1) and
@@ -691,10 +691,9 @@ def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> Perron
     non-transitive data can do.
     """
     ensure_fpdim_ready(data, waive_transitivity)
-    return _perron_data(data)
+    return data._fact("perron_data", _perron_data)
 
 
-@lru_cache(maxsize=128)
 def _perron_data(data: FusionData) -> PerronData:
     r = data.rank
     matrix = left_mult_matrix_from_coeffs(data, [1] * r)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import FusionData, MultisetElement, is_int, multiply
@@ -142,21 +142,15 @@ def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
-@lru_cache(maxsize=128)
-def _structural_failure(data: FusionData) -> Optional[str]:
-    """The first check_structural violation of data, or None."""
-    report = check_structural(data)
-    return None if report.passed else report.violations[0].message
-
-
 def _require_fpdim_rings(f: SemiringMorphism) -> None:
     """The gates of the FPdim checks on both rings: ensure_fpdim_ready, then
-    check_structural, whose failure raises InconsistentDataError."""
+    check_structural (kept on the ring), whose failure raises InconsistentDataError."""
     for data in (f.source, f.target):
         ensure_fpdim_ready(data)
     for role, data in (("source", f.source), ("target", f.target)):
-        failure = _structural_failure(data)
-        if failure is not None:
+        report = data._fact("structural", check_structural)
+        if not report.passed:
+            failure = report.violations[0].message
             raise InconsistentDataError(f"the {role} fails structural checks: {failure}")
 
 

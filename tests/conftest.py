@@ -35,6 +35,17 @@ ALL_NAMES = list(fr.list_builtins())
 FUSION_NAMES = [n for n in ALL_NAMES if fr.get_builtin(n).data.is_fusion]
 RANK2_FUSION_NAMES = [n for n in FUSION_NAMES if fr.get_builtin(n).data.rank == 2]
 
+# cc_bim with c * c = 2 * 1 (the digest's cc_bim~1): it passes
+# check_structural and is transitive, but eps_c = 1 breaks eps consistency.
+CC_BIM_DOUBLED = fr.FusionData(
+    labels=("1", "c"),
+    products=((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 2),))),
+    dual=(0, 1),
+    eps=(1, 1),
+    endo_degree=2,
+    unit=(0,),
+)
+
 
 @pytest.fixture(scope="session")
 def builtins():

@@ -8,15 +8,20 @@ witness, message) must agree exactly, and so must the (m, R) view.
 
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import fusionring as fr
-from fusionring import fpengine
+from fusionring import fpengine, morphisms
+from fusionring.cli import run_command
 from fusionring.errors import FusionError
 from fusionring.morphisms import SemiringMorphism
+from fusionring.poly import RationalPolynomial
 from conftest import (
+    CC_BIM_DOUBLED,
     FUSION_NAMES,
     cyclic,
     eigenproperty_oracle,
@@ -120,15 +125,40 @@ def test_perron_data_is_integral_and_monic():
     assert all(len(c) == len(m) - 1 and all(type(a) is int for a in c) for c in w)
 
 
-def test_transport_builds_perron_data_once():
+def _fresh(data):
+    """A new FusionData equal to data, carrying none of its per-ring facts."""
+    return fr.FusionData(
+        labels=data.labels,
+        products=data.products,
+        dual=data.dual,
+        eps=data.eps,
+        endo_degree=data.endo_degree,
+        unit=data.unit,
+    )
+
+
+def test_transport_builds_perron_data_once(monkeypatch):
+    # perron_data is built by the one char_poly of L_t, t = sum of simples
     data = su2(8)
+    l_t = fpengine.left_mult_matrix_from_coeffs(data, [1] * data.rank)
+    builds = []
+    char_poly = fpengine.char_poly
+
+    def counting(matrix):
+        if matrix == l_t:
+            builds.append(matrix)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(fpengine, "char_poly", counting)
     identity = tuple(tuple(int(i == j) for j in range(data.rank)) for i in range(data.rank))
-    f = SemiringMorphism(data, data, identity)
-    fpengine._perron_data.cache_clear()
-    assert fr.verify_fpdim_transport(f).passed
-    info = fpengine._perron_data.cache_info()
-    assert info.misses == 1 and info.hits >= 1
-    assert info.maxsize is not None
+    assert fr.verify_fpdim_transport(SemiringMorphism(data, data, identity)).passed
+    assert fr.verify_regular_eigenproperty(data).passed
+    assert len(builds) == 1
+    # the facts live on the ring object: an equal, fresh one builds its own
+    copy = _fresh(data)
+    assert copy == data and hash(copy) == hash(data)
+    assert fr.verify_regular_eigenproperty(copy).passed
+    assert len(builds) == 2
 
 
 def test_waiver_stays_outside_the_cache():
@@ -153,11 +183,32 @@ def test_perron_data_takes_integer_line_sums_without_isolating(monkeypatch):
         raise AssertionError("isolate_max_real_root called")
 
     monkeypatch.setattr(fpengine, "isolate_max_real_root", no_isolation)
-    fpengine._perron_data.cache_clear()
-    try:
-        for data, (m, reg) in zip(rings, expected):
-            assert fpengine.perron_vector(data) == (m, reg) and m.degree == 1
-        with pytest.raises(AssertionError, match="isolate_max_real_root called"):
-            fpengine.perron_data(fusion_data("fib"))
-    finally:
-        fpengine._perron_data.cache_clear()
+    # fresh, equal rings, so that no Perron data built by another test is read
+    for data, (m, reg) in zip(rings, expected):
+        assert fpengine.perron_vector(_fresh(data)) == (m, reg) and m.degree == 1
+    with pytest.raises(AssertionError, match="isolate_max_real_root called"):
+        fpengine.perron_data(_fresh(fusion_data("fib")))
+
+
+def test_fpdim_is_not_eps_times_the_perron_vector_on_eps_inconsistent_data(tmp_path, capsys):
+    # guards the formula FPdim(x) = eps_x W_x / W_unit: it holds only on
+    # eps-consistent data, so min polys taken from it would change output here
+    data = CC_BIM_DOUBLED
+    assert fr.check_structural(data).passed and fr.check_transitivity(data).passed
+    assert not fr.check_eps_consistency(data).passed
+    fpdim_c = fr.fpdim_element(data.basis("c"))
+    assert fr.min_poly(fpdim_c).coeffs == (-2, 0, 1) and 1.41 < float(fpdim_c) < 1.42
+    path = tmp_path / "cc_bim~1.json"
+    path.write_text(fr.emit_fusion_file(data, name="cc_bim~1"))
+    assert run_command(["fpdim", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"]["c"]["min_poly"] == [-2, 0, 1]
+    assert not fr.verify_regular_eigenproperty(data).passed
+    # mu = FPdim(1 + c) = 1 + sqrt 2, so sqrt 2 = mu - 1 in K = Q(mu)
+    sqrt2 = RationalPolynomial((-1, 1))
+    m, reg = fpengine.perron_vector(data)
+    assert m == RationalPolynomial((-1, -2, 1))
+    assert reg[1].scale(data.eps[1]) == sqrt2.scale(Fraction(1, 2))
+    # the eps-free eigenvalue (c W)_unit / W_unit is FPdim(c)
+    _, w = fpengine.perron_data(data)
+    inverse = fpengine._field_inverse(RationalPolynomial(w[0]), m)
+    assert (RationalPolynomial(morphisms._fpdims(data, w)[1]) * inverse) % m == sqrt2
