@@ -75,21 +75,25 @@ def _poly_json(p: RationalPolynomial) -> list:
 
 
 def _value_payload(value: ExactValue | AlgebraicNumber, width: Fraction) -> dict[str, Any]:
+    """The exact value, its decimal approximation, min poly and interval; a
+    rational prints as its point even when isolated by a wider interval."""
     value = normalize_value(value)
-    if isinstance(value, Fraction):
-        return {
-            "value": str(value),
-            "approx": _decimal_str(value),
-            "min_poly": _poly_json(RationalPolynomial((-value, 1))),
-            "interval": [str(value), str(value)],
-        }
-    refined = refine(value, width)
-    poly = min_poly(refined)
+    if isinstance(value, AlgebraicNumber):
+        poly = min_poly(value)
+        if poly.degree > 1:
+            refined = refine(value, width)
+            return {
+                "value": None,
+                "approx": _decimal_str(refined.midpoint()),
+                "min_poly": _poly_json(poly),
+                "interval": [str(refined.lo), str(refined.hi)],
+            }
+        value = -poly.coeffs[0]
     return {
-        "value": None,
-        "approx": _decimal_str(refined.midpoint()),
-        "min_poly": _poly_json(poly),
-        "interval": [str(refined.lo), str(refined.hi)],
+        "value": str(value),
+        "approx": _decimal_str(value),
+        "min_poly": _poly_json(RationalPolynomial((-value, 1))),
+        "interval": [str(value), str(value)],
     }
 
 
@@ -223,7 +227,7 @@ def _category_payload(args: SimpleNamespace) -> dict[str, Any]:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
-    value = fpdim_category(entry.data, waive_transitivity=args.waive_transitivity, width=width)
+    value = fpdim_category(entry.data, width=width)
     return _with_integrality({**_identify(entry), **_value_payload(value, width)})
 
 
@@ -235,10 +239,9 @@ def _cmd_fpdim(args: SimpleNamespace) -> int:
     _gate_structural(entry)
     data = entry.data
     width = Fraction(1, 2**args.precision)
-    waive = args.waive_transitivity
     if args.element is not None:
         x = data.basis(args.element)
-        value = fpdim_element(x, waive_transitivity=waive, width=width)
+        value = fpdim_element(x, width=width)
         payload = _with_integrality({
             **_identify(entry),
             "element": args.element,
@@ -248,7 +251,7 @@ def _cmd_fpdim(args: SimpleNamespace) -> int:
     else:
         elements = {}
         for label in data.labels:
-            value = fpdim_element(data.basis(label), waive_transitivity=waive, width=width)
+            value = fpdim_element(data.basis(label), width=width)
             elements[label] = _value_payload(value, width)
         payload = {**_identify(entry), "elements": elements}
     sys.stdout.write(_render(payload, args.format))
@@ -259,12 +262,8 @@ def _cmd_regular(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
-    reg = regular_element(
-        entry.data, waive_transitivity=args.waive_transitivity, width=width
-    )
-    verification = verify_regular_eigenproperty(
-        entry.data, waive_transitivity=args.waive_transitivity
-    )
+    reg = regular_element(entry.data, width=width)
+    verification = verify_regular_eigenproperty(entry.data)
     payload = {
         **_identify(entry),
         "coefficients": {
@@ -299,12 +298,11 @@ def _cmd_center(args: SimpleNamespace) -> int:
     prediction = center_fpdim_prediction(
         entry.data, entry.annotation, user_center_degree=args.dz, width=width
     )
-    predicted = normalize_value(prediction.predicted)
+    predicted = _value_payload(prediction.predicted, width)
     payload = {
         **_identify(entry),
-        "predicted": str(predicted)
-        if isinstance(predicted, Fraction)
-        else _value_payload(predicted, width),
+        # a rational prediction prints as its value alone
+        "predicted": predicted["value"] or predicted,
         "bound": "violated"
         if not prediction.bound_ok
         else ("equal" if not prediction.strict else "strict"),
@@ -428,12 +426,6 @@ SHARED_OPTIONS = (
         "output format (default text)",
         default="text",
         choices=("json", "text"),
-    ),
-    Option(
-        "waive-transitivity",
-        None,
-        "evaluate FPdims even on non-transitive data",
-        default=False,
     ),
 )
 

@@ -15,8 +15,8 @@ class NotFusionError(FusionError):
 
 
 class NonTransitiveError(FusionError):
-    """Frobenius-Perron machinery refused non-transitive data without an
-    explicit waiver."""
+    """Frobenius-Perron machinery refused non-transitive data, which no
+    structurally valid fusion ring is."""
 
 
 class NoRealRootError(FusionError):

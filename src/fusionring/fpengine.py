@@ -598,24 +598,17 @@ def _is_transitive(data: FusionData) -> bool:
     return check_transitivity(data).passed
 
 
-def ensure_fpdim_ready(data: FusionData, waive_transitivity: bool = False) -> None:
-    """FPdim is defined for transitive fusion data only; refuse anything else
-    unless transitivity is explicitly waived."""
+def ensure_fpdim_ready(data: FusionData) -> None:
+    """FPdim is defined for transitive fusion data only; refuse anything else.
+    Data that passes check_structural is transitive, so only unchecked data
+    can be refused."""
     if not data.is_fusion:
         raise NotFusionError("FPdim is only defined when the unit is simple")
-    if not waive_transitivity and not _is_transitive(data):
-        raise NonTransitiveError(
-            "data is not transitive; FPdim is not well-behaved there "
-            "(pass waive_transitivity=True to proceed anyway)"
-        )
+    if not _is_transitive(data):
+        raise NonTransitiveError("data is not transitive; FPdim is not well-behaved there")
 
 
-def fpdim_element(
-    x: MultisetElement,
-    *,
-    waive_transitivity: bool = False,
-    width: Optional[Fraction] = None,
-) -> AlgebraicNumber:
+def fpdim_element(x: MultisetElement, *, width: Optional[Fraction] = None) -> AlgebraicNumber:
     """Maximal nonnegative eigenvalue of the left-multiplication matrix of x,
     by perron_root: the point c when its row or column sums all equal c
     (invertible and other integral simples, mostly), else isolated by
@@ -626,7 +619,7 @@ def fpdim_element(
     For basis elements the characteristic polynomial is monic with integer
     coefficients, so the result is an algebraic integer by construction.
     """
-    ensure_fpdim_ready(x.data, waive_transitivity)
+    ensure_fpdim_ready(x.data)
     return perron_root(left_mult_matrix(x), width)
 
 
@@ -668,7 +661,7 @@ def _line_sum_root(matrix: RationalMatrix) -> Optional[Fraction]:
 PerronData = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> PerronData:
+def perron_data(data: FusionData) -> PerronData:
     """(m, W): the ring's Perron field and regular element, in integers,
     built once per ring and kept on it (FusionData._fact; the transitivity
     gate runs on every call).
@@ -681,16 +674,17 @@ def perron_data(data: FusionData, *, waive_transitivity: bool = False) -> Perron
     isolate_max_real_root's default width.  W = q(L) e_unit is the
     unnormalised Perron vector of L, each W_x a polynomial in mu of degree
     below deg m with integer coefficients.  On transitive data L is strictly
-    positive, so mu is a simple eigenvalue and W, nonzero at the unit, spans
-    its eigenspace: q = char_poly(L)/(t - mu) over K, since
-    (L - mu) q(L) = 0.  q comes from synthetic division and q(L) e_unit from
-    the integer vectors L^j e_unit.  The regular element is R = W / W_unit
-    in K = Q(mu), so every equality of R-expressions that is homogeneous in
-    R is decided on W with no inverse and no Fraction.  Raises
-    NonTransitiveError when W vanishes at the unit, which only waived
-    non-transitive data can do.
+    positive, so mu is a simple eigenvalue of p = char_poly(L) with a
+    strictly positive eigenvector, and q = p/(t - mu) over K: q(L) kills
+    every other generalised eigenspace and acts on mu's by q(mu) = p'(mu),
+    which is not 0, so W is a nonzero multiple of the Perron vector and
+    nonzero at every simple, the unit included.  Only transitive data gets
+    here (ensure_fpdim_ready).  q comes from synthetic division and
+    q(L) e_unit from the integer vectors L^j e_unit.  The regular element is
+    R = W / W_unit in K = Q(mu), so every equality of R-expressions that is
+    homogeneous in R is decided on W with no inverse and no Fraction.
     """
-    ensure_fpdim_ready(data, waive_transitivity)
+    ensure_fpdim_ready(data)
     return data._fact("perron_data", _perron_data)
 
 
@@ -717,8 +711,6 @@ def _perron_data(data: FusionData) -> PerronData:
                 for k, a in enumerate(coeff):
                     acc[k] += v * a
         krylov = [sum(map(mul, row, krylov)) for row in matrix.rows]
-    if not any(w[data.unit_index]):
-        raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")
     return m, tuple(map(tuple, w))
 
 
@@ -751,14 +743,12 @@ def field_mul(a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> tuple[int
     return field_apply(field_matrix(a, m), b)
 
 
-def perron_vector(
-    data: FusionData, *, waive_transitivity: bool = False
-) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
+def perron_vector(data: FusionData) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
     """(m, R): the regular element R = W / W_unit of perron_data, normalised
     to 1 at the unit.  Each R_X, equal to FPdim(X)/eps_X on valid data, is
     an element of K = Q[t]/(m) written as a polynomial in mu of degree below
     deg m.  A view for messages and tests; the checks read W."""
-    m, w = perron_data(data, waive_transitivity=waive_transitivity)
+    m, w = perron_data(data)
     m_poly = RationalPolynomial(m)
     inverse = _field_inverse(RationalPolynomial(w[data.unit_index]), m_poly)
     return m_poly, tuple((RationalPolynomial(c) * inverse) % m_poly for c in w)

@@ -46,17 +46,10 @@ class ExtendedElement:
             raise ValueError("coefficient vector does not match the basis")
 
 
-def regular_element(
-    data: FusionData,
-    *,
-    waive_transitivity: bool = False,
-    width: Optional[Fraction] = None,
-) -> ExtendedElement:
+def regular_element(data: FusionData, *, width: Optional[Fraction] = None) -> ExtendedElement:
     """The preferred normalization: coordinate of X is FPdim(X)/eps_X."""
     coeffs = tuple(
-        exact_mul(
-            Fraction(1, e), fpdim_element(x, waive_transitivity=waive_transitivity, width=width)
-        )
+        exact_mul(Fraction(1, e), fpdim_element(x, width=width))
         for e, x in zip(data.eps, data.simples())
     )
     return ExtendedElement(data, coeffs)
@@ -72,25 +65,16 @@ def _category_matrix_coeffs(data: FusionData) -> list[Union[int, Fraction]]:
     return s
 
 
-def fpdim_category(
-    data: FusionData,
-    *,
-    waive_transitivity: bool = False,
-    width: Optional[Fraction] = None,
-) -> AlgebraicNumber:
+def fpdim_category(data: FusionData, *, width: Optional[Fraction] = None) -> AlgebraicNumber:
     """FPdim of the regular element, computed exactly as the Perron root of
     left multiplication by s = Sum x*dual(x)/eps_x (fpengine.perron_root,
     so constant line sums give it with no char poly); `width` as in
     fpdim_element."""
-    ensure_fpdim_ready(data, waive_transitivity)
+    ensure_fpdim_ready(data)
     return perron_root(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data)), width)
 
 
-def verify_regular_eigenproperty(
-    data: FusionData,
-    *,
-    waive_transitivity: bool = False,
-) -> ValidationReport:
+def verify_regular_eigenproperty(data: FusionData) -> ValidationReport:
     """Check x * R = FPdim(x) * R for every simple x, exactly.
 
     A positive common eigenvector R of all left multiplications forces
@@ -103,17 +87,9 @@ def verify_regular_eigenproperty(
     decided with one multiplication matrix per x and no inverse.  Only a
     violation is normalised: its message prints both sides as elements of
     K, polynomials in t = FPdim(sum of simples) (rationals when K = Q).
-    Waived non-transitive data whose Perron vector vanishes at the unit
-    fails with one violation at the unit.
+    Non-transitive data raises NonTransitiveError, as in perron_data.
     """
-    try:
-        m, w = perron_data(data, waive_transitivity=waive_transitivity)
-    except NonTransitiveError as exc:
-        if not waive_transitivity:
-            raise
-        return ValidationReport.from_violations(
-            [Violation("regular_eigenproperty", (data.unit_index,), str(exc))]
-        )
+    m, w = perron_data(data)
     labels = data.labels
     r = data.rank
     d = len(m) - 1
@@ -156,15 +132,12 @@ class IntegralityCertificate:
 
 
 def certify_integrality(
-    data: FusionData,
-    *,
-    waive_transitivity: bool = False,
-    width: Optional[Fraction] = None,
+    data: FusionData, *, width: Optional[Fraction] = None
 ) -> IntegralityCertificate:
     """Minimal polynomial of FPdim of the category and whether it is monic
     with integer coefficients.  A false flag is a finding about abstract
     data, not an error: categorified data always certifies."""
-    dim = fpdim_category(data, waive_transitivity=waive_transitivity, width=width)
+    dim = fpdim_category(data, width=width)
     poly = min_poly(dim)
     return IntegralityCertificate(dim, poly, poly.has_integer_coeffs())
 

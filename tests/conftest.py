@@ -10,7 +10,7 @@ from typing import Sequence, Union
 import pytest
 
 import fusionring as fr
-from fusionring.errors import NonTransitiveError, SchemaError
+from fusionring.errors import SchemaError
 from fusionring.fileformat import parse_fusion_file
 from fusionring.fpengine import (
     AlgebraicNumber,
@@ -378,12 +378,12 @@ def dense_transitivity(data: fr.FusionData) -> list[Violation]:
 
 
 def perron_vector_oracle(
-    data: fr.FusionData, *, waive_transitivity: bool = False
+    data: fr.FusionData,
 ) -> tuple[RationalPolynomial, tuple[RationalPolynomial, ...]]:
     """(m, R): the regular element R as the Perron eigenvector of left
     multiplication L by t = Sum of all simples, normalised to 1 at the unit;
     R = q(L) e_unit, rescaled, for q = char_poly(L)/(t - mu) over K."""
-    ensure_fpdim_ready(data, waive_transitivity)
+    ensure_fpdim_ready(data)
     r = data.rank
     matrix = left_mult_matrix_from_coeffs(data, [1] * r)
     p = char_poly(matrix)
@@ -398,26 +398,14 @@ def perron_vector_oracle(
     for coeff in reversed(q):
         vec = [acc + coeff.scale(v) for acc, v in zip(vec, krylov)]
         krylov = [sum(a * v for a, v in zip(row, krylov)) for row in matrix.rows]
-    at_unit = vec[data.unit_index]
-    if at_unit.is_zero:
-        raise NonTransitiveError("the Perron vector of the sum of all simples vanishes at the unit")
-    inverse = _field_inverse(at_unit, m)
+    inverse = _field_inverse(vec[data.unit_index], m)
     return m, tuple((c * inverse) % m for c in vec)
 
 
-def eigenproperty_oracle(
-    data: fr.FusionData, *, waive_transitivity: bool = False
-) -> ValidationReport:
+def eigenproperty_oracle(data: fr.FusionData) -> ValidationReport:
     """(x R)_c == eps_x R_x R_c in K for every x and c, with R from
     perron_vector_oracle."""
-    try:
-        m, reg = perron_vector_oracle(data, waive_transitivity=waive_transitivity)
-    except NonTransitiveError as exc:
-        if not waive_transitivity:
-            raise
-        return ValidationReport.from_violations(
-            [Violation("regular_eigenproperty", (data.unit_index,), str(exc))]
-        )
+    m, reg = perron_vector_oracle(data)
     labels = data.labels
     r = data.rank
     violations: list[Violation] = []

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py refuses to pair a checkout that has bytecode under
-src/ with one that has none."""
+src/ with one that has none, or checkouts whose paths differ in length."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ _spec.loader.exec_module(bench_pairs)
 
 
 def _checkout(path: Path, bytecode: bool) -> Path:
+    path.mkdir(exist_ok=True)
     shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
     shutil.copytree(
         ROOT / "perfbench", path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__")
@@ -45,13 +46,25 @@ def test_refuses_checkouts_that_differ_in_bytecode(tmp_path, monkeypatch):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_refuses_checkout_paths_of_different_lengths(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "base", bytecode=False)
+    monkeypatch.setattr(bench_pairs, "ROOT", _checkout(tmp_path / "work2", bytecode=False))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
+    with pytest.raises(SystemExit, match="differ in length"):
+        bench_pairs.main(["--parent", str(parent), "--pairs", "1", "--out", str(tmp_path / "o.json")])
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_records_the_bytecode_state(tmp_path, monkeypatch):
-    state = bench_pairs.has_bytecode(ROOT)
-    parent = _checkout(tmp_path, bytecode=state)
+    # sibling checkouts whose names have equal length, as the tool requires
+    parent = _checkout(tmp_path / "base", bytecode=True)
+    change = _checkout(tmp_path / "work", bytecode=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
     result = {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: result)
     out = tmp_path / "o.json"
     argv = ["--parent", str(parent), "--pairs", "2", "--workload", "cli-pointed", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
-    report = json.loads(out.read_text())
-    assert report["settings"]["bytecode_under_src"] == {"parent": state, "change": state}
+    settings = json.loads(out.read_text())["settings"]
+    assert settings["bytecode_under_src"] == {"parent": True, "change": True}
+    assert settings["checkouts"] == {"parent": str(parent.resolve()), "change": str(change)}

@@ -93,11 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
     )
-    common.add_argument(
-        "--waive-transitivity",
-        action="store_true",
-        help="evaluate FPdims even on non-transitive data",
-    )
 
     parser = argparse.ArgumentParser(
         prog="fusionring",
@@ -368,13 +363,12 @@ def test_environment_does_not_change_parsing(monkeypatch):
 
 
 def test_abbreviated_and_equals_spellings():
-    args = parse_args(["fpdim", "--prec", "32", "fib", "--form=json", "--cat", "--waive"])
+    args = parse_args(["fpdim", "--prec", "32", "fib", "--form=json", "--cat"])
     assert vars(args) == {
         "command": "fpdim",
         "file": "fib",
         "precision": 32,
         "format": "json",
-        "waive_transitivity": True,
         "element": None,
         "category": True,
     }
@@ -432,8 +426,7 @@ def test_abbreviated_and_equals_spellings():
         (["fpdim", "fib", "--element", "--", "x"], "argument --element: expected one argument"),
         (["validate", "a", "b", "--", "c"], "unrecognized arguments: b c"),
         (["validate", "-x", "a", "--=x", "b"],
-         "ambiguous option: --=x could match --help, --precision, --format, "
-         "--waive-transitivity"),
+         "ambiguous option: --=x could match --help, --precision, --format"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):

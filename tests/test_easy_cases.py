@@ -172,27 +172,34 @@ def _cli(capsys, monkeypatch, argv, data):
 
 def test_rational_category_dimension_past_the_width_falls_through(capsys, monkeypatch):
     # s = 1 + g/3 + g^2/8 on Z/3: FPdim(C) = 35/24, and 24 * width > 16 at
-    # --precision 0, where the char poly path prints a cell; so does the CLI
+    # --precision 0, where the char poly path returns a cell; the CLI prints
+    # the point its linear min poly gives, as at every other precision
     data = _with_eps("vec_z3", (1, 3, 8))
     category = left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))
     assert {sum(row) for row in category.rows} == {Fraction(35, 24)}
-    common = {"algebraic_integer": False, "min_poly": ["-35/24", 1]}
+    expected = {"algebraic_integer": False, "min_poly": ["-35/24", 1],
+                "approx": "1.458333333333333", "interval": ["35/24", "35/24"], "value": "35/24"}
     # integrality exits 1 on a dimension that is not an algebraic integer
     for argv, code in ((["fpdim", "--category"], 0), (["integrality"], 1)):
-        assert _cli(capsys, monkeypatch, [*argv, "--precision", "0"], data) == (
-            code,
-            {**common, "approx": "1.296875", "interval": ["83/96", "83/48"], "value": None},
-            "",
-        )
-        assert _cli(capsys, monkeypatch, [*argv, "--precision", "64"], data) == (
-            code,
-            {**common, "approx": "1.458333333333333", "interval": ["35/24", "35/24"],
-             "value": "35/24"},
-            "",
-        )
+        for bits in ("0", "64"):
+            assert _cli(capsys, monkeypatch, [*argv, "--precision", bits], data) == (
+                code, expected, ""
+            )
     cell = fr.fpdim_category(data, width=Fraction(1))
     assert (cell.lo, cell.hi) == (Fraction(83, 96), Fraction(83, 48))
     assert fr.min_poly(cell) == P((Fraction(-35, 24), 1))
+
+
+def test_rational_center_prediction_prints_its_value(capsys, monkeypatch):
+    # the prediction (35/24)^2 scales the --precision 0 cell of FPdim(C), and
+    # prints as the rational it is, as at every other precision
+    data = _with_eps("vec_z3", (1, 3, 8))
+    annotation = fr.GaloisAnnotation(marks=(fr.GaloisMark.trivial(),) * 3)
+    for bits in ("0", "64"):
+        text = fr.emit_fusion_file(data, annotation=annotation)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_command(["center", "-", "--precision", bits, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["predicted"] == "1225/576"
 
 
 def test_rational_points_print_as_on_the_char_poly_path(capsys, monkeypatch):

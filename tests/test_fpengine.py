@@ -629,13 +629,8 @@ def test_fpdim_transitivity_gate():
     )
     with pytest.raises(fr.NonTransitiveError):
         fr.fpdim_element(broken.basis("e"))
-    waived = fr.fpdim_element(broken.basis("e"), waive_transitivity=True)
-    assert waived.value == 1
-    # the Perron vector of 1 + e is (0, 1): it vanishes at the unit, so the
-    # waived eigenproperty check fails instead of raising
     with pytest.raises(fr.NonTransitiveError):
         fr.verify_regular_eigenproperty(broken)
-    assert not fr.verify_regular_eigenproperty(broken, waive_transitivity=True).passed
 
 
 @pytest.mark.parametrize("name", FUSION_NAMES)

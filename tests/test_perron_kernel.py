@@ -83,11 +83,10 @@ def _perturbed():
 
 
 def _outcome(check, data):
-    """The result of check, waived where data is not transitive: a report
-    as its (rule, witness, message) list, or the error it raised."""
-    waive = not fr.check_transitivity(data).passed
+    """The result of check: a report as its (rule, witness, message) list,
+    or the error it raised."""
     try:
-        result = check(data, waive_transitivity=waive)
+        result = check(data)
     except FusionError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(result, fr.ValidationReport):
@@ -162,14 +161,14 @@ def test_transport_builds_perron_data_once(monkeypatch):
 
 
 def test_waiver_stays_outside_the_cache():
-    # 1 * g = 0: not transitive, yet its Perron vector is nonzero at the
-    # unit, so a waived call caches a build that must not serve an unwaived one
+    # 1 * g = 0: not transitive, so perron_data refuses it on every call and
+    # keeps no Perron data on the ring
     broken = mutate_tensor(fusion_data("vec_z2"), 0, 1, 1, -1)
     assert not fr.check_transitivity(broken).passed
     for _ in range(2):
-        fpengine.perron_data(broken, waive_transitivity=True)
         with pytest.raises(fr.NonTransitiveError, match="not transitive"):
             fpengine.perron_data(broken)
+        assert "perron_data" not in vars(broken)
 
 
 def test_perron_data_takes_integer_line_sums_without_isolating(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from conftest import (
     dense_transitivity,
     fusion_data,
     mutate_tensor,
+    relabelled,
     su2,
+    tambara_yamagami,
     tensor_product,
 )
 
@@ -248,6 +251,43 @@ def test_structural_transitive_consequence():
         data = fusion_data(name)
         if fr.check_structural(data).passed:
             assert fr.check_transitivity(data).passed
+
+
+def _rank3_rings():
+    """Every rank-3 ring on 1, a, b with unit 1 and the twelve coefficients of
+    a*a, a*b, b*a, b*b in {0, 1}, under both involutions that fix the unit."""
+    unit_row = [[int(j == k) for k in range(3)] for j in range(3)]
+    for entries in itertools.product((0, 1), repeat=12):
+        tensor = [unit_row] + [
+            [unit_row[i], list(entries[6 * i - 6:6 * i - 3]), list(entries[6 * i - 3:6 * i])]
+            for i in (1, 2)
+        ]
+        for dual in ((0, 1, 2), (0, 2, 1)):
+            yield fr.FusionData(("1", "a", "b"), n_tensor=tensor, dual=dual, eps=(1, 1, 1),
+                                endo_degree=1, unit=(0,))
+
+
+def test_structural_rings_are_transitive():
+    # x*dual(x) contains the unit, so y <= (y*dual(x))*x and y <= x*(dual(x)*y):
+    # every fusion ring that passes check_structural is transitive
+    rank3 = [data for data in _rank3_rings() if fr.check_structural(data).passed]
+    assert len(rank3) == 9
+    rings = [fusion_data(name) for name in FUSION_NAMES]
+    rings += [su2(k) for k in range(1, 6)] + [cyclic(n) for n in range(2, 7)]
+    rings += [tambara_yamagami(n) for n in range(1, 5)]
+    rings += [tensor_product(fusion_data("fib"), fusion_data("fib")),
+              tensor_product(cyclic(2), su2(2))]
+    rings += [relabelled(data, seed) for seed, data in enumerate(rings)]
+    perturbed = [
+        mutate_tensor(data, i, j, k, delta)
+        for data in rings if data.rank <= 4
+        for i, j, k in itertools.product(range(data.rank), repeat=3)
+        for delta in (-1, 1) if data.n_tensor[i][j][k] + delta >= 0
+    ]
+    valid = [data for data in perturbed if data.is_fusion and fr.check_structural(data).passed]
+    assert len(valid) >= 40
+    for data in rank3 + rings + valid:
+        assert fr.check_transitivity(data).passed, data
 
 
 def test_idempotent_search_vec_z2():

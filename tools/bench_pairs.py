@@ -15,19 +15,23 @@ After writing the file it prints one line per workload and metric: the
 parent's median, the change's median, their ratio, wins/losses, and the two
 verdicts ("-" where a verdict does not apply).
 
-Python standard library only.  Run from the root of a checkout:
+Python standard library only.  Run from the root of a checkout whose
+sibling directory holds the parent under a name of the same length, say
+work/ and base/:
 
-    python3 tools/bench_pairs.py --parent ../parent --pairs 10 --seconds 40 \\
+    python3 tools/bench_pairs.py --parent ../base --pairs 10 --seconds 40 \\
         --seed 11 --out BENCH_11.json
 
 Pair i uses seed --seed + i on both sides; even pairs run the parent first,
 odd pairs the change first.  The two checkouts must hold byte-identical
 perfbench/ directories and BENCHMARK.json, so that both sides run the same
-benchmark, and must agree on whether src/ holds .pyc files: a side with
+benchmark, must agree on whether src/ holds .pyc files (a side with
 bytecode loads it where the other compiles the source, which moves setup_s
-and peak_rss_mib.  That state is recorded in the settings.  Every run's own
-result file stays under its checkout's perfbench/out/.  --trace 1 collects
-the per-layer metrics instead.
+and peak_rss_mib), and must have resolved paths of equal length, because
+peak_rss_mib moves with the length of the checkout's path.  Both the
+bytecode state and the two paths are recorded in the settings.  Every run's
+own result file stays under its checkout's perfbench/out/.  --trace 1
+collects the per-layer metrics instead.
 """
 
 from __future__ import annotations
@@ -143,6 +147,12 @@ def main(argv: list[str]) -> int:
             f"error: only the {with_pyc} checkout has .pyc files under src/; "
             "remove them there or compile both"
         )
+    checkouts = {"parent": str(parent), "change": str(change)}
+    if len(checkouts["parent"]) != len(checkouts["change"]):
+        raise SystemExit(
+            f"error: the checkout paths {checkouts['parent']} and {checkouts['change']} "
+            "differ in length; use sibling directories whose names have equal length"
+        )
     spec = json.loads((change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -153,6 +163,7 @@ def main(argv: list[str]) -> int:
             "seeds": [args.seed + i for i in range(args.pairs)],
             "order": "parent first in even pairs, change first in odd pairs",
             "bytecode_under_src": bytecode,
+            "checkouts": checkouts,
         },
         "workloads": {},
     }
