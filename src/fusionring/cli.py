@@ -227,7 +227,7 @@ def _category_payload(args: SimpleNamespace) -> dict[str, Any]:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
-    value = fpdim_category(entry.data, width=width)
+    value = fpdim_category(entry.data)
     return _with_integrality({**_identify(entry), **_value_payload(value, width)})
 
 
@@ -241,7 +241,7 @@ def _cmd_fpdim(args: SimpleNamespace) -> int:
     width = Fraction(1, 2**args.precision)
     if args.element is not None:
         x = data.basis(args.element)
-        value = fpdim_element(x, width=width)
+        value = fpdim_element(x)
         payload = _with_integrality({
             **_identify(entry),
             "element": args.element,
@@ -251,7 +251,7 @@ def _cmd_fpdim(args: SimpleNamespace) -> int:
     else:
         elements = {}
         for label in data.labels:
-            value = fpdim_element(data.basis(label), width=width)
+            value = fpdim_element(data.basis(label))
             elements[label] = _value_payload(value, width)
         payload = {**_identify(entry), "elements": elements}
     sys.stdout.write(_render(payload, args.format))
@@ -262,12 +262,15 @@ def _cmd_regular(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
     width = Fraction(1, 2**args.precision)
-    reg = regular_element(entry.data, width=width)
+    reg = regular_element(entry.data)
     verification = verify_regular_eigenproperty(entry.data)
     payload = {
         **_identify(entry),
+        # refined to width / eps_x, FPdim(x)/eps_x prints FPdim(x)'s cell at
+        # width divided by eps_x
         "coefficients": {
-            entry.data.labels[i]: _value_payload(c, width) for i, c in enumerate(reg.coeffs)
+            label: _value_payload(c, width / e)
+            for label, c, e in zip(entry.data.labels, reg.coeffs, entry.data.eps)
         },
         "eigenproperty_passed": verification.passed,
         "violations": _report_json(verification),
@@ -285,19 +288,13 @@ def _cmd_integrality(args: SimpleNamespace) -> int:
 def _cmd_center(args: SimpleNamespace) -> int:
     entry = _load(args.file)
     _gate_structural(entry)
-    if entry.annotation is None and args.dz is None:
-        raise FusionError(
-            "input has no Galois annotation; annotate the file or pass --dz"
-        )
     if entry.annotation is None:
         raise FusionError(
-            "--dz alone is not enough: per-simple Galois marks are required "
+            "input has no Galois annotation: per-simple Galois marks are required "
             "to compute the image of the forgetful functor"
         )
     width = Fraction(1, 2**args.precision)
-    prediction = center_fpdim_prediction(
-        entry.data, entry.annotation, user_center_degree=args.dz, width=width
-    )
+    prediction = center_fpdim_prediction(entry.data, entry.annotation, user_center_degree=args.dz)
     predicted = _value_payload(prediction.predicted, width)
     payload = {
         **_identify(entry),

@@ -368,22 +368,19 @@ def _refine_on_grid(
     return Fraction(a, den), Fraction(a + g, den)
 
 
-def isolate_max_real_root(
-    p: RationalPolynomial, width: Optional[Fraction] = None
-) -> AlgebraicNumber:
+def isolate_max_real_root(p: RationalPolynomial) -> AlgebraicNumber:
     """Certified isolation of the largest real root of p.
 
     Works on the squarefree part, narrows by Sturm counts until one root
     remains above, then refines on the sign of the polynomial
-    (_refine_on_grid), down to `width` or, when width is None, to 16 over
-    the leading coefficient of the primitive integer form.  Rational roots
-    collapse to exact point intervals, which is complete at any width up to
-    that default; refine narrows the result further.  The narrowing carries
-    the sign variations at its endpoints, so each halving evaluates the
-    chain once.  A width that is not positive raises ValueError.
+    (_refine_on_grid) down to 16 over the leading coefficient of the
+    primitive integer form.  A cell that narrow holds at most 17 numerators
+    of each denominator the rational root theorem allows, so
+    rational_roots_between tries them all and a rational root collapses to
+    an exact point; refine narrows the result further.  The narrowing
+    carries the sign variations at its endpoints, so each halving evaluates
+    the chain once.
     """
-    if width is not None and width <= 0:
-        raise ValueError("target width must be positive")
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
     q = p.squarefree_part()
@@ -415,9 +412,7 @@ def isolate_max_real_root(
             lo = mid
         else:
             hi = mid
-    if width is None:
-        width = Fraction(16, chain[0][-1])
-    lo, hi = _refine_on_grid(chain[0], lo, hi, width)
+    lo, hi = _refine_on_grid(chain[0], lo, hi, Fraction(16, chain[0][-1]))
     if lo < hi:
         roots = rational_roots_between(chain[0], lo, hi)
         if roots:
@@ -608,41 +603,35 @@ def ensure_fpdim_ready(data: FusionData) -> None:
         raise NonTransitiveError("data is not transitive; FPdim is not well-behaved there")
 
 
-def fpdim_element(x: MultisetElement, *, width: Optional[Fraction] = None) -> AlgebraicNumber:
+def fpdim_element(x: MultisetElement) -> AlgebraicNumber:
     """Maximal nonnegative eigenvalue of the left-multiplication matrix of x,
     by perron_root: the point c when its row or column sums all equal c
     (invertible and other integral simples, mostly), else isolated by
-    isolate_max_real_root to `width` when given, else only as far as the
-    rational-root check needs (a rational FPdim is still a point); refine
-    narrows it.
+    isolate_max_real_root only as far as the rational-root check needs (a
+    rational FPdim is still a point); refine narrows it.
 
     For basis elements the characteristic polynomial is monic with integer
     coefficients, so the result is an algebraic integer by construction.
     """
     ensure_fpdim_ready(x.data)
-    return perron_root(left_mult_matrix(x), width)
+    return perron_root(left_mult_matrix(x))
 
 
-def perron_root(matrix: RationalMatrix, width: Optional[Fraction] = None) -> AlgebraicNumber:
+def perron_root(matrix: RationalMatrix) -> AlgebraicNumber:
     """The largest real eigenvalue of a nonnegative matrix M, as
-    isolate_max_real_root(char_poly(M), width) gives it.
+    isolate_max_real_root(char_poly(M)) gives it.
 
     When every row sum of M, or every column sum, is one number c, the
     all-ones vector is a positive eigenvector of M or of its transpose, so c
     is the Perron root (Collatz-Wielandt), and by Perron-Frobenius the
     largest real eigenvalue even of a reducible M.  Then the result is the
-    point c, defined by t - c, with no char poly.  The char poly path
-    returns a rational root of denominator d as a point whenever
-    d * width <= 16, as the default width always allows; past that, and for
-    every other matrix, it runs.  A width that is not positive raises
-    ValueError.
+    point c, defined by t - c, with no char poly, the point the char poly
+    path would collapse to.
     """
-    if width is not None and width <= 0:
-        raise ValueError("target width must be positive")
     c = _line_sum_root(matrix)
-    if c is not None and (width is None or c.denominator * width <= 16):
+    if c is not None:
         return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
-    return isolate_max_real_root(char_poly(matrix), width)
+    return isolate_max_real_root(char_poly(matrix))
 
 
 def _line_sum_root(matrix: RationalMatrix) -> Optional[Fraction]:
@@ -669,11 +658,11 @@ def perron_data(data: FusionData) -> PerronData:
     mu = FPdim(t), t = Sum of all simples, is an algebraic integer, so its
     minimal polynomial m is monic with integer coefficients (m[-1] == 1) and
     Z[mu] = Z[t]/(m).  When the line sums of left multiplication L by t
-    certify mu as an integer, as in perron_root, m = t - mu; otherwise mu is
-    isolated only as far as picking the factor m of char_poly(L) needs, at
-    isolate_max_real_root's default width.  W = q(L) e_unit is the
-    unnormalised Perron vector of L, each W_x a polynomial in mu of degree
-    below deg m with integer coefficients.  On transitive data L is strictly
+    certify mu as an integer, as in perron_root, m = t - mu; otherwise
+    isolate_max_real_root isolates mu, which is as far as picking the factor
+    m of char_poly(L) needs.  W = q(L) e_unit is the unnormalised Perron
+    vector of L, each W_x a polynomial in mu of degree below deg m with
+    integer coefficients.  On transitive data L is strictly
     positive, so mu is a simple eigenvalue of p = char_poly(L) with a
     strictly positive eigenvector, and q = p/(t - mu) over K: q(L) kills
     every other generalised eigenspace and acts on mu's by q(mu) = p'(mu),

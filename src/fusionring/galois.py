@@ -300,7 +300,6 @@ def center_fpdim_prediction(
     annotation: GaloisAnnotation,
     *,
     user_center_degree: Optional[int] = None,
-    width: Optional[Fraction] = None,
 ) -> CenterPrediction:
     """Evaluate (d_Z/d) FPdim(im F) FPdim(C) and certify the inequality
     against FPdim(C)^2.  No center data is constructed; this is the
@@ -308,13 +307,12 @@ def center_fpdim_prediction(
 
     FPdim(C) > 0, so the bound is decided as ratio = (d_Z/d) FPdim(im F)
     against FPdim(C), and FPdim(C)^2 is never formed; only the predicted
-    product goes through exact_mul (and its degree cap).  `width` is passed
-    to fpdim_category."""
+    product goes through exact_mul (and its degree cap)."""
     ensure_fpdim_ready(data)
     image = galois_trivial_subring(data, annotation)
     d_z = center_endo_degree(data, annotation, user_center_degree)
-    fp_cat = fpdim_category(data, width=width)
-    ratio = exact_mul(Fraction(d_z, data.endo_degree), fpdim_category(image, width=width))
+    fp_cat = fpdim_category(data)
+    ratio = exact_mul(Fraction(d_z, data.endo_degree), fpdim_category(image))
     cmp = exact_cmp(ratio, fp_cat)
     all_trivial = all(annotation.is_trivial(i) for i in range(data.rank))
     return CenterPrediction(

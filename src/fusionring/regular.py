@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .core import FusionData, dual_element, is_int, multiply
 from .errors import InconsistentDataError, NonTransitiveError
@@ -46,11 +46,10 @@ class ExtendedElement:
             raise ValueError("coefficient vector does not match the basis")
 
 
-def regular_element(data: FusionData, *, width: Optional[Fraction] = None) -> ExtendedElement:
+def regular_element(data: FusionData) -> ExtendedElement:
     """The preferred normalization: coordinate of X is FPdim(X)/eps_X."""
     coeffs = tuple(
-        exact_mul(Fraction(1, e), fpdim_element(x, width=width))
-        for e, x in zip(data.eps, data.simples())
+        exact_mul(Fraction(1, e), fpdim_element(x)) for e, x in zip(data.eps, data.simples())
     )
     return ExtendedElement(data, coeffs)
 
@@ -65,13 +64,12 @@ def _category_matrix_coeffs(data: FusionData) -> list[Union[int, Fraction]]:
     return s
 
 
-def fpdim_category(data: FusionData, *, width: Optional[Fraction] = None) -> AlgebraicNumber:
+def fpdim_category(data: FusionData) -> AlgebraicNumber:
     """FPdim of the regular element, computed exactly as the Perron root of
     left multiplication by s = Sum x*dual(x)/eps_x (fpengine.perron_root,
-    so constant line sums give it with no char poly); `width` as in
-    fpdim_element."""
+    so constant line sums give it with no char poly)."""
     ensure_fpdim_ready(data)
-    return perron_root(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data)), width)
+    return perron_root(left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data)))
 
 
 def verify_regular_eigenproperty(data: FusionData) -> ValidationReport:
@@ -131,13 +129,11 @@ class IntegralityCertificate:
     is_algebraic_integer: bool
 
 
-def certify_integrality(
-    data: FusionData, *, width: Optional[Fraction] = None
-) -> IntegralityCertificate:
+def certify_integrality(data: FusionData) -> IntegralityCertificate:
     """Minimal polynomial of FPdim of the category and whether it is monic
     with integer coefficients.  A false flag is a finding about abstract
     data, not an error: categorified data always certifies."""
-    dim = fpdim_category(data, width=width)
+    dim = fpdim_category(data)
     poly = min_poly(dim)
     return IntegralityCertificate(dim, poly, poly.has_integer_coeffs())
 

@@ -156,7 +156,7 @@ def test_criterion_8_property_suites():
         assert fr.verify_regular_eigenproperty(data).passed
 
     dims = {
-        name: [fr.fpdim_element(data.basis(i), width=WIDTH) for i in range(data.rank)]
+        name: [fr.refine(fr.fpdim_element(data.basis(i)), WIDTH) for i in range(data.rank)]
         for name, data in fixtures.items()
     }
 
@@ -174,8 +174,8 @@ def test_criterion_8_property_suites():
     for name, data in fixtures.items():
         for i in range(data.rank):
             for j in range(data.rank):
-                product_dim = fr.fpdim_element(
-                    fr.multiply(data.basis(i), data.basis(j)), width=WIDTH
+                product_dim = fr.refine(
+                    fr.fpdim_element(fr.multiply(data.basis(i), data.basis(j))), WIDTH
                 )
                 lhs, x, y = dims[name][i], dims[name][j], product_dim
                 if lhs.is_point and x.is_point and y.is_point:

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py refuses to pair a checkout that has bytecode under
-src/ with one that has none, or checkouts whose paths differ in length."""
+src/ with one that has none, or checkouts whose paths differ in length, and
+calls a bound unresolved when the parent's runs spread wider than it."""
 
 from __future__ import annotations
 
@@ -68,3 +69,28 @@ def test_records_the_bytecode_state(tmp_path, monkeypatch):
     settings = json.loads(out.read_text())["settings"]
     assert settings["bytecode_under_src"] == {"parent": True, "change": True}
     assert settings["checkouts"] == {"parent": str(parent.resolve()), "change": str(change)}
+
+
+def _pairs(parent, change):
+    return [
+        ({"metrics": {"wall_s": {"value": p, "unit": "s"}}},
+         {"metrics": {"wall_s": {"value": c, "unit": "s"}}})
+        for p, c in zip(parent, change)
+    ]
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # quartile distance 0.4 against an allowed 0.25 * 1.0: too wide to tell
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [0.7, 0.9, 1.0, 1.3, 1.5], "unresolved"),
+    # quartile distance 1.0 against 0.25 * 2.0, but every change run reads
+    # better than every parent run
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.6, 0.7, 0.8, 0.9], True),
+    # narrow spread: the bound decides, both ways
+    ([0.98, 0.99, 1.0, 1.01, 1.02], [1.08, 1.09, 1.1, 1.11, 1.12], True),
+    ([0.98, 0.99, 1.0, 1.01, 1.02], [1.28, 1.29, 1.3, 1.31, 1.32], False),
+])
+def test_within_bound_is_unresolved_when_the_parent_spreads_wider(parent, change, verdict):
+    summary = bench_pairs.summarize(_pairs(parent, change), {"wall_s": "lower"}, {"wall_s": 0.25})
+    entry = summary["wall_s"]
+    assert entry["within_bound"] == verdict and type(entry["within_bound"]) is type(verdict)
+    assert f"within_bound {verdict}" in bench_pairs.summary_line("cli-pointed", "wall_s", entry)

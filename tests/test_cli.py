@@ -90,9 +90,15 @@ def test_center_gal7(capsys):
 
 
 def test_center_requires_annotation(capsys):
-    code, _, err = run(capsys, "center", "fib")
-    assert code == 1
-    assert "annotation" in err
+    # --dz cannot stand in for the per-simple Galois marks, and the message
+    # does not suggest it
+    messages = set()
+    for argv in (["center", "fib"], ["center", "fib", "--dz", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "annotation" in err and "--dz" not in err
+        messages.add(err)
+    assert len(messages) == 1
 
 
 def test_center_dz_flag(capsys):
@@ -167,6 +173,28 @@ def test_regular_command(capsys):
     assert doc["coefficients"]["1"]["value"] == "1"
     assert doc["coefficients"]["v"]["value"] == "1"
     assert doc["eigenproperty_passed"] is True
+
+
+def test_regular_prints_the_fpdim_interval_divided_by_eps(capsys, tmp_path):
+    # rep_f2_z3 x Fib has eps (1, 1, 2, 2) and FPdims 1, phi, 2, 2 phi; the
+    # coefficient FPdim(x)/eps_x prints FPdim(x)'s cell at the precision,
+    # divided by eps_x, also for v.x, where a cell at the precision itself
+    # would be coarser
+    data = tensor_product(fr.get_builtin("rep_f2_z3").data, fr.get_builtin("fib").data)
+    assert data.eps == (1, 1, 2, 2)
+    path = tmp_path / "rep_f2_z3xfib.json"
+    path.write_text(fr.emit_fusion_file(data, name="rep_f2_z3xfib"))
+    for bits in ("0", "8", "64"):
+        _, regular, _ = run_json(capsys, "regular", str(path), "--precision", bits)
+        _, fpdim, _ = run_json(capsys, "fpdim", str(path), "--precision", bits)
+        irrational_halves = []
+        for label, e in zip(data.labels, data.eps):
+            got = [Fraction(v) for v in regular["coefficients"][label]["interval"]]
+            dim = [Fraction(v) for v in fpdim["elements"][label]["interval"]]
+            assert got == [v / e for v in dim], (label, bits)
+            if e == 2 and dim[0] < dim[1]:
+                irrational_halves.append(label)
+        assert irrational_halves == ["v.x"]
 
 
 def test_integrality_command(capsys):
@@ -310,11 +338,37 @@ def _without_intervals(doc):
     return doc
 
 
+def _irrational_payloads(doc):
+    """Every value payload in doc printed with "value": null, at any depth."""
+    if isinstance(doc, dict):
+        if "value" in doc and doc["value"] is None:
+            yield doc
+        else:
+            for v in doc.values():
+                yield from _irrational_payloads(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _irrational_payloads(v)
+
+
+def _assert_certified_at(payload, bits):
+    """The printed interval is at most 2^-bits wide, and the printed min poly
+    changes sign across it."""
+    lo, hi = (Fraction(v) for v in payload["interval"])
+    assert 0 < hi - lo <= Fraction(1, 2 ** int(bits)), (payload, bits)
+    coeffs = [Fraction(c) for c in payload["min_poly"]]
+
+    def value(x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    assert value(lo) * value(hi) < 0, (payload, bits)
+
+
 def test_precision_moves_only_intervals(capsys, tmp_path):
     # every exact decision is taken at the width certification needs, so a
-    # coarse --precision changes no exit code and no value but the intervals;
-    # FPdim(C) = 35/24 of z3_eps138 is a cell at --precision 0, yet prints as
-    # the rational it is
+    # coarse --precision changes no exit code and no value but the intervals,
+    # and every irrational value prints an interval certified at the
+    # precision; FPdim(C) = 35/24 of z3_eps138 prints as the rational it is
     fib, gal7 = fr.get_builtin("fib").data, fr.get_builtin("gal7")
     generated = {
         "su2_3": (su2(3), None),
@@ -328,7 +382,7 @@ def test_precision_moves_only_intervals(capsys, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(fr.emit_fusion_file(data, name=name, annotation=annotation))
         inputs.append((str(path), annotation))
-    centers = 0
+    centers = irrational_predictions = 0
     for arg, annotation in inputs:
         variants = [["fpdim"], ["fpdim", "--category"], ["regular"], ["integrality"]]
         if annotation is not None:
@@ -336,11 +390,18 @@ def test_precision_moves_only_intervals(capsys, tmp_path):
             centers += 1
         for variant in variants:
             code, doc, _ = run_json(capsys, *variant, arg, "--precision", "64")
+            for payload in _irrational_payloads(doc):
+                _assert_certified_at(payload, "64")
+            if variant == ["center"]:
+                irrational_predictions += isinstance(doc["predicted"], dict)
             for bits in ("0", "3", "8"):
                 got_code, got, _ = run_json(capsys, *variant, arg, "--precision", bits)
                 assert got_code == code, (variant, arg, bits)
                 assert _without_intervals(got) == _without_intervals(doc), (variant, arg, bits)
+                for payload in _irrational_payloads(got):
+                    _assert_certified_at(payload, bits)
     assert centers == 4  # the annotated builtins and gal7xfib
+    assert irrational_predictions == 1  # gal7xfib
 
 
 @pytest.mark.parametrize("bits", ["-1", str(MAX_PRECISION_BITS + 1), "many"])

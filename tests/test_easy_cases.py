@@ -28,6 +28,7 @@ from fusionring.fpengine import (
     isolate_max_real_root,
     left_mult_matrix_from_coeffs,
     perron_root,
+    refine,
 )
 from fusionring.poly import RationalPolynomial as P
 from fusionring.regular import _category_matrix_coeffs
@@ -65,8 +66,10 @@ def _matrices(data):
 
 
 def _assert_as_char_poly_path(matrix, width):
-    got = perron_root(matrix, width)
-    expected = isolate_max_real_root(char_poly(matrix), width)
+    got = perron_root(matrix)
+    expected = isolate_max_real_root(char_poly(matrix))
+    if width is not None:
+        got, expected = refine(got, width), refine(expected, width)
     assert (got.lo, got.hi) == (expected.lo, expected.hi)
     if got.is_point:
         assert got.poly in (expected.poly, P((-got.value, 1)))
@@ -121,8 +124,7 @@ def _random_matrices():
         # upper block triangular with every row sum k + 1
         yield [row + [1] for row in m] + [[0] * n + [k + 1]]
     yield [[0] * 4 for _ in range(4)]
-    # Perron root 18/17, and 17 * width > 16 at width 1, where the char poly
-    # path prints [1, 2]
+    # Perron root 18/17, a point on both paths
     yield [[1, Fraction(1, 17)], [Fraction(1, 17), 1]]
     yield [[2, -1], [-1, 2]]  # row sums 1, but the largest eigenvalue is 3
     yield [[0, 3, -1], [1, 1, 0], [2, 0, 0]]
@@ -171,9 +173,8 @@ def _cli(capsys, monkeypatch, argv, data):
 
 
 def test_rational_category_dimension_past_the_width_falls_through(capsys, monkeypatch):
-    # s = 1 + g/3 + g^2/8 on Z/3: FPdim(C) = 35/24, and 24 * width > 16 at
-    # --precision 0, where the char poly path returns a cell; the CLI prints
-    # the point its linear min poly gives, as at every other precision
+    # s = 1 + g/3 + g^2/8 on Z/3: FPdim(C) = 35/24, a point at every
+    # --precision, from the library as from the CLI
     data = _with_eps("vec_z3", (1, 3, 8))
     category = left_mult_matrix_from_coeffs(data, _category_matrix_coeffs(data))
     assert {sum(row) for row in category.rows} == {Fraction(35, 24)}
@@ -185,14 +186,13 @@ def test_rational_category_dimension_past_the_width_falls_through(capsys, monkey
             assert _cli(capsys, monkeypatch, [*argv, "--precision", bits], data) == (
                 code, expected, ""
             )
-    cell = fr.fpdim_category(data, width=Fraction(1))
-    assert (cell.lo, cell.hi) == (Fraction(83, 96), Fraction(83, 48))
-    assert fr.min_poly(cell) == P((Fraction(-35, 24), 1))
+    dim = fr.fpdim_category(data)
+    assert dim.is_point and dim.value == Fraction(35, 24)
 
 
 def test_rational_center_prediction_prints_its_value(capsys, monkeypatch):
-    # the prediction (35/24)^2 scales the --precision 0 cell of FPdim(C), and
-    # prints as the rational it is, as at every other precision
+    # the prediction (35/24)^2 prints as the rational it is at every
+    # precision
     data = _with_eps("vec_z3", (1, 3, 8))
     annotation = fr.GaloisAnnotation(marks=(fr.GaloisMark.trivial(),) * 3)
     for bits in ("0", "64"):
@@ -203,8 +203,7 @@ def test_rational_center_prediction_prints_its_value(capsys, monkeypatch):
 
 
 def test_rational_points_print_as_on_the_char_poly_path(capsys, monkeypatch):
-    # 17 * width > 16 at --precision 0, and the char poly path lands on the
-    # root: a point either way
+    # FPdim(C) = 18/17 prints as its point at --precision 0
     data = _with_eps("vec_z2", (1, 17))
     code, out, _ = _cli(capsys, monkeypatch, ["fpdim", "--category", "--precision", "0"], data)
     assert code == 0 and out["value"] == "18/17" and out["interval"] == ["18/17", "18/17"]

@@ -234,7 +234,7 @@ def test_isolate_rational_roots_collapse():
 
 
 def test_isolate_golden_ratio():
-    alpha = fr.isolate_max_real_root(P((-1, -1, 1)), width=Fraction(1, 2**64))
+    alpha = fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), Fraction(1, 2**64))
     assert not alpha.is_point
     assert alpha.width <= Fraction(1, 2**64)
     # the 30-digit independent enclosure is far narrower than the interval,
@@ -258,19 +258,6 @@ def _small_rings() -> dict[str, fr.FusionData]:
 
 
 SMALL_RINGS = _small_rings()
-REFINE_WIDTHS = [Fraction(1), Fraction(1, 2**8), Fraction(1, 2**64), Fraction(1, 2**200)]
-
-
-@pytest.mark.parametrize("name", sorted(SMALL_RINGS))
-def test_default_width_refines_to_the_explicit_width(name):
-    # without a width the bisection stops at 16 over the leading coefficient
-    # (here 1 or 2, so above every width below) on the same dyadic grid, so
-    # refining afterwards lands on the cell an explicit width bisects to
-    data = SMALL_RINGS[name]
-    for width in REFINE_WIDTHS:
-        for x in data.simples():
-            assert fr.refine(fr.fpdim_element(x), width) == fr.fpdim_element(x, width=width)
-        assert fr.refine(fr.fpdim_category(data), width) == fr.fpdim_category(data, width=width)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_RINGS))
@@ -328,7 +315,7 @@ def test_isolate_rational_fuzz():
 
 
 def test_refine_properties():
-    phi = fr.isolate_max_real_root(P((-1, -1, 1)), width=Fraction(1, 4))
+    phi = fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), Fraction(1, 4))
     tight = fr.refine(phi, Fraction(1, 10**12))
     assert tight.width <= Fraction(1, 10**12)
     assert phi.lo <= tight.lo and tight.hi <= phi.hi  # nesting, root never lost
@@ -342,7 +329,7 @@ def test_refine_properties():
 
 def test_refinement_agreement_randomized():
     rng = random.Random(41)
-    phi = fr.isolate_max_real_root(P((-1, -1, 1)), width=Fraction(1, 2))
+    phi = fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), Fraction(1, 2))
     lo, hi = golden_ratio_bounds(40)
     for _ in range(20):
         width = Fraction(1, 2 ** rng.randint(3, 90))
@@ -352,14 +339,14 @@ def test_refinement_agreement_randomized():
 
 
 def test_reisolation_agreement_randomized():
-    # isolating from scratch at random widths always lands on the same root:
+    # isolating and refining to random widths always lands on the same root:
     # every pair of certified intervals overlaps, and refinement of one stays
-    # inside any fresh isolation of the other
+    # inside any other
     rng = random.Random(97)
     polys = [P((-1, -1, 1)), P((5, -5, 1)), P((1, 0, -10, 0, 1))]
     for p in polys:
         isolations = [
-            fr.isolate_max_real_root(p, width=Fraction(1, 2 ** rng.randint(2, 80)))
+            fr.refine(fr.isolate_max_real_root(p), Fraction(1, 2 ** rng.randint(2, 80)))
             for _ in range(6)
         ]
         for a in isolations:
@@ -449,9 +436,11 @@ def test_isolation_and_refinement_match_fraction_bisection():
     polys.update((P((-3, 8)) * P((5, 1)), P((-5, 16)) * P((-2, 0, 1)), P((1, 4)) * P((-1, 0, 1))))
     for p in sorted(polys, key=lambda p: p.coeffs):
         for width in BISECTION_WIDTHS:
-            alpha = fr.isolate_max_real_root(p, width)
+            alpha = fr.refine(fr.isolate_max_real_root(p), width)
             assert (alpha.lo, alpha.hi) == _reference_isolate(p, width), (p, width)
-        _assert_refines_like_bisection(fr.isolate_max_real_root(p, Fraction(1)), BISECTION_WIDTHS)
+        _assert_refines_like_bisection(
+            fr.refine(fr.isolate_max_real_root(p), Fraction(1)), BISECTION_WIDTHS
+        )
     # refinement that collapses onto a dyadic root: 3/8 after three halvings
     for root, lo, hi in ((Fraction(3, 8), 0, 1), (Fraction(-5, 16), -1, 0), (Fraction(1, 2), 0, 1)):
         alpha = fr.AlgebraicNumber(P((-root, 1)), Fraction(lo), Fraction(hi))
@@ -469,7 +458,7 @@ def test_refinement_matches_bisection_when_the_secant_misses():
     d = Fraction(1, 2**10)
     cluster = P((-2, 0, 1)) * P((-(2 - d), 0, 1)) * P((-(2 - 2 * d), 0, 1)) * P((-(2 + d), 0, 1))
     steep = fr.AlgebraicNumber(P((-2,) + (0,) * 31 + (1,)), Fraction(0), Fraction(2))
-    for alpha in (fr.isolate_max_real_root(cluster, Fraction(1)), steep):
+    for alpha in (fr.refine(fr.isolate_max_real_root(cluster), Fraction(1)), steep):
         _assert_refines_like_bisection(alpha, BISECTION_WIDTHS)
 
 
@@ -482,7 +471,7 @@ def test_refinement_returns_a_deep_dyadic_root_as_a_point():
     _assert_refines_like_bisection(alpha, widths)
     assert not fr.refine(alpha, Fraction(1, 2**39)).is_point
     assert fr.refine(alpha, Fraction(1, 2**40)).value == root
-    below = fr.isolate_max_real_root(P((-root, 1)) * P((3, 1)), Fraction(1, 2**64))
+    below = fr.refine(fr.isolate_max_real_root(P((-root, 1)) * P((3, 1))), Fraction(1, 2**64))
     assert below.is_point and below.value == root
     # on [0, 1] the secant picks the grid point 1, and the point that
     # certifies the subcell next to it is the root 1/2
@@ -498,10 +487,10 @@ def test_refinement_stops_at_bisections_level_for_any_width():
     # at the level where bisection would stop
     widths = [Fraction(3, 2**70), Fraction(5, 7), Fraction(7, 2**300), Fraction(3, 10**100)]
     for p in (P((-1, -1, 1)), P((-2, 0, 0, 1)), P((1, 0, -10, 0, 1))):
-        alpha = fr.isolate_max_real_root(p, Fraction(1))
+        alpha = fr.refine(fr.isolate_max_real_root(p), Fraction(1))
         _assert_refines_like_bisection(alpha, widths)
         for width in widths:
-            isolated = fr.isolate_max_real_root(p, width)
+            isolated = fr.refine(fr.isolate_max_real_root(p), width)
             assert (isolated.lo, isolated.hi) == _reference_isolate(p, width), (p, width)
 
 
@@ -516,7 +505,7 @@ def test_refinement_to_1024_bits_takes_few_evaluations(monkeypatch):
         evaluations.append(num)
         return homogeneous_value(f, num, den)
 
-    phi = fr.isolate_max_real_root(P((-1, -1, 1)), Fraction(1))
+    phi = fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), Fraction(1))
     monkeypatch.setattr(fpengine, "homogeneous_value", counting)
     refined = fr.refine(phi, Fraction(1, 2**1024))
     assert refined.width <= Fraction(1, 2**1024)
@@ -524,20 +513,7 @@ def test_refinement_to_1024_bits_takes_few_evaluations(monkeypatch):
 
 
 WIDTH_ENTRY_POINTS = {
-    "isolate_max_real_root": lambda w: fr.isolate_max_real_root(P((-1, -1, 1)), w),
     "refine": lambda w: fr.refine(fr.isolate_max_real_root(P((-1, -1, 1))), w),
-    "fpdim_element": lambda w: fr.fpdim_element(fusion_data("fib").basis(1), width=w),
-    "regular_element": lambda w: fr.regular_element(fusion_data("fib"), width=w),
-    "fpdim_category": lambda w: fr.fpdim_category(fusion_data("fib"), width=w),
-    "certify_integrality": lambda w: fr.certify_integrality(fusion_data("fib"), width=w),
-    "center_fpdim_prediction": lambda w: fr.center_fpdim_prediction(
-        fr.get_builtin("gal7").data, fr.get_builtin("gal7").annotation, width=w
-    ),
-    # pointed data, whose Perron roots the line sums certify
-    "fpdim_element-z3-simple": lambda w: fr.fpdim_element(fusion_data("vec_z3").basis(1), width=w),
-    "fpdim_element-z3-unit": lambda w: fr.fpdim_element(fusion_data("vec_z3").one(), width=w),
-    "fpdim_category-z3": lambda w: fr.fpdim_category(fusion_data("vec_z3"), width=w),
-    "certify_integrality-z3": lambda w: fr.certify_integrality(fusion_data("vec_z3"), width=w),
 }
 
 
@@ -637,7 +613,7 @@ def test_fpdim_transitivity_gate():
 def test_conjugate_moduli_dominated(name):
     data = fusion_data(name)
     for i in range(data.rank):
-        dim = fr.fpdim_element(data.basis(i), width=Fraction(1, 10**12))
+        dim = fr.refine(fr.fpdim_element(data.basis(i)), Fraction(1, 10**12))
         poly = fr.min_poly(dim)
         roots = np.roots(np.array([float(c) for c in reversed(poly.coeffs)]))
         assert max(abs(roots)) <= float(fr.refine(dim, Fraction(1, 10**12)).hi) + 1e-9

@@ -69,10 +69,10 @@ def test_fpdim_category_fib():
 
 def test_fib_cross_route():
     data = fusion_data("fib")
-    dim = fr.fpdim_category(data, width=WIDTH)
+    dim = fr.refine(fr.fpdim_category(data), WIDTH)
     total = (Fraction(0), Fraction(0))
     for i in range(data.rank):
-        d = fr.fpdim_element(data.basis(i), width=WIDTH)
+        d = fr.refine(fr.fpdim_element(data.basis(i)), WIDTH)
         iv = as_interval(d, WIDTH)
         total = iv_add(total, iv_scale(iv_mul(iv, iv), Fraction(1, data.eps[i])))
     assert iv_separation(total, as_interval(dim, WIDTH)) <= TOL
@@ -81,10 +81,10 @@ def test_fib_cross_route():
 @pytest.mark.parametrize("name", FUSION_NAMES)
 def test_two_route_consistency(name):
     data = fusion_data(name)
-    matrix_route = as_interval(fr.fpdim_category(data, width=WIDTH), WIDTH)
+    matrix_route = as_interval(fr.refine(fr.fpdim_category(data), WIDTH), WIDTH)
     summation = (Fraction(0), Fraction(0))
     for i in range(data.rank):
-        iv = as_interval(fr.fpdim_element(data.basis(i), width=WIDTH), WIDTH)
+        iv = as_interval(fr.refine(fr.fpdim_element(data.basis(i)), WIDTH), WIDTH)
         summation = iv_add(summation, iv_scale(iv_mul(iv, iv), Fraction(1, data.eps[i])))
     assert iv_separation(matrix_route, summation) <= TOL
 

@@ -9,7 +9,10 @@ and two verdicts:
   medians differ, in the change's favour, by more than the distance between
   the parent's quartiles;
 - within_bound: the change's median is worse than the parent's by no more
-  than the metric's bound in BENCHMARK.json (end-to-end metrics only).
+  than the metric's bound in BENCHMARK.json (end-to-end metrics only), or
+  "unresolved" when the parent's runs spread too widely to tell: their
+  quartile distance q3 - q1 exceeds the bound times their median, and some
+  change run does not read better than every parent run.
 
 After writing the file it prints one line per workload and metric: the
 parent's median, the change's median, their ratio, wins/losses, and the two
@@ -107,7 +110,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
             "gain_shown": wins >= 0.9 * len(pairs) and gain > pq[2] - pq[0],
         }
         if metric in bounds:
-            entry["within_bound"] = -gain <= bounds[metric] * abs(pq[1])
+            allowed = bounds[metric] * abs(pq[1])
+            separated = all(sign * (c - p) > 0 for c in change for p in parent)
+            if pq[2] - pq[0] > allowed and not separated:
+                entry["within_bound"] = "unresolved"
+            else:
+                entry["within_bound"] = -gain <= allowed
         out[metric] = entry
     return out
 
