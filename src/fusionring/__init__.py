@@ -41,7 +41,6 @@ from .errors import (
 )
 from .catalog import FixtureEntry, get_builtin, list_builtins, vec_group
 from .fileformat import (
-    ParsedFile,
     emit_entry,
     emit_fusion_file,
     emit_morphism_file,

@@ -3,7 +3,7 @@
 Over the reals, a simple object's endomorphism algebra is R, C, or H, and
 products of simples split according to the tensor table of those division
 algebras.  The table is specific to base field R (the only base field with a
-finite classification); anything else is rejected rather than invented.
+finite classification), the one base field a description has.
 
 Products are object-level only: distributing fusion coefficients across
 split summands needs categorical data the semiring does not carry.
@@ -35,7 +35,6 @@ class SemisimpleDesc:
     simples with their division types.  No tensor structure."""
 
     simples: tuple[tuple[str, DivisionType], ...]
-    base_field: str = "R"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "simples", tuple(tuple(s) for s in self.simples))
@@ -82,12 +81,6 @@ class ProductSimple:
 def deligne_product(a: SemisimpleDesc, b: SemisimpleDesc) -> tuple[ProductSimple, ...]:
     """Object-level decomposition of the product of two descriptions, with
     generated labels; output order and labels are deterministic."""
-    for desc in (a, b):
-        if desc.base_field != "R":
-            raise ValueError(
-                f"only base field R is supported for division-type products, "
-                f"got {desc.base_field!r}"
-            )
     out: list[ProductSimple] = []
     for label_a, type_a in a.simples:
         for label_b, type_b in b.simples:

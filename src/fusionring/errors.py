@@ -46,7 +46,5 @@ class ResourceLimitError(FusionError):
 
 class UnrepresentableError(FusionError):
     """An exact result would need number-field arithmetic outside the
-    supported constructions: rational scaling, and companion Kronecker
-    products up to degree fpengine.MAX_PRODUCT_DEGREE, which also bounds the
-    scalar of the adjoint-formula check (FPdim transport forms no products).
-    """
+    supported constructions: rational scaling, and products and reciprocals
+    of positive values only."""

@@ -12,7 +12,8 @@ that occur here), lift the modular factors with multifactor Hensel lifting
 past the Mignotte coefficient bound, then recombine by exhaustive subset
 search.  No degree is capped here: the characteristic polynomials of
 left-multiplication matrices have degree up to the semiring rank, and the
-products built by fpengine.mul_algebraic up to fpengine.MAX_PRODUCT_DEGREE.
+products built by fpengine.mul_algebraic up to the product of their
+factors' degrees.
 Berlekamp and Hensel lifting are polynomial in the degree; the subset
 search is exponential in the number of modular factors, and gives up with
 ResourceLimitError past MAX_RECOMBINATION_SUBSETS subsets.

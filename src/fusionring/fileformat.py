@@ -44,17 +44,12 @@ from .galois import FiniteGroup, GaloisAnnotation, GaloisMark
 from .morphisms import SemiringMorphism
 
 __all__ = [
-    "ParsedFile",
     "parse_fusion_file",
     "emit_fusion_file",
     "emit_entry",
     "emit_morphism_file",
     "parse_morphism_file",
 ]
-
-
-#: what parse_fusion_file returns, under its older name
-ParsedFile = FixtureEntry
 
 
 def _expect(condition: Any, message: str, *args: Any) -> None:

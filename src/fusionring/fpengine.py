@@ -87,11 +87,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(a * b for a in row for b in o) for row in self.rows for o in other.rows)
-        )
-
 
 def left_mult_matrix(x: MultisetElement) -> RationalMatrix:
     """Matrix of left multiplication by x in the basis of simples; column j
@@ -475,8 +470,8 @@ def normalize_value(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
 
 def exact_mul(a: Union[Rat, AlgebraicNumber], b: Union[Rat, AlgebraicNumber]) -> ExactValue:
     """Exact product.  Rational times algebraic is a root rescaling; a
-    genuinely irrational product goes through the companion Kronecker
-    construction in mul_algebraic."""
+    genuinely irrational product goes through the composed product in
+    mul_algebraic."""
     a, b = normalize_value(a), normalize_value(b)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
@@ -507,42 +502,46 @@ def exact_cmp(a: Union[Rat, AlgebraicNumber], b: Union[Rat, AlgebraicNumber]) ->
     return -1 if x.hi < y.lo else 1
 
 
-def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
-    """Companion matrix of a monic polynomial; char_poly(companion(p)) = p."""
-    if not p.is_monic or p.degree < 1:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    n = p.degree
-    rows = []
-    for i in range(n):
-        row: list[Rat] = [0] * n
-        if i > 0:
-            row[i - 1] = 1
-        row[n - 1] = -p.coeffs[i]
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows))
+def _power_sums(p: RationalPolynomial, n: int) -> list[Rat]:
+    """s_0 .. s_n, s_k the sum of the k-th powers of the roots of monic p, by
+    Newton's identities s_k = -(k a_k + sum_{0<i<k} a_i s_{k-i}), a_i the
+    coefficient of t^(d-i) (0 past d)."""
+    d = p.degree
+    a = p.coeffs[::-1] + (0,) * n
+    s: list[Rat] = [d]
+    for k in range(1, n + 1):
+        s.append(-(k * a[k] + sum(a[i] * s[k - i] for i in range(1, min(k, d + 1)))))
+    return s
 
 
-#: largest degree of the companion Kronecker construction in mul_algebraic
-MAX_PRODUCT_DEGREE = 16
+def _composed_product(pa: RationalPolynomial, pb: RationalPolynomial) -> RationalPolynomial:
+    """prod (t - alpha beta) over the roots alpha of monic pa and beta of pb,
+    that is char_poly of the Kronecker product of their companion matrices.
+    The power sums of the products are s_k(alpha) s_k(beta), and Newton's
+    identities give back the coefficients, exactly in Q (Bostan, Flajolet,
+    Salvy and Schost, "Fast computation of special resultants", 2006)."""
+    n = pa.degree * pb.degree
+    s = list(map(mul, _power_sums(pa, n), _power_sums(pb, n)))
+    c: list[Rat] = [1]  # c[k]: the coefficient of t^(n-k)
+    for k in range(1, n + 1):
+        c.append(rat(Fraction(-sum(c[i] * s[k - i] for i in range(k)), k)))
+    return RationalPolynomial(c[::-1])
 
 
 def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
-    """Exact product of two positive algebraic numbers.
+    """Exact product of two positive algebraic numbers; a point factor is a
+    rational scaling (exact_mul).
 
-    The product is a root of the characteristic polynomial of the Kronecker
-    product of the companion matrices of the minimal polynomials; the
-    isolating interval is the product interval, refined until it certifies a
-    single root.  Degree of the construction is capped: sums and products of
-    large unrelated fields are out of scope.
+    The product is a root of the composed product of the minimal
+    polynomials; the isolating interval is the product interval, refined
+    until it certifies a single root.  No degree is capped: the cost grows
+    with deg(a) deg(b), the degree of the composed product.
     """
+    if a.is_point or b.is_point:
+        return exact_mul(a, b)
     if a.cmp_rational(0) <= 0 or b.cmp_rational(0) <= 0:
         raise UnrepresentableError("products are only formed for positive values")
-    pa, pb = min_poly(a), min_poly(b)
-    if pa.degree * pb.degree > MAX_PRODUCT_DEGREE:
-        raise UnrepresentableError(
-            f"product would live in degree {pa.degree * pb.degree} > {MAX_PRODUCT_DEGREE}"
-        )
-    prod_poly = char_poly(companion_matrix(pa).kron(companion_matrix(pb))).squarefree_part()
+    prod_poly = _composed_product(min_poly(a), min_poly(b)).squarefree_part()
     chain = sturm_chain(prod_poly)
     x, y = a, b
     while x.lo <= 0:
@@ -559,7 +558,7 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
     roots = rational_roots_between(chain[0], lo, hi)
     if roots:
         return roots[0]
-    return AlgebraicNumber(prod_poly, lo, hi)
+    return AlgebraicNumber._certified(prod_poly, lo, hi)
 
 
 def exact_square(v: Union[Rat, AlgebraicNumber]) -> ExactValue:

@@ -307,7 +307,7 @@ def center_fpdim_prediction(
 
     FPdim(C) > 0, so the bound is decided as ratio = (d_Z/d) FPdim(im F)
     against FPdim(C), and FPdim(C)^2 is never formed; only the predicted
-    product goes through exact_mul (and its degree cap)."""
+    product goes through exact_mul."""
     ensure_fpdim_ready(data)
     image = galois_trivial_subring(data, annotation)
     d_z = center_endo_degree(data, annotation, user_center_degree)

@@ -127,7 +127,7 @@ def check_dominant(f: SemiringMorphism) -> bool:
 def verify_fpdim_transport(f: SemiringMorphism) -> ValidationReport:
     """Certify FPdim(f(x)) = FPdim(D) FPdim(x) for all source simples, and,
     when f is dominant, f(R_A) = FPdim(D) (FPdim(A)/FPdim(B)) R_B, exactly:
-    the first by _scaled_fpdim_violations (no products, so no degree cap), the
+    the first by _scaled_fpdim_violations (no products), the
     second by _regular_transport_violations in the source's Perron field.
     Raises InconsistentDataError unless both rings pass check_structural:
     on non-associative data the two FPdim readings need not agree."""
@@ -295,9 +295,8 @@ def check_adjoint_matrix(adjoint: SemiringMorphism, fpdim_d: ValueLike) -> Valid
     functor's target, where the formula's FPdim(X) lives).  For every simple
     X the FPdim of the image must be FPdim(D) (d_B/d_A) (FPdim(A)/FPdim(B))
     FPdim(X): _scaled_fpdim_violations with the scalar adjoint_fpdim(..., 1),
-    whose degree cap (UnrepresentableError) and ValueError on FPdim(D) <= 0
-    this check inherits, and InconsistentDataError unless both rings pass
-    check_structural.
+    whose ValueError on FPdim(D) <= 0 this check inherits, and
+    InconsistentDataError unless both rings pass check_structural.
     """
     src, tgt = adjoint.source, adjoint.target
 

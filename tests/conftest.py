@@ -178,6 +178,32 @@ def galois_product(
     return data, fr.GaloisAnnotation(marks, group=entry.annotation.group)
 
 
+def companion_matrix(p: RationalPolynomial) -> fr.RationalMatrix:
+    """Companion matrix of a monic polynomial p of degree >= 1, whose char
+    poly is p."""
+    n = p.degree
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            rows[i][i - 1] = 1
+        rows[i][n - 1] = -p.coeffs[i]
+    return fr.RationalMatrix(tuple(map(tuple, rows)))
+
+
+def kron(a: fr.RationalMatrix, b: fr.RationalMatrix) -> fr.RationalMatrix:
+    """Kronecker product of two square matrices."""
+    return fr.RationalMatrix(
+        tuple(tuple(x * y for x in ra for y in rb) for ra in a.rows for rb in b.rows)
+    )
+
+
+def composed_product_oracle(pa: RationalPolynomial, pb: RationalPolynomial) -> RationalPolynomial:
+    """prod (t - alpha beta) over the roots of monic pa and pb, as the char
+    poly of the Kronecker product of their companion matrices, whose
+    eigenvalues are the products alpha beta."""
+    return char_poly(kron(companion_matrix(pa), companion_matrix(pb)))
+
+
 def center_prediction_oracle(
     data: fr.FusionData, annotation: fr.GaloisAnnotation, user_center_degree=None
 ) -> tuple:
@@ -197,9 +223,9 @@ def center_prediction_oracle(
 def fpdim_transport_oracle(f) -> list:
     """The fpdim_transport violations of f, decided per source simple and
     independently of the Perron-field test in the package: FPdim(f(x)) and
-    FPdim(x) each from its own char poly, compared by exact_cmp with
-    exact_mul(FPdim(D), FPdim(x)), so past MAX_PRODUCT_DEGREE it raises
-    UnrepresentableError."""
+    FPdim(x) each from its own char poly, compared by exact_cmp with the
+    product exact_mul(FPdim(D), FPdim(x)), which the package's check never
+    forms."""
     violations: list[Violation] = []
     src = f.source
     fpdim_d = fpdim_element(f.twist_element())

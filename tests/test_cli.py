@@ -14,7 +14,8 @@ import fusionring as fr
 from fusionring import cli
 from fusionring.cli import MAX_PRECISION_BITS, run_command
 from fusionring.cmdline import Command
-from conftest import galois_product, su2, tambara_yamagami, tensor_product
+from fusionring.poly import RationalPolynomial
+from conftest import center_prediction_oracle, galois_product, su2, tambara_yamagami, tensor_product
 
 
 def run(capsys, *argv):
@@ -87,6 +88,26 @@ def test_center_gal7(capsys):
     assert doc["bound"] == "strict"
     assert doc["equality_iff_all_trivial"] is False
     assert doc["center_degree"] == 2
+
+
+@pytest.mark.parametrize("k", [9, 11, 15])
+def test_center_forms_predictions_of_degree_past_16(capsys, tmp_path, k):
+    # FPdim(C) of gal7 (x) SU(2)_k has degree 5, 6 or 8, so the predicted
+    # product is a root of a composed product of degree 25, 36 or 64
+    data, annotation = galois_product(fr.get_builtin("gal7"), su2(k))
+    path = tmp_path / f"gal7xsu2_{k}.json"
+    path.write_text(fr.emit_fusion_file(data, name=path.stem, annotation=annotation))
+    code, doc, _ = run_json(capsys, "center", str(path))
+    assert (code, doc["bound"], doc["consistent"]) == (0, "strict", True)
+    predicted, bound_ok, strict, equality, consistent = center_prediction_oracle(data, annotation)
+    assert (bound_ok, strict, equality, consistent) == (True, True, False, True)
+    assert doc["equality_iff_all_trivial"] is False
+    payload = doc["predicted"]
+    printed = fr.AlgebraicNumber(
+        RationalPolynomial(payload["min_poly"]), *map(Fraction, payload["interval"])
+    )
+    assert fr.min_poly(predicted) == printed.poly
+    assert fr.exact_cmp(printed, predicted) == 0
 
 
 def test_center_requires_annotation(capsys):

@@ -74,12 +74,6 @@ def test_deligne_product_rank_formula():
     assert len(out) == 8
 
 
-def test_base_field_rejected():
-    weird = fr.SemisimpleDesc((("1", R),), base_field="Q")
-    with pytest.raises(ValueError):
-        fr.deligne_product(weird, weird)
-
-
 def test_desc_labels_distinct():
     with pytest.raises(ValueError):
         fr.SemisimpleDesc((("1", R), ("1", C)))

@@ -4,6 +4,7 @@ certified once."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -17,14 +18,22 @@ from fusionring.errors import ResourceLimitError
 from fusionring.factor import factor_squarefree_rational
 from fusionring.fpengine import (
     MERSENNE_PRIMES,
+    _composed_product,
     _field_inverse,
-    companion_matrix,
     left_mult_matrix_from_coeffs,
 )
 from fusionring.poly import RationalPolynomial as P
 from fusionring.poly import cauchy_root_bound
 from fusionring.regular import _category_matrix_coeffs
-from conftest import galois_product, fusion_data, su2, tensor_product
+from conftest import (
+    companion_matrix,
+    composed_product_oracle,
+    galois_product,
+    fusion_data,
+    kron,
+    su2,
+    tensor_product,
+)
 from test_fpengine import faddeev_leverrier
 
 try:
@@ -207,8 +216,9 @@ def test_char_poly_of_galois_product_category_matrices(k):
 
 
 def test_char_poly_of_companion_kronecker_products():
-    # mul_algebraic's construction on the minimal polynomials of FPdims of
-    # SU(2)_k, up to its degree cap
+    # the composed products mul_algebraic forms, on the minimal polynomials
+    # of FPdims of SU(2)_k, against the Kronecker char poly and, through it,
+    # Faddeev-LeVerrier
     polys = []
     for k in range(3, 9):
         data = su2(k)
@@ -216,12 +226,27 @@ def test_char_poly_of_companion_kronecker_products():
     checked = 0
     for i, a in enumerate(polys):
         for b in polys[i:]:
-            if a.degree * b.degree > fpengine.MAX_PRODUCT_DEGREE:
-                continue
-            m = companion_matrix(a).kron(companion_matrix(b))
+            m = kron(companion_matrix(a), companion_matrix(b))
+            assert _composed_product(a, b) == fr.char_poly(m)
             assert fr.char_poly(m).coeffs == faddeev_leverrier(m)
             checked += 1
-    assert checked >= 10
+    assert checked == 21
+
+
+def test_composed_product_matches_the_kronecker_char_poly():
+    # 300 random monic rational pairs of degree 1-5, zero coefficients
+    # included, then a double root and a square
+    rng = random.Random(20)
+    pairs = [
+        tuple(
+            P([Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(d)] + [1])
+            for d in (rng.randint(1, 5), rng.randint(1, 5))
+        )
+        for _ in range(300)
+    ]
+    pairs += [(P((4, -4, 1)), P((-2, 0, 1))), (P((-1, -1, 1)), P((-1, -1, 1)))]
+    for pa, pb in pairs:
+        assert _composed_product(pa, pb) == composed_product_oracle(pa, pb), (pa, pb)
 
 
 # ---------------------------------------------------------------------------

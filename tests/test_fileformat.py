@@ -15,7 +15,7 @@ def test_round_trip_builtins(name):
     entry = fr.get_builtin(name)
     text = fr.emit_entry(entry)
     parsed = fr.parse_fusion_file(text)
-    assert type(parsed) is fr.FixtureEntry is fr.ParsedFile
+    assert type(parsed) is fr.FixtureEntry
     assert parsed == entry
 
 

@@ -10,15 +10,18 @@ import pytest
 import fusionring as fr
 from fusionring.factor import rational_roots_between
 from fusionring import fpengine
-from fusionring.fpengine import companion_matrix, left_mult_matrix_from_coeffs
+from fusionring.fpengine import _composed_product, left_mult_matrix_from_coeffs
 from fusionring.poly import RationalPolynomial as P
 from fusionring.poly import cauchy_root_bound
 from fusionring.regular import _category_matrix_coeffs
 from conftest import (
     ALL_NAMES,
     FUSION_NAMES,
+    companion_matrix,
+    composed_product_oracle,
     cyclic,
     fusion_data,
+    kron,
     sign_variations,
     sturm_chain,
     su2,
@@ -132,7 +135,8 @@ def _block_upper_triangular(rng: random.Random, sizes: list[int]) -> list[list[F
 def char_poly_cases():
     """Random rational matrices, block upper-triangular ones, every builtin's
     left-multiplication matrices, the eps > 1 category matrices and
-    companion-Kronecker products as mul_algebraic builds them."""
+    companion-Kronecker products, whose char polys are the composed products
+    mul_algebraic forms."""
     rng = random.Random(2024)
     cases = []
     for n in range(1, 9):
@@ -151,8 +155,8 @@ def char_poly_cases():
     phi = fr.fpdim_element(fib.basis("x"))
     pa = fr.min_poly(phi)
     pb = P((-2, 0, 0, 1))  # t^3 - 2
-    cases.append(companion_matrix(pa).kron(companion_matrix(pb)))
-    cases.append(companion_matrix(pa).kron(companion_matrix(pa)))
+    cases.append(kron(companion_matrix(pa), companion_matrix(pb)))
+    cases.append(kron(companion_matrix(pa), companion_matrix(pa)))
     return cases
 
 
@@ -573,11 +577,31 @@ def test_mul_algebraic_golden_square():
     assert shifted == 0
 
 
-def test_mul_algebraic_degree_cap():
-    a = fr.isolate_max_real_root(P((1, 0, -10, 0, 1)))  # degree 4
-    b = fr.isolate_max_real_root(P((-2, 0, 0, 0, 0, 0, 1)))  # degree 6 -> 24 > 16
-    with pytest.raises(fr.UnrepresentableError):
-        fr.mul_algebraic(a, b)
+def test_mul_algebraic_forms_products_past_degree_16():
+    # (sqrt 2 + sqrt 3) 2^(1/6), a root of a composed product of degree 24
+    pa, pb = P((1, 0, -10, 0, 1)), P((-2, 0, 0, 0, 0, 0, 1))
+    a, b = fr.isolate_max_real_root(pa), fr.isolate_max_real_root(pb)
+    product = fr.mul_algebraic(a, b)
+    composed = _composed_product(pa, pb)
+    assert composed.degree == 24
+    assert composed == composed_product_oracle(pa, pb)
+    assert a.lo * b.lo <= product.lo < product.hi <= a.hi * b.hi
+    assert float(product) == pytest.approx((2**0.5 + 3**0.5) * 2 ** (1 / 6))
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    alpha = (sympy.sqrt(2) + sympy.sqrt(3)) * sympy.root(2, 6)
+    expected = sympy.Poly(sympy.minimal_polynomial(alpha, t), t).monic().all_coeffs()[::-1]
+    assert fr.min_poly(product).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in expected)
+
+
+def test_mul_algebraic_with_a_point_factor_is_a_rational_scaling():
+    # a point interval has no width to refine: both factors at 2, one
+    # defined by t - 2 and one by t^2 + t - 6
+    two, also_two = fr.AlgebraicNumber(P((-2, 1)), 2, 2), fr.AlgebraicNumber(P((-6, 1, 1)), 2, 2)
+    assert fr.mul_algebraic(two, also_two) == 4
+    phi = fr.isolate_max_real_root(P((-1, -1, 1)))
+    assert fr.algebraic_equal(fr.mul_algebraic(also_two, phi), phi.scaled(2))
+    assert fr.algebraic_equal(fr.mul_algebraic(phi, two), phi.scaled(2))
 
 
 def test_fpdim_element_values():
