@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import ContextMismatchError, NotFusionError
 from .report import ValidationReport, Violation
@@ -153,6 +153,10 @@ class FusionData:
         if name not in facts:
             facts[name] = build(self)
         return facts[name]
+
+    def _kept(self, name: str) -> Any:
+        """The fact `name` if _fact has kept it, else None; never builds it."""
+        return vars(self).get(name)
 
     @property
     def rank(self) -> int:

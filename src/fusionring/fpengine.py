@@ -594,10 +594,15 @@ def _is_transitive(data: FusionData) -> bool:
 
 def ensure_fpdim_ready(data: FusionData) -> None:
     """FPdim is defined for transitive fusion data only; refuse anything else.
-    Data that passes check_structural is transitive, so only unchecked data
-    can be refused."""
+    Fusion data that passes check_structural is transitive (x*.x contains
+    the unit, so y <= (y.x*).x and y <= x.(x*.y)).  So a passed structural
+    report kept on the ring answers first; it is read, never built, and only
+    data without one is checked, by _is_transitive."""
     if not data.is_fusion:
         raise NotFusionError("FPdim is only defined when the unit is simple")
+    structural = data._kept("structural")
+    if structural is not None and structural.passed:
+        return
     if not _is_transitive(data):
         raise NonTransitiveError("data is not transitive; FPdim is not well-behaved there")
 

@@ -43,9 +43,14 @@ def check_structural(data: FusionData) -> ValidationReport:
     enough to check the identity for each a in S: r^2 |S| triples instead
     of r^3.  The span is measured as a rank modulo the prime PRIME: a full
     rank mod p gives an r x r minor that is nonzero mod p, so nonzero, and
-    the rank over Q is full too; the test is exact.  When the unit law or a
-    checked triple fails, every triple is checked and every violation is
-    reported.
+    the rank over Q is full too; the test is exact.
+
+    Associativity and duality are decided first by fast checks on the stored
+    rows (_light_holds; one pass listing the cells with a unit summand).
+    Where one fails, or the unit law does, the exhaustive loops over every
+    triple or cell run and alone report violations.  A fusion ring that
+    passes is transitive: x*.x contains the unit, so y <= (y.x*).x and
+    y <= x.(x*.y); callers read that off the report.
     """
     violations: list[Violation] = []
     labels = data.labels
@@ -84,12 +89,7 @@ def check_structural(data: FusionData) -> ValidationReport:
                     Violation("unit_law", (i,), f"{term} = {got}, expected {labels[i]}")
                 )
 
-    light = unit_law and all(
-        _associative_triple(products, x, a, y)[0]
-        for a in _light_generators(data)
-        for x in range(r)
-        for y in range(r)
-    )
+    light = unit_law and _light_holds(products, _light_generators(data))
     for i, j, k in () if light else product(range(r), repeat=3):
         same, lhs, rhs = _associative_triple(products, i, j, k)
         if same:
@@ -108,28 +108,33 @@ def check_structural(data: FusionData) -> ValidationReport:
                 )
 
     unit_set = set(units)
-    for a in range(r):
-        for b in range(r):
-            appearing = sum(k in unit_set for k, _ in products[a][b])
-            want = b == data.dual[a]
-            if want and appearing != 1:
-                violations.append(
-                    Violation(
-                        "duality",
-                        (a, b),
-                        f"{labels[a]}*{labels[b]} should contain exactly one unit "
-                        f"summand (dual pair), found {appearing}",
-                    )
+    # the cells (a, b), once per unit summand of a*b: the axiom holds iff
+    # they are the cells (a, dual(a)), in order
+    cells = [
+        (a, b) for a, plane in enumerate(products) for b, row in enumerate(plane)
+        for k, _ in row if k in unit_set
+    ]
+    for a, b in () if cells == list(enumerate(data.dual)) else product(range(r), repeat=2):
+        appearing = sum(k in unit_set for k, _ in products[a][b])
+        want = b == data.dual[a]
+        if want and appearing != 1:
+            violations.append(
+                Violation(
+                    "duality",
+                    (a, b),
+                    f"{labels[a]}*{labels[b]} should contain exactly one unit "
+                    f"summand (dual pair), found {appearing}",
                 )
-            if not want and appearing:
-                violations.append(
-                    Violation(
-                        "duality",
-                        (a, b),
-                        f"{labels[a]}*{labels[b]} contains a unit summand but "
-                        f"{labels[b]} is not the dual of {labels[a]}",
-                    )
+            )
+        if not want and appearing:
+            violations.append(
+                Violation(
+                    "duality",
+                    (a, b),
+                    f"{labels[a]}*{labels[b]} contains a unit summand but "
+                    f"{labels[b]} is not the dual of {labels[a]}",
                 )
+            )
 
     return ValidationReport.from_violations(violations)
 
@@ -148,51 +153,84 @@ def _associative_triple(products, i: int, j: int, k: int) -> tuple[bool, dict, d
     return lhs == rhs, lhs, rhs
 
 
+def _light_holds(products, generators: list[int]) -> bool:
+    """Whether (x*a)*y = x*(a*y) for every a in generators and all x, y.
+    Where x*a = c m and a*y = d n are single terms, the sides are c (m*y)
+    and d (x*n): the stored rows of m*y and x*n, scaled.  Stored rows are
+    sorted and hold positive entries, so equal vectors have equal rows.
+    Every other triple is expanded by _associative_triple."""
+    for a in generators:
+        # per y, a*y as its one term (n, d), or None
+        terms = [row[0] if len(row) == 1 else None for row in products[a]]
+        for x, left in enumerate(products):
+            xa = left[a]
+            mc = xa[0] if len(xa) == 1 else None
+            for y, nd in enumerate(terms):
+                if mc and nd:
+                    (m, c), (n, d) = mc, nd
+                    lhs, rhs = products[m][y], left[n]
+                    if c != d:
+                        lhs, rhs = [(k, c * p) for k, p in lhs], [(k, d * q) for k, q in rhs]
+                    if lhs != rhs:
+                        return False
+                elif not _associative_triple(products, x, a, y)[0]:
+                    return False
+    return True
+
+
 def _light_generators(data: FusionData) -> list[int]:
     """Simples S whose words s1*(s2*(...*1)) span the space mod PRIME,
     given the unit law.  A simple joins S when it is not yet in the span, so
-    S * 1 puts it there and the loop ends with every simple in the span."""
+    S * 1 puts it there and the loop ends with every simple in the span.
+    Words and rows are sparse dicts {index: entry mod PRIME}; a row has 1 at
+    its pivot, the least index of its support."""
     r = data.rank
     products = data.products
-    rows: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
+    rows: list[tuple[int, dict[int, int]]] = []  # (pivot, row)
 
-    def reduced(v: list[int]) -> list[int]:
+    def reduced(v: dict[int, int]) -> dict[int, int]:
+        v = dict(v)
         for c, row in rows:
-            a = v[c]
+            a = v.get(c)
             if a:
-                v = [(x - a * y) % PRIME for x, y in zip(v, row)]
+                for k, y in row.items():
+                    x = (v.get(k, 0) - a * y) % PRIME
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
         return v
 
-    def keep(v: list[int]) -> bool:
+    def keep(v: dict[int, int]) -> bool:
         v = reduced(v)
-        for c, x in enumerate(v):
-            if x:
-                inverse = pow(x, -1, PRIME)
-                rows.append((c, [y * inverse % PRIME for y in v]))
-                return True
-        return False
+        if not v:
+            return False
+        c = min(v)
+        inverse = pow(v[c], -1, PRIME)
+        rows.append((c, {k: x * inverse % PRIME for k, x in v.items()}))
+        return True
 
-    one = [0] * r
+    one: dict[int, int] = {}
     for u in data.unit:
-        one[u] += 1
+        one[u] = one.get(u, 0) + 1
     span = [one]
     keep(one)
     generators: list[int] = []
     for g in range(r):
         if len(rows) == r:
             break
-        if not any(reduced([int(k == g) for k in range(r)])):
+        if not reduced({g: 1}):
             continue
         generators.append(g)
         todo = [(g, v) for v in span]
         while todo:
             s, v = todo.pop()
-            w = [0] * r
-            for j, c in enumerate(v):
-                if c:
-                    for k, m in products[s][j]:
-                        w[k] += c * m
-            w = [x % PRIME for x in w]
+            left = products[s]
+            w: dict[int, int] = {}
+            for j, c in v.items():
+                for k, m in left[j]:
+                    w[k] = w.get(k, 0) + c * m
+            w = {k: x % PRIME for k, x in w.items() if x % PRIME}
             if keep(w):
                 span.append(w)
                 todo += [(t, w) for t in generators]
@@ -228,23 +266,23 @@ def check_eps_consistency(data: FusionData) -> ValidationReport:
     # the four sides of the relations above, at the triples (x, y, z) where
     # they are nonzero
     base: dict[tuple[int, int, int], int] = {}
-    cyc1: dict[tuple[int, int, int], int] = {}
-    cyc2: dict[tuple[int, int, int], int] = {}
     transposed: dict[tuple[int, int, int], int] = {}
     for i in range(r):
         for j in range(r):
             for k, m in products[i][j]:
-                # m = N[i][j][k] is N[x][y][z~], N[z][x][y~], N[y][z][x~] and
-                # N[y~][x~][z] at these triples
+                # m = N[i][j][k] is N[x][y][z~] and N[y~][x~][z] here
                 for w in preimage[k]:
                     base[i, j, w] = eps[w] * m
-                    cyc1[j, w, i] = eps[w] * m
-                    cyc2[w, i, j] = eps[w] * m
                 for y in preimage[i]:
                     for x in preimage[j]:
                         transposed[x, y, k] = eps[k] * m
+    # N[z][x][y~] and N[y][z][x~] are base with its triples rotated by
+    # s(x, y, z) = (y, z, x) and by s^2; base == cyc1 makes base
+    # s-invariant, so base == cyc2 follows
+    cyc1 = {(y, z, x): v for (x, y, z), v in base.items()}
 
-    if not (base == cyc1 == cyc2 == transposed):
+    if not (base == cyc1 == transposed):
+        cyc2 = {(z, x, y): v for (x, y, z), v in base.items()}
         for t in sorted(base.keys() | cyc1.keys() | cyc2.keys() | transposed.keys()):
             x, y, z = t
             b, c1, c2, tr = (side.get(t, 0) for side in (base, cyc1, cyc2, transposed))

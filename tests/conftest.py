@@ -10,6 +10,7 @@ from typing import Sequence, Union
 import pytest
 
 import fusionring as fr
+from fusionring.core import unit_decomposition
 from fusionring.errors import SchemaError
 from fusionring.fileformat import parse_fusion_file
 from fusionring.fpengine import (
@@ -28,6 +29,7 @@ from fusionring.fpengine import (
 )
 from fusionring.poly import RationalPolynomial
 from fusionring.report import ValidationReport, Violation
+from fusionring.validate import PRIME
 
 Rat = Union[int, Fraction]
 
@@ -395,6 +397,230 @@ def dense_transitivity(data: fr.FusionData) -> list[Violation]:
                 Violation("transitivity", (x, y), f"no simple v with {labels[y]} <= {labels[x]}*v")
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# check_structural and check_eps_consistency as they were before their fast
+# checks: the sparse loops over every cell and triple, kept as oracles for
+# the package's fast paths, which must give the same reports
+
+
+def structural_oracle(data: fr.FusionData) -> ValidationReport:
+    """check_structural with Light's test on dense rank vectors, every triple
+    expanded into two dicts, and the duality axiom read cell by cell."""
+    violations: list[Violation] = []
+    labels = data.labels
+    r = data.rank
+    products = data.products
+
+    for i, d in enumerate(data.dual):
+        if data.dual[d] != i:
+            violations.append(
+                Violation(
+                    "dual_involution",
+                    (i,),
+                    f"dual map is not involutive at {labels[i]}: "
+                    f"dual({labels[i]}) = {labels[d]} but dual({labels[d]}) = "
+                    f"{labels[data.dual[d]]}",
+                )
+            )
+
+    units, unit_report = unit_decomposition(data)
+    violations.extend(unit_report.violations)
+
+    one = [(u, data.unit.count(u)) for u in units]
+    unit_law = True
+    for i in range(r):
+        for left in (True, False):
+            times_one: dict[int, int] = {}
+            for u, c in one:
+                for k, m in products[u][i] if left else products[i][u]:
+                    times_one[k] = times_one.get(k, 0) + c * m
+            if times_one != {i: 1}:
+                unit_law = False
+                x = data.basis(i)
+                got = data.one() * x if left else x * data.one()
+                term = f"1*{labels[i]}" if left else f"{labels[i]}*1"
+                violations.append(
+                    Violation("unit_law", (i,), f"{term} = {got}, expected {labels[i]}")
+                )
+
+    light = unit_law and all(
+        _associative_triple_oracle(products, x, a, y)[0]
+        for a in light_generators_oracle(data)
+        for x in range(r)
+        for y in range(r)
+    )
+    for i, j, k in () if light else itertools.product(range(r), repeat=3):
+        same, lhs, rhs = _associative_triple_oracle(products, i, j, k)
+        if same:
+            continue
+        for l in range(r):
+            x, y = lhs.get(l, 0), rhs.get(l, 0)
+            if x != y:
+                violations.append(
+                    Violation(
+                        "associativity",
+                        (i, j, k, l),
+                        f"({labels[i]}*{labels[j]})*{labels[k]} and "
+                        f"{labels[i]}*({labels[j]}*{labels[k]}) disagree at "
+                        f"{labels[l]}: {x} vs {y}",
+                    )
+                )
+
+    unit_set = set(units)
+    for a in range(r):
+        for b in range(r):
+            appearing = sum(k in unit_set for k, _ in products[a][b])
+            want = b == data.dual[a]
+            if want and appearing != 1:
+                violations.append(
+                    Violation(
+                        "duality",
+                        (a, b),
+                        f"{labels[a]}*{labels[b]} should contain exactly one unit "
+                        f"summand (dual pair), found {appearing}",
+                    )
+                )
+            if not want and appearing:
+                violations.append(
+                    Violation(
+                        "duality",
+                        (a, b),
+                        f"{labels[a]}*{labels[b]} contains a unit summand but "
+                        f"{labels[b]} is not the dual of {labels[a]}",
+                    )
+                )
+
+    return ValidationReport.from_violations(violations)
+
+
+def _associative_triple_oracle(products, i: int, j: int, k: int) -> tuple[bool, dict, dict]:
+    """(equal, (i*j)*k, i*(j*k)), the two products as sparse dicts."""
+    lhs: dict[int, int] = {}
+    for m, a in products[i][j]:
+        for l, b in products[m][k]:
+            lhs[l] = lhs.get(l, 0) + a * b
+    rhs: dict[int, int] = {}
+    for m, a in products[j][k]:
+        for l, b in products[i][m]:
+            rhs[l] = rhs.get(l, 0) + a * b
+    return lhs == rhs, lhs, rhs
+
+
+def light_generators_oracle(data: fr.FusionData) -> list[int]:
+    """Light's generator set S, with words and rows as dense vectors mod PRIME."""
+    r = data.rank
+    products = data.products
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
+
+    def reduced(v: list[int]) -> list[int]:
+        for c, row in rows:
+            a = v[c]
+            if a:
+                v = [(x - a * y) % PRIME for x, y in zip(v, row)]
+        return v
+
+    def keep(v: list[int]) -> bool:
+        v = reduced(v)
+        for c, x in enumerate(v):
+            if x:
+                inverse = pow(x, -1, PRIME)
+                rows.append((c, [y * inverse % PRIME for y in v]))
+                return True
+        return False
+
+    one = [0] * r
+    for u in data.unit:
+        one[u] += 1
+    span = [one]
+    keep(one)
+    generators: list[int] = []
+    for g in range(r):
+        if len(rows) == r:
+            break
+        if not any(reduced([int(k == g) for k in range(r)])):
+            continue
+        generators.append(g)
+        todo = [(g, v) for v in span]
+        while todo:
+            s, v = todo.pop()
+            w = [0] * r
+            for j, c in enumerate(v):
+                if c:
+                    for k, m in products[s][j]:
+                        w[k] += c * m
+            w = [x % PRIME for x in w]
+            if keep(w):
+                span.append(w)
+                todo += [(t, w) for t in generators]
+    return generators
+
+
+def eps_consistency_oracle(data: fr.FusionData) -> ValidationReport:
+    """check_eps_consistency with all four sides built and compared."""
+    violations: list[Violation] = []
+    labels = data.labels
+    r = data.rank
+    products = data.products
+    dual = data.dual
+    eps = data.eps
+    preimage: list[list[int]] = [[] for _ in range(r)]
+    for z, d in enumerate(dual):
+        preimage[d].append(z)
+
+    base: dict[tuple[int, int, int], int] = {}
+    cyc1: dict[tuple[int, int, int], int] = {}
+    cyc2: dict[tuple[int, int, int], int] = {}
+    transposed: dict[tuple[int, int, int], int] = {}
+    for i in range(r):
+        for j in range(r):
+            for k, m in products[i][j]:
+                for w in preimage[k]:
+                    base[i, j, w] = eps[w] * m
+                    cyc1[j, w, i] = eps[w] * m
+                    cyc2[w, i, j] = eps[w] * m
+                for y in preimage[i]:
+                    for x in preimage[j]:
+                        transposed[x, y, k] = eps[k] * m
+
+    if not (base == cyc1 == cyc2 == transposed):
+        for t in sorted(base.keys() | cyc1.keys() | cyc2.keys() | transposed.keys()):
+            x, y, z = t
+            b, c1, c2, tr = (side.get(t, 0) for side in (base, cyc1, cyc2, transposed))
+            if not (b == c1 == c2):
+                violations.append(
+                    Violation(
+                        "eps_cyclic",
+                        t,
+                        f"cyclic relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{b}, {c1}, {c2}",
+                    )
+                )
+            if b != tr:
+                violations.append(
+                    Violation(
+                        "eps_transpose",
+                        t,
+                        f"transpose relation fails at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{b} vs {tr}",
+                    )
+                )
+
+    u = data.unit_index
+    for a in range(r):
+        pairing = dict(products[a][dual[a]]).get(u, 0)
+        if pairing != eps[a]:
+            violations.append(
+                Violation(
+                    "eps_unit_pairing",
+                    (a,),
+                    f"N[{labels[a]}][{labels[dual[a]]}][1] = {pairing}, "
+                    f"expected eps = {eps[a]}",
+                )
+            )
+
+    return ValidationReport.from_violations(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py refuses to pair a checkout that has bytecode under
-src/ with one that has none, or checkouts whose paths differ in length, and
-calls a bound unresolved when the parent's runs spread wider than it."""
+src/ with one that has none, checkouts whose paths differ in length, or a
+control whose src/ differs from the parent's; it calls a bound unresolved
+when the parent's runs spread wider than it, and shows no gain that the
+A/A control's gap matches."""
 
 from __future__ import annotations
 
@@ -38,44 +40,88 @@ def test_has_bytecode(tmp_path):
     assert bench_pairs.has_bytecode(_checkout(tmp_path / "b", bytecode=True))
 
 
+def _refused(tmp_path, parent, control, message):
+    out = tmp_path / "o.json"
+    argv = ["--parent", str(parent), "--control", str(control), "--pairs", "1", "--out", str(out)]
+    with pytest.raises(SystemExit, match=message):
+        bench_pairs.main(argv)
+    assert not out.exists()
+
+
 def test_refuses_checkouts_that_differ_in_bytecode(tmp_path, monkeypatch):
     # the other side is this checkout, whichever state its src/ is in
-    parent = _checkout(tmp_path, bytecode=not bench_pairs.has_bytecode(ROOT))
+    bytecode = not bench_pairs.has_bytecode(ROOT)
+    parent = _checkout(tmp_path / "base", bytecode=bytecode)
+    control = _checkout(tmp_path / "ctrl", bytecode=bytecode)
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
-    with pytest.raises(SystemExit, match="has .pyc files under src/"):
-        bench_pairs.main(["--parent", str(parent), "--pairs", "1", "--out", str(tmp_path / "o.json")])
-    assert not (tmp_path / "o.json").exists()
+    _refused(tmp_path, parent, control, "has .pyc files under src/")
 
 
 def test_refuses_checkout_paths_of_different_lengths(tmp_path, monkeypatch):
     parent = _checkout(tmp_path / "base", bytecode=False)
+    control = _checkout(tmp_path / "ctrl", bytecode=False)
     monkeypatch.setattr(bench_pairs, "ROOT", _checkout(tmp_path / "work2", bytecode=False))
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
-    with pytest.raises(SystemExit, match="differ in length"):
-        bench_pairs.main(["--parent", str(parent), "--pairs", "1", "--out", str(tmp_path / "o.json")])
-    assert not (tmp_path / "o.json").exists()
+    _refused(tmp_path, parent, control, "differ in length")
+
+
+def test_refuses_a_control_that_is_not_a_copy_of_the_parent(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "base", bytecode=False)
+    control = _checkout(tmp_path / "ctrl", bytecode=False)
+    monkeypatch.setattr(bench_pairs, "ROOT", _checkout(tmp_path / "work", bytecode=False))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
+    _refused(tmp_path, parent, parent, "three checkouts")
+    (control / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    _refused(tmp_path, parent, control, "control's src/ differs")
 
 
 def test_records_the_bytecode_state(tmp_path, monkeypatch):
     # sibling checkouts whose names have equal length, as the tool requires
     parent = _checkout(tmp_path / "base", bytecode=True)
+    control = _checkout(tmp_path / "ctrl", bytecode=True)
     change = _checkout(tmp_path / "work", bytecode=True)
     monkeypatch.setattr(bench_pairs, "ROOT", change)
     result = {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: result)
     out = tmp_path / "o.json"
-    argv = ["--parent", str(parent), "--pairs", "2", "--workload", "cli-pointed", "--out", str(out)]
+    argv = ["--parent", str(parent), "--control", str(control), "--pairs", "2",
+            "--workload", "cli-pointed", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     settings = json.loads(out.read_text())["settings"]
-    assert settings["bytecode_under_src"] == {"parent": True, "change": True}
-    assert settings["checkouts"] == {"parent": str(parent.resolve()), "change": str(change)}
+    assert settings["bytecode_under_src"] == {"parent": True, "change": True, "control": True}
+    assert settings["checkouts"] == {
+        "parent": str(parent.resolve()), "change": str(change), "control": str(control.resolve())
+    }
 
 
-def _pairs(parent, change):
+def test_runs_every_side_in_rotation(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "base", bytecode=False)
+    control = _checkout(tmp_path / "ctrl", bytecode=False)
+    change = _checkout(tmp_path / "work", bytecode=False)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed))
+        value = {"base": 1.0, "work": 0.5, "ctrl": 1.01}[checkout.name]
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "o.json"
+    argv = ["--parent", str(parent), "--control", str(control), "--pairs", "3", "--seed", "5",
+            "--workload", "cli-pointed", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("base", 5), ("work", 5), ("ctrl", 5), ("work", 6), ("ctrl", 6),
+                     ("base", 6), ("ctrl", 7), ("base", 7), ("work", 7)]
+    entry = json.loads(out.read_text())["workloads"]["cli-pointed"]
+    assert entry["failed"] == {"parent": 0, "change": 0, "control": 0}
+    assert entry["metrics"]["wall_s"]["control"]["runs"] == [1.01] * 3
+
+
+def _pairs(parent, change, control=None):
     return [
-        ({"metrics": {"wall_s": {"value": p, "unit": "s"}}},
-         {"metrics": {"wall_s": {"value": c, "unit": "s"}}})
-        for p, c in zip(parent, change)
+        tuple({"metrics": {"wall_s": {"value": v, "unit": "s"}}} for v in triple)
+        for triple in zip(parent, change, parent if control is None else control)
     ]
 
 
@@ -94,3 +140,17 @@ def test_within_bound_is_unresolved_when_the_parent_spreads_wider(parent, change
     entry = summary["wall_s"]
     assert entry["within_bound"] == verdict and type(entry["within_bound"]) is type(verdict)
     assert f"within_bound {verdict}" in bench_pairs.summary_line("cli-pointed", "wall_s", entry)
+
+
+@pytest.mark.parametrize("control, shown", [
+    # A/A: the control reads 0.12 below the parent, more than the change
+    ([0.86, 0.87, 0.88, 0.89, 0.88, 0.87, 0.88, 0.89, 0.87, 0.88], False),
+    # the control matches the parent: the change's gap stands
+    ([1.00, 0.99, 1.01, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00], True),
+])
+def test_gain_shown_needs_a_gap_beyond_the_control(control, shown):
+    parent = [1.00, 0.99, 1.01, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+    change = [0.89, 0.88, 0.90, 0.89, 0.91, 0.87, 0.89, 0.90, 0.88, 0.89]
+    entry = bench_pairs.summarize(_pairs(parent, change, control), {"wall_s": "lower"}, {})["wall_s"]
+    assert entry["wins"] == 10 and entry["aa_gap"] == pytest.approx(abs(entry["control"]["median"] - 1.0))
+    assert entry["gain_shown"] is shown
