@@ -12,29 +12,34 @@ built at import: a job pays only for parsing its own arguments.  The heap
 left by import holds no garbage, so run_command freezes it (gc.freeze) for
 the length of the command, unless the caller has frozen objects itself.
 
+A file argument is read as bytes and decoded as UTF-8 with universal
+newlines ("\r\n" and a lone "\r" become "\n"), as a text-mode open reads
+it; the path is named as pathlib would name it (_path_name), so the
+messages of unreadable paths quote the same name.
+
 All output is byte-deterministic: exact rationals are serialized as decimal
 strings "p/q", decimal approximations are truncated (never rounded through
-floats), and JSON keys are sorted.  --precision only changes interval
-widths, never minimal polynomials or exact values.
+floats), and JSON keys are sorted.  --format json is written by
+fileformat.dumps, byte for byte the standard json module's text with sorted
+keys and a two-space indent.  --precision only changes interval widths,
+never minimal polynomials or exact values.
 """
 
 from __future__ import annotations
 
 import errno
 import gc
-import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Optional, TextIO
+from typing import Any, Optional
 
 from . import __version__
 from .catalog import FixtureEntry, get_builtin, list_builtins
 from .cmdline import Command, CommandLine, Option, ParseExit, Positional
 from .deligne import deligne_product
 from .errors import FusionError, SchemaError
-from .fileformat import emit_entry, parse_fusion_file
+from .fileformat import dumps, emit_entry, parse_fusion_file
 from .fpengine import (
     AlgebraicNumber,
     ExactValue,
@@ -106,7 +111,7 @@ def _report_json(report: ValidationReport) -> list[dict[str, Any]]:
 
 def _render(payload: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return dumps(payload) + "\n"
     lines: list[str] = []
 
     def emit(path: str, value: Any) -> None:
@@ -141,35 +146,43 @@ def _text_scalar(value: Any) -> str:
 _NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
-def _open(path: str) -> Optional[TextIO]:
-    """The file at path, open for reading, or None when the path names no
-    file (where Path.exists() reads False); any other error propagates."""
+def _path_name(arg: str) -> str:
+    """str(Path(arg)) without pathlib: empty and "." segments dropped, ".."
+    kept, a root of exactly two slashes kept, and "." when nothing is left."""
+    rel = arg.lstrip("/")
+    root = "//" if len(arg) - len(rel) == 2 else "/" if rel != arg else ""
+    return root + "/".join(part for part in rel.split("/") if part and part != ".") or "."
+
+
+def _read(arg: str) -> Optional[str]:
+    """The text of the file at arg, read as bytes and decoded as UTF-8 with
+    universal newlines, or None when the path names no file (where
+    Path.exists() reads False); any other error propagates."""
     try:
-        return open(Path(path), encoding="utf-8")
+        handle = open(_path_name(arg), "rb")
     except ValueError:  # a NUL byte: no file has that name
         return None
     except OSError as exc:
         if exc.errno in _NO_FILE:
             return None
         raise
+    with handle:
+        data = handle.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load(arg: str) -> FixtureEntry:
     """The entry of standard input ("-"), of the file at arg, or of the
     builtin named arg when no file is there (a file wins over a builtin)."""
     try:
-        if arg == "-":
-            text = sys.stdin.read()
-        elif (handle := _open(arg)) is not None:
-            with handle:
-                text = handle.read()
-        elif arg in list_builtins():
-            return get_builtin(arg)
-        else:
-            raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+        text = sys.stdin.read() if arg == "-" else _read(arg)
     except (UnicodeDecodeError, OSError) as exc:
         raise SchemaError(f"cannot read {arg!r}: {exc}") from None
-    return parse_fusion_file(text)
+    if text is not None:
+        return parse_fusion_file(text)
+    if arg in list_builtins():
+        return get_builtin(arg)
+    raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
 
 
 def _gate_structural(entry: FixtureEntry) -> None:

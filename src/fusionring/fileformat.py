@@ -28,12 +28,18 @@ Parsing enforces the schema only; semiring axioms are the validator's job so
 that broken data can be loaded and reported on.  The schema covers every
 check of the FusionData constructor, so the parser builds the stored form of
 the tensor itself, each entry checked once, and hands it over unchecked.
+
+Every JSON document the package writes, these files and the CLI's --format
+json output, goes through dumps: one direct writer whose output is byte for
+byte what the standard json module writes with sort_keys=True and indent=2
+(whose encoder runs in pure Python whenever an indent is given).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 from .catalog import FixtureEntry
@@ -49,6 +55,7 @@ __all__ = [
     "emit_entry",
     "emit_morphism_file",
     "parse_morphism_file",
+    "dumps",
 ]
 
 
@@ -57,6 +64,54 @@ def _expect(condition: Any, message: str, *args: Any) -> None:
     message is formatted only then."""
     if not condition:
         raise SchemaError(message.format(*args))
+
+
+def dumps(value: Any) -> str:
+    """The standard json module's text of value with sort_keys=True and
+    indent=2, for a value built from str, int, bool, None, lists, tuples
+    and dicts with str keys; any other type raises TypeError."""
+    out: list[str] = []
+    _dump(value, "\n", out)
+    return "".join(out)
+
+
+def _dump(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON of value to out; newline is the line break and the
+    indent of value's own level."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out += (sep, _quote(key), ": ")  # _quote refuses a key that is no str
+            _dump(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _get_str(doc: dict, key: str, default: Optional[str] = None) -> Optional[str]:
@@ -342,7 +397,7 @@ def emit_fusion_file(
         doc["division_types"] = {
             label: kind.value for label, kind in sorted(desc.simples)
         }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 def emit_entry(entry: FixtureEntry) -> str:
@@ -385,7 +440,7 @@ def emit_morphism_file(f: SemiringMorphism, *, name: str = "") -> str:
             f.source.labels[i]: c for i, c in enumerate(f.twist.coeffs) if c
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 def parse_morphism_file(source: str | bytes) -> SemiringMorphism:

@@ -155,15 +155,17 @@ class RationalPolynomial:
         return RationalPolynomial(tuple(a * c ** (n - i) for i, a in enumerate(self.coeffs)))
 
     def squarefree_part(self) -> "RationalPolynomial":
-        """Monic p / gcd(p, p'), in integers: the primitive integer form of p
-        divided by the primitive gcd, exactly over Z by Gauss's lemma."""
+        """Monic p / gcd(p, p'), in integers: the first member of p's
+        memoized Sturm chain, p's primitive integer form, divided by its
+        last, the primitive gcd of p and p', exactly over Z by Gauss's
+        lemma.  A squarefree monic p is its own result, so sturm_chain on
+        the result is then a cache hit."""
         if self.degree < 1:
             return self.monic()
-        f = _positive_integer_multiple(self.coeffs)
-        g = _integer_gcd(f, _primitive([i * c for i, c in enumerate(f) if i]))
-        if len(g) < 2:
+        chain = sturm_chain(self)
+        if len(chain[-1]) < 2:
             return self.monic()
-        return RationalPolynomial(exact_quotient(f, g)).monic()
+        return RationalPolynomial(exact_quotient(chain[0], chain[-1])).monic()
 
     def to_integer_coeffs(self) -> list[int]:
         """Primitive integer multiple with positive leading coefficient."""
@@ -196,13 +198,6 @@ class RationalPolynomial:
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self})"
-
-
-def _integer_gcd(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:
-    """A primitive integer gcd of two primitive integer polynomials."""
-    while g:
-        f, g = g, _negated_remainder(f, g)
-    return f
 
 
 def exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -274,8 +269,10 @@ def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def sturm_chain(p: RationalPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain p, p', -rem(...), ... of a polynomial intended to be
-    squarefree, memoized per polynomial.
+    """Sturm chain p, p', -rem(...), ... of a polynomial, memoized per
+    polynomial.  It counts roots when p is squarefree; for any p it is the
+    remainder sequence of p and p', whose last member is their gcd
+    (RationalPolynomial.squarefree_part reads it there).
 
     Each member is an ascending integer coefficient tuple: the primitive
     positive integer multiple of the canonical member, so it has the same

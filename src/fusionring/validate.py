@@ -45,10 +45,12 @@ def check_structural(data: FusionData) -> ValidationReport:
     rank mod p gives an r x r minor that is nonzero mod p, so nonzero, and
     the rank over Q is full too; the test is exact.
 
-    Associativity and duality are decided first by fast checks on the stored
-    rows (_light_holds; one pass listing the cells with a unit summand).
-    Where one fails, or the unit law does, the exhaustive loops over every
-    triple or cell run and alone report violations.  A fusion ring that
+    The unit law, associativity and duality are decided first by fast
+    checks on the stored rows (for a single unit summand of multiplicity
+    one, its row and column; _light_holds; one pass listing the cells with
+    a unit summand).  Where one fails, its exhaustive loop over every
+    simple, triple or cell runs and alone reports violations; the loop over
+    triples also runs when the unit law fails.  A fusion ring that
     passes is transitive: x*.x contains the unit, so y <= (y.x*).x and
     y <= x.(x*.y); callers read that off the report.
     """
@@ -73,9 +75,14 @@ def check_structural(data: FusionData) -> ValidationReport:
     violations.extend(unit_report.violations)
 
     one = [(u, data.unit.count(u)) for u in units]
+    # with one unit summand e of multiplicity one, 1*i = i reads off the
+    # stored row: e*i == ((i, 1),); the dicts are built only where it fails
+    e = one[0][0] if [c for _, c in one] == [1] else None
     unit_law = True
     for i in range(r):
         for left in (True, False):
+            if e is not None and (products[e][i] if left else products[i][e]) == ((i, 1),):
+                continue
             times_one: dict[int, int] = {}
             for u, c in one:
                 for k, m in products[u][i] if left else products[i][u]:

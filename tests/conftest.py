@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import itertools
 import random
 import sys
@@ -27,7 +28,13 @@ from fusionring.fpengine import (
     normalize_value,
     refine,
 )
-from fusionring.poly import RationalPolynomial
+from fusionring.poly import (
+    RationalPolynomial,
+    _negated_remainder,
+    _positive_integer_multiple,
+    _primitive,
+    exact_quotient,
+)
 from fusionring.report import ValidationReport, Violation
 from fusionring.validate import PRIME
 
@@ -733,6 +740,27 @@ def sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
     return chain
 
 
+def integer_gcd_oracle(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:
+    """The package's former _integer_gcd: a primitive integer gcd of two
+    primitive integer polynomials, by its own remainder sequence."""
+    while g:
+        f, g = g, _negated_remainder(f, g)
+    return f
+
+
+def squarefree_part_oracle(p: RationalPolynomial) -> RationalPolynomial:
+    """RationalPolynomial.squarefree_part as it was before it read p's Sturm
+    chain: p's primitive integer form divided by integer_gcd_oracle of it
+    and its derivative."""
+    if p.degree < 1:
+        return p.monic()
+    f = _positive_integer_multiple(p.coeffs)
+    g = integer_gcd_oracle(f, _primitive([i * c for i, c in enumerate(f) if i]))
+    if len(g) < 2:
+        return p.monic()
+    return RationalPolynomial(exact_quotient(f, g)).monic()
+
+
 def sign_variations(chain: Sequence[RationalPolynomial], x: Rat) -> int:
     """Sign variations of the chain at x, dropping zero values.
 
@@ -850,6 +878,34 @@ def load_oracle(arg: str) -> fr.FixtureEntry:
             return fr.get_builtin(arg)
         else:
             raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise SchemaError(f"cannot read {arg!r}: {exc}") from None
+    return parse_fusion_file(text)
+
+
+def text_mode_load_oracle(arg: str) -> fr.FixtureEntry:
+    """cli._load as it was before it read bytes: the file opened in text
+    mode by open(Path(arg), encoding="utf-8"), which decodes UTF-8 with
+    universal newlines; no file where the open fails with a NUL byte or an
+    errno at which Path.exists() reads False."""
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                handle = open(Path(arg), encoding="utf-8")
+            except ValueError:
+                handle = None
+            except OSError as exc:
+                if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+                    raise
+                handle = None
+            if handle is None:
+                if arg in fr.list_builtins():
+                    return fr.get_builtin(arg)
+                raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
+            with handle:
+                text = handle.read()
     except (UnicodeDecodeError, OSError) as exc:
         raise SchemaError(f"cannot read {arg!r}: {exc}") from None
     return parse_fusion_file(text)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import io
+import itertools
 import json
 import weakref
 from dataclasses import replace
@@ -15,7 +17,19 @@ from fusionring import cli
 from fusionring.cli import MAX_PRECISION_BITS, run_command
 from fusionring.cmdline import Command
 from fusionring.poly import RationalPolynomial
-from conftest import center_prediction_oracle, galois_product, su2, tambara_yamagami, tensor_product
+from conftest import (
+    center_prediction_oracle,
+    galois_product,
+    su2,
+    tambara_yamagami,
+    tensor_product,
+    text_mode_load_oracle,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
+cli_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_digest)
 
 
 def run(capsys, *argv):
@@ -301,6 +315,44 @@ def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "fpdim", "-", "--category")
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read '-': 'utf-8' codec can't decode")
+
+
+def test_path_name_is_the_name_pathlib_gives():
+    for size in range(7):
+        for parts in itertools.product(("/", ".", "..", "a", "b c"), repeat=size):
+            arg = "".join(parts)
+            assert cli._path_name(arg) == str(Path(arg)), arg
+
+
+#: what the digest's path cases print on stderr, beyond matching the
+#: text-mode reader: the line of a JSON error after CRLF or CR line ends,
+#: the refused byte order mark and the undecodable byte
+READER_MESSAGES = {
+    "crlf.json": "invalid JSON at line 3, column 15: Expecting value",
+    "cr.json": "invalid JSON at line 3, column 15: Expecting value",
+    "bom.json": "Unexpected UTF-8 BOM",
+    "ff.json": "cannot read 'ff.json': 'utf-8' codec can't decode byte 0xff in position 13",
+}
+
+
+@pytest.mark.parametrize("name, path", cli_digest.MALFORMED_PATHS)
+def test_reader_prints_what_the_text_mode_reader_printed(capsys, monkeypatch, name, path):
+    def runs():
+        out = []
+        for argv in cli_digest.INVALID_VARIANTS:
+            code = run_command([path if a == "-" else a for a in argv])
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    with cli_digest._path_cases():
+        got = runs()
+        monkeypatch.setattr(cli, "_load", text_mode_load_oracle)
+        assert got == runs()
+    if path in READER_MESSAGES:
+        assert all(code == 2 and READER_MESSAGES[path] in err for code, _, err in got)
+    if path.endswith("fib") or path.startswith("fib/"):  # the file wins over the builtin
+        assert got[0][0] == 0 and '"name": "fib-file"' in got[0][1]
 
 
 def test_unknown_input_is_usage_error(capsys):

@@ -4,9 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring.cli import run_command
+from fusionring.fileformat import dumps
 from conftest import ALL_NAMES, relabelled, su2, tambara_yamagami, tensor_product
 
 
@@ -323,3 +326,71 @@ def test_parser_alone_refuses_non_int_multiplicities(mult):
     doc["fusion"]["v|v"]["v"] = mult
     with pytest.raises(fr.SchemaError, match=r"fusion\['v\|v'\]\['v'\] must be a nonnegative integer"):
         fr.parse_fusion_file(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# dumps, the package's one JSON writer, against the standard json module
+
+#: characters that the writer must escape as the json module does: quotes,
+#: backslashes, control characters, non-ASCII, astral and a lone surrogate
+AWKWARD = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\U0001f600", "\ud800", "|")
+JSON_STRINGS = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, 1, -1, 2**63, 2**64 + 1, -(2**70), 10**40]),
+    JSON_STRINGS,
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_module(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(JSON_TREES)
+def test_dumps_writes_what_the_json_module_writes(value):
+    assert dumps(value) == _json_module(value)
+
+
+class Forty(int):
+    """An int whose str and repr are not its digits."""
+
+    __str__ = __repr__ = lambda self: "forty"
+
+
+def test_dumps_on_awkward_payloads():
+    payloads = [
+        [Forty(40), {"n": Forty(-40)}],
+        {"a": [True, 1, False, 0, None], "b": {"x": True, "y": 1}, "c": (False, 0)},
+        [[], {}, (), [[]], {"": {}}, [(), {"k": []}]],
+        {"é\n\"": "\x00\ud800☃", "\\": -(2**100), "Z": 2**64, "a": ""},
+        {"z": 1, "Z": 2, "é": 3, "e": 4, "": 5, " ": 6},
+        "", 0, -1, True, False, None, (), [], {},
+    ]
+    for value in payloads:
+        assert dumps(value) == _json_module(value)
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, [1, 2.0], {"a": {"b": float("nan")}}, {1: "a"}, {"a": {None: 1}}, {"a": b"x"}]
+)
+def test_dumps_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -18,6 +18,7 @@ from fusionring.poly import (
     sign_variations,
     sturm_chain,
 )
+from conftest import integer_gcd_oracle, squarefree_part_oracle
 from conftest import sign_variations as reference_sign_variations
 from conftest import sturm_chain as reference_sturm_chain
 
@@ -179,6 +180,42 @@ def test_squarefree_part_matches_fraction_euclid_on_repeated_factors():
         quotient, rem = divmod(p, _fraction_euclid_gcd(p, p.derivative()))
         assert rem.is_zero
         assert p.squarefree_part().coeffs == quotient.monic().coeffs
+
+
+def _product_shaped_poly(rng: random.Random) -> P:
+    """Products of powers of small integer factors, as char polys of
+    product rings are: repeated irreducible factors of degree <= 3."""
+    p = P((rng.choice([-2, -1, 1, 3]),))
+    for _ in range(rng.randint(1, 3)):
+        factor = P([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1])
+        for _ in range(rng.randint(1, 3)):
+            p = p * factor
+    return p
+
+
+def test_squarefree_part_is_the_old_remainder_sequence_and_sympy_sqf_part():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(2200)
+    for n in range(300):
+        p = _random_rational_poly(rng) if n % 2 else _product_shaped_poly(rng)
+        q = p.squarefree_part()
+        assert q == squarefree_part_oracle(p)
+        if p.degree >= 1:
+            f, f_prime = sturm_chain(p)[:2]
+            assert sturm_chain(p)[-1] == tuple(integer_gcd_oracle(f, f_prime))
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+            expected = sympy.Poly(coeffs, t, domain="QQ").sqf_part().monic().all_coeffs()
+            assert q == P(Fraction(int(c.p), int(c.q)) for c in reversed(expected))
+
+
+def test_squarefree_part_leaves_the_chain_of_a_squarefree_poly_cached():
+    p = poly(-7, 3, 5, 1)  # squarefree and monic: its own squarefree part
+    sturm_chain.cache_clear()
+    assert p.squarefree_part() == p
+    hits = sturm_chain.cache_info().hits
+    sturm_chain(p)
+    assert sturm_chain.cache_info().hits == hits + 1
 
 
 def test_sturm_chain_is_a_memoized_immutable_tuple():

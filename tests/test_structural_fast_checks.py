@@ -53,6 +53,34 @@ def scaled_idempotent(c: int) -> fr.FusionData:
     )
 
 
+def direct_sum(a: fr.FusionData, b: fr.FusionData) -> fr.FusionData:
+    """a + b, a multifusion ring whose unit has the summands of both."""
+    r = a.rank
+    products = [plane + ((),) * b.rank for plane in a.products] + [
+        ((),) * r + tuple(tuple((k + r, m) for k, m in row) for row in plane)
+        for plane in b.products
+    ]
+    return fr.FusionData(
+        labels=tuple(f"{x}.a" for x in a.labels) + tuple(f"{x}.b" for x in b.labels),
+        products=tuple(products),
+        dual=a.dual + tuple(d + r for d in b.dual),
+        eps=a.eps + b.eps,
+        endo_degree=a.endo_degree,
+        unit=a.unit + tuple(u + r for u in b.unit),
+    )
+
+
+def with_unit(data: fr.FusionData, unit: tuple[int, ...]) -> fr.FusionData:
+    return fr.FusionData(
+        labels=data.labels,
+        products=data.products,
+        dual=data.dual,
+        eps=data.eps,
+        endo_degree=data.endo_degree,
+        unit=unit,
+    )
+
+
 RINGS = {
     **{name: (lambda name=name: fusion_data(name)) for name in ALL_NAMES},
     **{f"su2_{k}": (lambda k=k: su2(k)) for k in range(1, 10)},
@@ -69,6 +97,12 @@ RINGS = {
     "x2x": lambda: scaled_idempotent(2),
     "x2x.x3x": lambda: tensor_product(scaled_idempotent(2), scaled_idempotent(3)),
     "x3x.z3": lambda: tensor_product(scaled_idempotent(3), cyclic(3)),
+    # two unit summands, and a unit summand of multiplicity 2, where the
+    # unit law is read off the dicts, not off one stored row
+    "z2+z3": lambda: direct_sum(cyclic(2), cyclic(3)),
+    "fib+z2": lambda: direct_sum(fusion_data("fib"), cyclic(2)),
+    "z3 unit twice": lambda: with_unit(cyclic(3), (0, 0)),
+    "z2+z2 unit twice": lambda: with_unit(direct_sum(cyclic(2), cyclic(2)), (0, 0, 2)),
 }
 SMALL = [name for name, make in RINGS.items() if make().rank <= 4]
 

@@ -22,8 +22,10 @@ fpdim, regular and integrality: seeded single-entry perturbations of every
 builtin, so that the checks' full violation lists show, and MALFORMED, files
 that break the schema, so that the parser's messages show.  The same five
 runs then read each path of MALFORMED_PATHS, from a scratch working
-directory, so that the messages of unreadable paths show.  Python standard
-library only.
+directory, so that the messages of unreadable paths show, and so do
+spellings of one path and the files of MALFORMED_FILES, whose line ends,
+byte order mark and bytes the reader must decode as a text-mode open does.
+Python standard library only.
 
     PYTHONPATH=src python tools/cli_digest.py [FILE ...] > digest.txt
 
@@ -155,8 +157,19 @@ MALFORMED = tuple(
 )
 
 
-#: (name, path) of arguments that name no readable fusion file, or a file
-#: named like a builtin, which wins over the builtin; _path_cases makes them
+#: (file name, bytes) of files that the reader must decode as a text-mode
+#: open does: a JSON syntax error on line 3 after CRLF and after lone-CR
+#: line ends, a UTF-8 byte order mark before a valid file, and a 0xff byte
+MALFORMED_FILES = (
+    ("crlf.json", b'{\r\n  "name": "x",\r\n  "simples": [,]\r\n}\r\n'),
+    ("cr.json", b'{\r  "name": "x",\r  "simples": [,]\r}\r'),
+    ("bom.json", b"\xef\xbb\xbf" + emit_fusion_file(get_builtin("vec_z2").data).encode()),
+    ("ff.json", b'{\n  "name": "\xff"\n}\n'),
+)
+
+#: (name, path) of arguments that name no readable fusion file, a file
+#: named like a builtin, which wins over the builtin, spellings of that
+#: file's path, and the files of MALFORMED_FILES; _path_cases makes them
 MALFORMED_PATHS = (
     ("path-empty", ""),
     ("path-directory", "dir"),
@@ -165,6 +178,11 @@ MALFORMED_PATHS = (
     ("path-missing-parent", "missing/ring.json"),
     ("path-nul-byte", "ring\0.json"),
     ("path-named-like-builtin", "fib"),
+    ("path-trailing-slash", "fib/"),
+    ("path-trailing-dot", "fib/."),
+    ("path-leading-dot", "./fib"),
+    ("path-dot-dot", "dir/../fib"),
+    *((f"file-{name}", name) for name, _ in MALFORMED_FILES),
 )
 
 
@@ -172,7 +190,8 @@ MALFORMED_PATHS = (
 def _path_cases() -> Iterator[None]:
     """Run the body in a scratch working directory holding the paths of
     MALFORMED_PATHS: a directory, a symlink to itself, a symlink to nothing,
-    and a file fib holding the Z/2 group ring."""
+    a file fib holding the Z/2 group ring, and the files of
+    MALFORMED_FILES."""
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
         os.mkdir("dir")
         os.symlink("loop", "loop")
@@ -180,6 +199,8 @@ def _path_cases() -> Iterator[None]:
         Path("fib").write_text(
             emit_fusion_file(get_builtin("vec_z2").data, name="fib-file"), encoding="utf-8"
         )
+        for name, data in MALFORMED_FILES:
+            Path(name).write_bytes(data)
         yield
 
 
