@@ -9,26 +9,38 @@ only in endomorphism degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .core import FusionData
 from .deligne import DivisionType, SemisimpleDesc
 from .galois import FiniteGroup, GaloisAnnotation, GaloisMark, from_galois_group
+from .report import Record
 
 _R = DivisionType.REAL
 _C = DivisionType.COMPLEX
 _H = DivisionType.QUATERNION
 
 
-@dataclass(frozen=True)
-class FixtureEntry:
+class FixtureEntry(Record):
     name: str
     data: FusionData
-    annotation: Optional[GaloisAnnotation] = None
-    desc: Optional[SemisimpleDesc] = None
-    description: str = ""
+    annotation: Optional[GaloisAnnotation]
+    desc: Optional[SemisimpleDesc]
+    description: str
+    _fields = ("name", "data", "annotation", "desc", "description")
+
+    def __init__(
+        self,
+        name: str,
+        data: FusionData,
+        annotation: Optional[GaloisAnnotation] = None,
+        desc: Optional[SemisimpleDesc] = None,
+        description: str = "",
+    ) -> None:
+        vars(self).update(
+            name=name, data=data, annotation=annotation, desc=desc, description=description
+        )
 
 
 def vec_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FusionData:

@@ -29,8 +29,10 @@ import re
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Optional
 
-# plain classes: a NamedTuple or dataclass costs about 0.3 ms each to create
-# at import, which every CLI process would pay
+# plain classes, since every CLI process pays for its classes at import.
+# Creating one six-field class took 0.02 ms as a plain class, 0.17-0.29 ms
+# as a NamedTuple and 1.1-1.7 ms as a frozen dataclass, and importing
+# dataclasses took 8-10 ms more (Python 3.11, no .pyc, a 2-vCPU Xeon VM)
 
 
 class Positional:

@@ -12,12 +12,11 @@ without overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import ContextMismatchError, NotFusionError
-from .report import ValidationReport, Violation
+from .report import Record, ValidationReport, Violation
 
 Tensor = tuple[tuple[tuple[int, ...], ...], ...]
 SparseProducts = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
@@ -29,8 +28,7 @@ def is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True, init=False)
-class FusionData:
+class FusionData(Record):
     """Basis presentation of a multifusion semiring.
 
     labels       distinct basis labels; index order is the canonical basis order
@@ -59,6 +57,7 @@ class FusionData:
     eps: tuple[int, ...]
     endo_degree: int
     unit: tuple[int, ...]
+    _fields = ("labels", "products", "dual", "eps", "endo_degree", "unit")
 
     def __init__(
         self,
@@ -122,12 +121,14 @@ class FusionData:
                     shared.append(pairs.setdefault(pair, pair))
                 rows.append(tuple(shared))
             sparse.append(tuple(rows))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "products", tuple(sparse))
-        object.__setattr__(self, "dual", tuple(dual))
-        object.__setattr__(self, "eps", tuple(eps))
-        object.__setattr__(self, "endo_degree", endo_degree)
-        object.__setattr__(self, "unit", tuple(unit))
+        vars(self).update(
+            labels=labels,
+            products=tuple(sparse),
+            dual=tuple(dual),
+            eps=tuple(eps),
+            endo_degree=endo_degree,
+            unit=tuple(unit),
+        )
         if len(self.dual) != r or any(not (is_int(d) and 0 <= d < r) for d in self.dual):
             raise ValueError("dual map must assign a basis index to every simple")
         if len(self.eps) != r or any(not (is_int(e) and e >= 1) for e in self.eps):
@@ -142,7 +143,7 @@ class FusionData:
         """The data with `fields` in declaration order, unchecked: for tuples in
         the stored form, checked as they were built (the fusion-file parser)."""
         data = object.__new__(cls)
-        vars(data).update(zip(cls.__dataclass_fields__, fields, strict=True))
+        vars(data).update(zip(cls._fields, fields, strict=True))
         return data
 
     def _fact(self, name: str, build: Callable[["FusionData"], T]) -> T:
@@ -224,15 +225,15 @@ class FusionData:
         return (self.basis(i) for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class MultisetElement:
+class MultisetElement(Record):
     """A finite multisubset of the basis of `data`."""
 
     data: FusionData
     coeffs: tuple[int, ...]
+    _fields = ("data", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, data: FusionData, coeffs: tuple[int, ...]) -> None:
+        vars(self).update(data=data, coeffs=tuple(coeffs))
         if len(self.coeffs) != self.data.rank:
             raise ValueError("coefficient vector does not match the basis")
         if any(not is_int(c) or c < 0 for c in self.coeffs):

@@ -11,12 +11,11 @@ split summands needs categorical data the semiring does not carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .report import ValidationReport, Violation
+from .report import Record, ValidationReport, Violation
 
 
 class DivisionType(Enum):
@@ -29,15 +28,15 @@ class DivisionType(Enum):
         return {"R": 1, "C": 2, "H": 4}[self.value]
 
 
-@dataclass(frozen=True)
-class SemisimpleDesc:
+class SemisimpleDesc(Record):
     """Object-level description of a semisimple category over R: labelled
     simples with their division types.  No tensor structure."""
 
     simples: tuple[tuple[str, DivisionType], ...]
+    _fields = ("simples",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "simples", tuple(tuple(s) for s in self.simples))
+    def __init__(self, simples: Iterable[Iterable]) -> None:
+        vars(self).update(simples=tuple(tuple(s) for s in simples))
         labels = [label for label, _ in self.simples]
         if len(set(labels)) != len(labels):
             raise ValueError("semisimple description labels must be distinct")
@@ -71,11 +70,14 @@ def tensor_types(a: DivisionType, b: DivisionType) -> tuple[TensorCell, ...]:
     return _TABLE[key]
 
 
-@dataclass(frozen=True)
-class ProductSimple:
+class ProductSimple(Record):
     label: str
     division_type: DivisionType
     multiplicity: int
+    _fields = ("label", "division_type", "multiplicity")
+
+    def __init__(self, label: str, division_type: DivisionType, multiplicity: int) -> None:
+        vars(self).update(label=label, division_type=division_type, multiplicity=multiplicity)
 
 
 def deligne_product(a: SemisimpleDesc, b: SemisimpleDesc) -> tuple[ProductSimple, ...]:

@@ -359,6 +359,18 @@ def emit_fusion_file(
 ) -> str:
     """Canonical byte-deterministic JSON form.  Simples are listed sorted by
     label, fusion rows keep only nonzero results, keys are sorted."""
+    return dumps(_fusion_doc(data, name, annotation, desc, description)) + "\n"
+
+
+def _fusion_doc(
+    data: FusionData,
+    name: str = "",
+    annotation: Optional[GaloisAnnotation] = None,
+    desc: Optional[SemisimpleDesc] = None,
+    description: str = "",
+) -> dict[str, Any]:
+    """The document emit_fusion_file writes, also embedded as it is in
+    morphism files."""
     order = sorted(range(data.rank), key=lambda i: data.labels[i])
     doc: dict[str, Any] = {
         "name": name,
@@ -397,7 +409,7 @@ def emit_fusion_file(
         doc["division_types"] = {
             label: kind.value for label, kind in sorted(desc.simples)
         }
-    return dumps(doc) + "\n"
+    return doc
 
 
 def emit_entry(entry: FixtureEntry) -> str:
@@ -431,8 +443,8 @@ def emit_morphism_file(f: SemiringMorphism, *, name: str = "") -> str:
     doc: dict[str, Any] = {
         "kind": "morphism",
         "name": name,
-        "source": json.loads(emit_fusion_file(f.source)),
-        "target": json.loads(emit_fusion_file(f.target)),
+        "source": _fusion_doc(f.source),
+        "target": _fusion_doc(f.target),
         "images": images,
         "twist": None
         if f.twist is None

@@ -30,7 +30,6 @@ Fraction view for messages and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -56,6 +55,7 @@ from .poly import (
     sign_variations,
     sturm_chain,
 )
+from .report import Record
 from .validate import check_transitivity
 
 Rat = Union[int, Fraction]
@@ -65,16 +65,16 @@ Rat = Union[int, Fraction]
 # exact matrices
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Square matrix over Q; integral entries are stored as int, the others
     as Fraction."""
 
     rows: tuple[tuple[Rat, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(map(rat, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence[Rat]]) -> None:
+        rows = tuple(tuple(map(rat, row)) for row in rows)
+        vars(self).update(rows=rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -191,8 +191,7 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
 # algebraic numbers
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Record):
     """A real algebraic number: monic defining polynomial plus a rational
     interval certified to contain exactly one of its real roots (Sturm count
     1, and a sign change of the polynomial across it).  Point intervals
@@ -201,10 +200,10 @@ class AlgebraicNumber:
     poly: RationalPolynomial
     lo: Fraction
     hi: Fraction
+    _fields = ("poly", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+    def __init__(self, poly: RationalPolynomial, lo: Rat, hi: Rat) -> None:
+        vars(self).update(poly=poly, lo=Fraction(lo), hi=Fraction(hi))
         if not self.poly.is_monic:
             raise ValueError("defining polynomial must be monic")
         if self.lo > self.hi:

@@ -10,7 +10,6 @@ predicted FPdim of the center with its inequality and equality criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,18 +17,18 @@ from .core import FusionData, is_int
 from .errors import InconsistentAnnotationError, InsufficientDataError
 from .fpengine import ExactValue, ensure_fpdim_ready, exact_cmp, exact_mul
 from .regular import fpdim_category
+from .report import Record
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Multiplication table presentation; the axioms are checked."""
 
     labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
+    _fields = ("labels", "table")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+    def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]) -> None:
+        vars(self).update(labels=tuple(labels), table=tuple(tuple(row) for row in table))
         n = len(self.labels)
         if n == 0 or len(set(self.labels)) != n:
             raise ValueError("group labels must be nonempty and distinct")
@@ -44,7 +43,7 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("no identity element")
-        object.__setattr__(self, "_identity", identity)
+        vars(self)["_identity"] = identity
         for i in range(n):
             if identity not in self.table[i]:
                 raise ValueError(f"element {self.labels[i]} has no inverse")
@@ -97,15 +96,16 @@ TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
 
 
-@dataclass(frozen=True)
-class GaloisMark:
+class GaloisMark(Record):
     """Per-simple Galois datum: a bare triviality flag, or the group element
     relating the right embedding to the left one (identity = trivial)."""
 
     kind: str  # TRIVIAL, NONTRIVIAL, or "element"
-    element: Optional[str] = None
+    element: Optional[str]
+    _fields = ("kind", "element")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, element: Optional[str] = None) -> None:
+        vars(self).update(kind=kind, element=element)
         if self.kind not in (TRIVIAL, NONTRIVIAL, "element"):
             raise ValueError(f"unknown mark kind {self.kind!r}")
         if (self.kind == "element") != (self.element is not None):
@@ -124,14 +124,19 @@ class GaloisMark:
         return cls("element", element)
 
 
-@dataclass(frozen=True)
-class GaloisAnnotation:
+class GaloisAnnotation(Record):
     marks: tuple[GaloisMark, ...]
-    group: Optional[FiniteGroup] = None
-    center_degree: Optional[int] = None
+    group: Optional[FiniteGroup]
+    center_degree: Optional[int]
+    _fields = ("marks", "group", "center_degree")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marks", tuple(self.marks))
+    def __init__(
+        self,
+        marks: Sequence[GaloisMark],
+        group: Optional[FiniteGroup] = None,
+        center_degree: Optional[int] = None,
+    ) -> None:
+        vars(self).update(marks=tuple(marks), group=group, center_degree=center_degree)
         if self.group is not None:
             for mark in self.marks:
                 if mark.kind == "element":
@@ -284,8 +289,7 @@ def center_endo_degree(
     )
 
 
-@dataclass(frozen=True)
-class CenterPrediction:
+class CenterPrediction(Record):
     predicted: ExactValue
     bound_ok: bool  # predicted <= FPdim(C)^2
     equality: bool  # all simples Galois trivial (the equality criterion)
@@ -293,6 +297,29 @@ class CenterPrediction:
     consistent: bool  # numeric comparison agrees with the equality criterion
     center_degree: int
     image: FusionData
+    _fields = (
+        "predicted", "bound_ok", "equality", "strict", "consistent", "center_degree", "image"
+    )
+
+    def __init__(
+        self,
+        predicted: ExactValue,
+        bound_ok: bool,
+        equality: bool,
+        strict: bool,
+        consistent: bool,
+        center_degree: int,
+        image: FusionData,
+    ) -> None:
+        vars(self).update(
+            predicted=predicted,
+            bound_ok=bound_ok,
+            equality=equality,
+            strict=strict,
+            consistent=consistent,
+            center_degree=center_degree,
+            image=image,
+        )
 
 
 def center_fpdim_prediction(

@@ -9,7 +9,6 @@ Morita formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -33,15 +32,14 @@ from .fpengine import (
     reciprocal,
 )
 from .regular import fpdim_category
-from .report import ValidationReport, Violation
+from .report import Record, ValidationReport, Violation
 from .validate import check_structural
 
 Rat = Union[int, Fraction]
 ValueLike = Union[Rat, AlgebraicNumber]
 
 
-@dataclass(frozen=True)
-class SemiringMorphism:
+class SemiringMorphism(Record):
     """Matrix presentation of a map between fusion bases.
 
     matrix[t][s] is the multiplicity of target simple t in the image of
@@ -52,10 +50,19 @@ class SemiringMorphism:
     source: FusionData
     target: FusionData
     matrix: tuple[tuple[int, ...], ...]
-    twist: Optional[MultisetElement] = None
+    twist: Optional[MultisetElement]
+    _fields = ("source", "target", "matrix", "twist")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+    def __init__(
+        self,
+        source: FusionData,
+        target: FusionData,
+        matrix: Sequence[Sequence[int]],
+        twist: Optional[MultisetElement] = None,
+    ) -> None:
+        vars(self).update(
+            source=source, target=target, matrix=tuple(tuple(row) for row in matrix), twist=twist
+        )
         if len(self.matrix) != self.target.rank or any(
             len(row) != self.source.rank for row in self.matrix
         ):

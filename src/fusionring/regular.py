@@ -9,7 +9,6 @@ strictly positive eigenvector is the regular element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,18 +29,19 @@ from .fpengine import (
     perron_root,
 )
 from .poly import RationalPolynomial
-from .report import ValidationReport, Violation
+from .report import Record, ValidationReport, Violation
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
+class ExtendedElement(Record):
     """Element with exact real coefficients (rationals or certified algebraic
     numbers); strictly positive when it represents the regular element."""
 
     data: FusionData
     coeffs: tuple[ExactValue, ...]
+    _fields = ("data", "coeffs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, data: FusionData, coeffs: tuple[ExactValue, ...]) -> None:
+        vars(self).update(data=data, coeffs=coeffs)
         if len(self.coeffs) != self.data.rank:
             raise ValueError("coefficient vector does not match the basis")
 
@@ -122,11 +122,18 @@ def verify_regular_eigenproperty(data: FusionData) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(Record):
     fpdim: AlgebraicNumber
     min_poly: RationalPolynomial
     is_algebraic_integer: bool
+    _fields = ("fpdim", "min_poly", "is_algebraic_integer")
+
+    def __init__(
+        self, fpdim: AlgebraicNumber, min_poly: RationalPolynomial, is_algebraic_integer: bool
+    ) -> None:
+        vars(self).update(
+            fpdim=fpdim, min_poly=min_poly, is_algebraic_integer=is_algebraic_integer
+        )
 
 
 def certify_integrality(data: FusionData) -> IntegralityCertificate:

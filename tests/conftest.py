@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -250,6 +251,29 @@ def fpdim_transport_oracle(f) -> list:
                 )
             )
     return violations
+
+
+def morphism_file_oracle(f, name: str = "") -> str:
+    """The morphism file writer that embeds each fusion document by writing
+    it with emit_fusion_file and parsing the text back."""
+    images: dict[str, dict[str, int]] = {}
+    for s in range(f.source.rank):
+        column = {
+            f.target.labels[t]: f.matrix[t][s] for t in range(f.target.rank) if f.matrix[t][s]
+        }
+        if column:
+            images[f.source.labels[s]] = dict(sorted(column.items()))
+    doc = {
+        "kind": "morphism",
+        "name": name,
+        "source": json.loads(fr.emit_fusion_file(f.source)),
+        "target": json.loads(fr.emit_fusion_file(f.target)),
+        "images": images,
+        "twist": None
+        if f.twist is None
+        else {f.source.labels[i]: c for i, c in enumerate(f.twist.coeffs) if c},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -443,12 +442,23 @@ def test_precision_moves_only_intervals(capsys, tmp_path):
     # and every irrational value prints an interval certified at the
     # precision; FPdim(C) = 35/24 of z3_eps138 prints as the rational it is
     fib, gal7 = fr.get_builtin("fib").data, fr.get_builtin("gal7")
+    z3 = fr.get_builtin("vec_z3").data
     generated = {
         "su2_3": (su2(3), None),
         "ty_z5": (tambara_yamagami(5), None),
         "fib2": (tensor_product(fib, fib), None),
         "gal7xfib": galois_product(gal7, fib),
-        "z3_eps138": (replace(fr.get_builtin("vec_z3").data, eps=(1, 3, 8)), None),
+        "z3_eps138": (
+            fr.FusionData(
+                z3.labels,
+                dual=z3.dual,
+                eps=(1, 3, 8),
+                endo_degree=z3.endo_degree,
+                unit=z3.unit,
+                products=z3.products,
+            ),
+            None,
+        ),
     }
     inputs = [(name, fr.get_builtin(name).annotation) for name in fr.list_builtins()]
     for name, (data, annotation) in generated.items():

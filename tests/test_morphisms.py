@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
-from conftest import FUSION_NAMES, fpdim_transport_oracle, fusion_data, su2, tensor_product
+from conftest import (
+    FUSION_NAMES,
+    fpdim_transport_oracle,
+    fusion_data,
+    morphism_file_oracle,
+    su2,
+    tensor_product,
+)
 
 
 def collapse_vec_z3():
@@ -404,6 +411,16 @@ def test_morphism_json_round_trip(make):
     back = fr.parse_morphism_file(text)
     assert back == f
     assert fr.emit_morphism_file(back, name="probe") == text
+
+
+@pytest.mark.parametrize(
+    "case", ["id:su2_8", "fib->fib2", "fib2->fib", "su2_3*D", "twisted_vec_z2_endo"]
+)
+def test_morphism_file_embeds_the_fusion_documents_unchanged(case):
+    # the embedded documents are built as dicts, not written and re-read
+    f = identity_of(su2(8)) if case == "id:su2_8" else DIFFERENTIAL[case]()
+    for name in ("", "probe"):
+        assert fr.emit_morphism_file(f, name=name) == morphism_file_oracle(f, name)
 
 
 def test_morphism_file_schema_errors():
