@@ -28,7 +28,6 @@ class FixtureEntry(Record):
     annotation: Optional[GaloisAnnotation]
     desc: Optional[SemisimpleDesc]
     description: str
-    _fields = ("name", "data", "annotation", "desc", "description")
 
     def __init__(
         self,

@@ -57,7 +57,6 @@ class FusionData(Record):
     eps: tuple[int, ...]
     endo_degree: int
     unit: tuple[int, ...]
-    _fields = ("labels", "products", "dual", "eps", "endo_degree", "unit")
 
     def __init__(
         self,
@@ -230,7 +229,6 @@ class MultisetElement(Record):
 
     data: FusionData
     coeffs: tuple[int, ...]
-    _fields = ("data", "coeffs")
 
     def __init__(self, data: FusionData, coeffs: tuple[int, ...]) -> None:
         vars(self).update(data=data, coeffs=tuple(coeffs))

@@ -33,7 +33,6 @@ class SemisimpleDesc(Record):
     simples with their division types.  No tensor structure."""
 
     simples: tuple[tuple[str, DivisionType], ...]
-    _fields = ("simples",)
 
     def __init__(self, simples: Iterable[Iterable]) -> None:
         vars(self).update(simples=tuple(tuple(s) for s in simples))
@@ -74,7 +73,6 @@ class ProductSimple(Record):
     label: str
     division_type: DivisionType
     multiplicity: int
-    _fields = ("label", "division_type", "multiplicity")
 
     def __init__(self, label: str, division_type: DivisionType, multiplicity: int) -> None:
         vars(self).update(label=label, division_type=division_type, multiplicity=multiplicity)

@@ -70,7 +70,6 @@ class RationalMatrix(Record):
     as Fraction."""
 
     rows: tuple[tuple[Rat, ...], ...]
-    _fields = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[Rat]]) -> None:
         rows = tuple(tuple(map(rat, row)) for row in rows)
@@ -200,7 +199,6 @@ class AlgebraicNumber(Record):
     poly: RationalPolynomial
     lo: Fraction
     hi: Fraction
-    _fields = ("poly", "lo", "hi")
 
     def __init__(self, poly: RationalPolynomial, lo: Rat, hi: Rat) -> None:
         vars(self).update(poly=poly, lo=Fraction(lo), hi=Fraction(hi))

@@ -25,7 +25,6 @@ class FiniteGroup(Record):
 
     labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
-    _fields = ("labels", "table")
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]) -> None:
         vars(self).update(labels=tuple(labels), table=tuple(tuple(row) for row in table))
@@ -102,7 +101,6 @@ class GaloisMark(Record):
 
     kind: str  # TRIVIAL, NONTRIVIAL, or "element"
     element: Optional[str]
-    _fields = ("kind", "element")
 
     def __init__(self, kind: str, element: Optional[str] = None) -> None:
         vars(self).update(kind=kind, element=element)
@@ -128,7 +126,6 @@ class GaloisAnnotation(Record):
     marks: tuple[GaloisMark, ...]
     group: Optional[FiniteGroup]
     center_degree: Optional[int]
-    _fields = ("marks", "group", "center_degree")
 
     def __init__(
         self,
@@ -297,9 +294,6 @@ class CenterPrediction(Record):
     consistent: bool  # numeric comparison agrees with the equality criterion
     center_degree: int
     image: FusionData
-    _fields = (
-        "predicted", "bound_ok", "equality", "strict", "consistent", "center_degree", "image"
-    )
 
     def __init__(
         self,

@@ -51,7 +51,6 @@ class SemiringMorphism(Record):
     target: FusionData
     matrix: tuple[tuple[int, ...], ...]
     twist: Optional[MultisetElement]
-    _fields = ("source", "target", "matrix", "twist")
 
     def __init__(
         self,

@@ -38,7 +38,6 @@ class ExtendedElement(Record):
 
     data: FusionData
     coeffs: tuple[ExactValue, ...]
-    _fields = ("data", "coeffs")
 
     def __init__(self, data: FusionData, coeffs: tuple[ExactValue, ...]) -> None:
         vars(self).update(data=data, coeffs=coeffs)
@@ -126,7 +125,6 @@ class IntegralityCertificate(Record):
     fpdim: AlgebraicNumber
     min_poly: RationalPolynomial
     is_algebraic_integer: bool
-    _fields = ("fpdim", "min_poly", "is_algebraic_integer")
 
     def __init__(
         self, fpdim: AlgebraicNumber, min_poly: RationalPolynomial, is_algebraic_integer: bool

@@ -13,9 +13,10 @@ from typing import Iterable
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in `_fields` and sets them in its own
-    `__init__` through the instance dict.  It gets `__eq__`, `__hash__` and
-    `__match_args__` when it is created, and defines none of them itself.
+    A subclass annotates its fields, in order, and sets them in its own
+    `__init__` through the instance dict.  It gets `_fields` (the annotated
+    names), `__eq__`, `__hash__` and `__match_args__` when it is created, and
+    defines none of them itself.
     Equality holds only between instances of the same class and compares
     the fields in order; the hash is the hash of the tuple of fields; the
     repr is `Name(field=value, ...)`; assigning or deleting an attribute
@@ -26,6 +27,8 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        # under `from __future__ import annotations` a plain dict of names
+        cls._fields = tuple(cls.__dict__["__annotations__"])
         fields = attrgetter(*cls._fields)
         if len(cls._fields) > 1:
             key = fields
@@ -62,7 +65,6 @@ class Violation(Record):
     rule: str
     witness: tuple  # basis indices or labels pinpointing the failure
     message: str
-    _fields = ("rule", "witness", "message")
 
     def __init__(self, rule: str, witness: tuple, message: str) -> None:
         vars(self).update(rule=rule, witness=witness, message=message)
@@ -71,7 +73,6 @@ class Violation(Record):
 class ValidationReport(Record):
     passed: bool
     violations: tuple[Violation, ...]
-    _fields = ("passed", "violations")
 
     def __init__(self, passed: bool, violations: tuple[Violation, ...] = ()) -> None:
         vars(self).update(passed=passed, violations=violations)

@@ -28,7 +28,7 @@ def test_import_times_reads_self_and_cumulative_microseconds():
 
 def test_profile_of_two_trees(capsys):
     src = str(ROOT / "src")
-    assert import_profile.main(["--runs", "1", "--top", "0", "--src", src, "--src", src]) == 0
+    assert import_profile.main(["--runs", "1", "--src", src, "--src", src]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.startswith("setup wall, median of 1: ") for line in lines[:2]] == [True, True]
     rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}

@@ -135,9 +135,10 @@ def _record(case: Case):
 
 
 def test_every_record_is_covered():
+    # the package's own, not the ad-hoc classes other tests here create
+    package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("fusionring.")}
+    assert {case.cls for case in CASES} == package
     assert len(CASES) == 16
-    for case in CASES:
-        assert issubclass(case.cls, Record)
 
 
 @pytest.mark.parametrize("case", CASES, ids=repr)
@@ -179,7 +180,7 @@ def test_equality_hash_and_repr_match_the_twin(case):
     assert hash(x) == hash(y) == hash(twin) == hash(case.values)
     assert x != twin and twin != x and x.__eq__(twin) is NotImplemented
     # another record class with the same fields and values
-    other = object.__new__(type(case.cls.__name__, (Record,), {"_fields": case.fields}))
+    other = object.__new__(type(case.cls.__name__, (Record,), {"__annotations__": dict.fromkeys(case.fields)}))
     vars(other).update(zip(case.fields, case.values))
     assert hash(other) == hash(x) and repr(other) == repr(x)
     assert x != other and other != x

@@ -12,11 +12,11 @@ interpreters of each kind there, rotating the trees run by run:
 
 Both run with PYTHONDONTWRITEBYTECODE=1 from an empty working directory,
 so every fusionring module is compiled from source, as in the benchmark.
-Prints the median setup wall time per tree, then per module the median
+Prints the median setup wall time per tree, then for every module the median
 self and cumulative import time (ms) per tree, slowest first.  Python
 standard library only.
 
-    python3 tools/import_profile.py [--runs 11] [--top 25] [--src DIR ...]
+    python3 tools/import_profile.py [--runs 11] [--src DIR ...]
 
 Give --src twice, say this checkout's src and a parent's, for a before and
 after table from interleaved runs.
@@ -96,7 +96,6 @@ def profile(sources: list[Path], runs: int) -> tuple[list[list[float]], list[dic
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--runs", type=int, default=11, help="fresh interpreters per kind and tree")
-    parser.add_argument("--top", type=int, default=25, help="modules shown; 0 shows all")
     parser.add_argument(
         "--src", type=Path, action="append", help="a source tree (repeatable; default src/)"
     )
@@ -118,8 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(
         set().union(*median), key=lambda name: -max(m[name][1] for m in median if name in m)
     )
-    if args.top:
-        names = names[: args.top]
     header = "".join(f"  self{i} cum{i}".rjust(16) for i in range(len(sources)))
     print(f"{'module':40}{header}   (ms; tree i is the i-th --src)")
     for name in names:
