@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import FusionData
 from .deligne import DivisionType, SemisimpleDesc
-from .galois import FiniteGroup, GaloisAnnotation, GaloisMark, from_galois_group
+from .galois import FiniteGroup, GaloisAnnotation, GaloisMark, from_galois_group, group_ring
 from .report import Record
 
 _R = DivisionType.REAL
@@ -46,15 +46,7 @@ def vec_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FusionDa
     """Group-ring fusion data: one simple per element, product from the
     multiplication table, duality the inverse, all eps = 1, degree 1."""
     group = FiniteGroup(tuple(labels), tuple(tuple(row) for row in table))
-    n = group.order
-    return FusionData(
-        labels=group.labels,
-        products=tuple(tuple(((k, 1),) for k in row) for row in group.table),
-        dual=tuple(group.inverse(i) for i in range(n)),
-        eps=(1,) * n,
-        endo_degree=1,
-        unit=(group.identity,),
-    )
+    return group_ring(group, range(group.order), 1)
 
 
 def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:

@@ -7,10 +7,13 @@ usage or schema error.
 
 Arguments are read against the COMMANDS table by cmdline.CommandLine in
 one left-to-right pass (its module docstring gives the grammar); usage
-errors keep the words of the argparse front end it replaced.  Nothing is
-built at import: a job pays only for parsing its own arguments.  The heap
-left by import holds no garbage, so run_command freezes it (gc.freeze) for
-the length of the command, unless the caller has frozen objects itself.
+errors keep the words of the argparse front end it replaced.  Each
+subcommand's handler returns its payload and its exit code, and writes
+nothing: run_command renders the payload in --format (catalog emit's is
+already the file's text) and writes it to stdout.  Nothing is built at
+import: a job pays only for parsing its own arguments.  The heap left by
+import holds no garbage, so run_command freezes it (gc.freeze) for the
+length of the command, unless the caller has frozen objects itself.
 
 A file argument is read as bytes and decoded as UTF-8 with universal
 newlines ("\r\n" and a lone "\r" become "\n"), as a text-mode open reads
@@ -185,14 +188,16 @@ def _load(arg: str) -> FixtureEntry:
     raise SchemaError(f"{arg!r} is neither a file, '-', nor a builtin fixture name")
 
 
-def _gate_structural(entry: FixtureEntry) -> None:
-    report = entry.data._fact("structural", check_structural)
-    if not report.passed:
-        messages = "; ".join(v.message for v in report.violations[:5])
-        raise FusionError(
-            f"input fails structural checks ({len(report.violations)} violations): "
-            f"{messages}"
-        )
+def _gated(*entries: FixtureEntry) -> None:
+    """Refuse the first of entries whose data fails the structural checks."""
+    for entry in entries:
+        report = entry.data._fact("structural", check_structural)
+        if not report.passed:
+            messages = "; ".join(v.message for v in report.violations[:5])
+            raise FusionError(
+                f"input fails structural checks ({len(report.violations)} violations): "
+                f"{messages}"
+            )
 
 
 def _identify(entry: FixtureEntry) -> dict[str, Any]:
@@ -204,11 +209,23 @@ def _identify(entry: FixtureEntry) -> dict[str, Any]:
     return out
 
 
+def _pair(args: SimpleNamespace) -> tuple[FixtureEntry, FixtureEntry, dict[str, Any]]:
+    """The entries of args.a and args.b, both loaded before either is
+    checked, and the payload naming them (by their argument when unnamed)."""
+    entry_a, entry_b = _load(args.a), _load(args.b)
+    names = {
+        "a": _identify(entry_a) or {"name": args.a},
+        "b": _identify(entry_b) or {"name": args.b},
+    }
+    return entry_a, entry_b, names
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its payload (a dict, rendered in
+# --format, or a str written as it is) and its exit code
 
 
-def _cmd_validate(args: SimpleNamespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     """Structural checks, and on fusion data eps consistency and
     transitivity.  A fusion ring that passes the structural checks is
     transitive (x*.x contains the unit, so y <= (y.x*).x and
@@ -222,14 +239,12 @@ def _cmd_validate(args: SimpleNamespace) -> int:
         if not structural.passed:
             report = report.merged(check_transitivity(data))
         checks += ["eps_consistency", "transitivity"]
-    payload = {
+    return {
         **_identify(entry),
         "checks": checks,
         "passed": report.passed,
         "violations": _report_json(report),
-    }
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if report.passed else 1
+    }, 0 if report.passed else 1
 
 
 def _with_integrality(payload: dict[str, Any]) -> dict[str, Any]:
@@ -243,46 +258,41 @@ def _category_payload(args: SimpleNamespace) -> dict[str, Any]:
     """What fpdim --category prints, and integrality too: FPdim of the
     category, its min poly and whether that is integral."""
     entry = _load(args.file)
-    _gate_structural(entry)
+    _gated(entry)
     width = Fraction(1, 2**args.precision)
     value = fpdim_category(entry.data)
     return _with_integrality({**_identify(entry), **_value_payload(value, width)})
 
 
-def _cmd_fpdim(args: SimpleNamespace) -> int:
+def _cmd_fpdim(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     if args.category:
-        sys.stdout.write(_render(_category_payload(args), args.format))
-        return 0
+        return _category_payload(args), 0
     entry = _load(args.file)
-    _gate_structural(entry)
+    _gated(entry)
     data = entry.data
     width = Fraction(1, 2**args.precision)
-    if args.element is not None:
-        x = data.basis(args.element)
-        value = fpdim_element(x)
-        payload = _with_integrality({
-            **_identify(entry),
-            "element": args.element,
-            **_value_payload(value, width),
-            "char_poly": _poly_json(char_poly(left_mult_matrix(x))),
-        })
-    else:
-        elements = {}
-        for label in data.labels:
-            value = fpdim_element(data.basis(label))
-            elements[label] = _value_payload(value, width)
-        payload = {**_identify(entry), "elements": elements}
-    sys.stdout.write(_render(payload, args.format))
-    return 0
+    if args.element is None:
+        elements = {
+            label: _value_payload(fpdim_element(data.basis(label)), width)
+            for label in data.labels
+        }
+        return {**_identify(entry), "elements": elements}, 0
+    x = data.basis(args.element)
+    return _with_integrality({
+        **_identify(entry),
+        "element": args.element,
+        **_value_payload(fpdim_element(x), width),
+        "char_poly": _poly_json(char_poly(left_mult_matrix(x))),
+    }), 0
 
 
-def _cmd_regular(args: SimpleNamespace) -> int:
+def _cmd_regular(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     entry = _load(args.file)
-    _gate_structural(entry)
+    _gated(entry)
     width = Fraction(1, 2**args.precision)
     reg = regular_element(entry.data)
     verification = verify_regular_eigenproperty(entry.data)
-    payload = {
+    return {
         **_identify(entry),
         # refined to width / eps_x, FPdim(x)/eps_x prints FPdim(x)'s cell at
         # width divided by eps_x
@@ -292,20 +302,17 @@ def _cmd_regular(args: SimpleNamespace) -> int:
         },
         "eigenproperty_passed": verification.passed,
         "violations": _report_json(verification),
-    }
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if verification.passed else 1
+    }, 0 if verification.passed else 1
 
 
-def _cmd_integrality(args: SimpleNamespace) -> int:
+def _cmd_integrality(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     payload = _category_payload(args)
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if payload["algebraic_integer"] else 1
+    return payload, 0 if payload["algebraic_integer"] else 1
 
 
-def _cmd_center(args: SimpleNamespace) -> int:
+def _cmd_center(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     entry = _load(args.file)
-    _gate_structural(entry)
+    _gated(entry)
     if entry.annotation is None:
         raise FusionError(
             "input has no Galois annotation: per-simple Galois marks are required "
@@ -314,7 +321,7 @@ def _cmd_center(args: SimpleNamespace) -> int:
     width = Fraction(1, 2**args.precision)
     prediction = center_fpdim_prediction(entry.data, entry.annotation, user_center_degree=args.dz)
     predicted = _value_payload(prediction.predicted, width)
-    payload = {
+    return {
         **_identify(entry),
         # a rational prediction prints as its value alone
         "predicted": predicted["value"] or predicted,
@@ -326,32 +333,24 @@ def _cmd_center(args: SimpleNamespace) -> int:
         "center_degree": prediction.center_degree,
         "image_rank": prediction.image.rank,
         "image_simples": list(prediction.image.labels),
-    }
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if prediction.bound_ok and prediction.consistent else 1
+    }, 0 if prediction.bound_ok and prediction.consistent else 1
 
 
-def _cmd_morita(args: SimpleNamespace) -> int:
-    entry_a = _load(args.a)
-    entry_b = _load(args.b)
-    _gate_structural(entry_a)
-    _gate_structural(entry_b)
+def _cmd_morita(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
+    entry_a, entry_b, names = _pair(args)
+    _gated(entry_a, entry_b)
     width = Fraction(1, 2**args.precision)
     result = morita_ratio_equal(entry_a.data, entry_b.data)
-    payload = {
-        "a": _identify(entry_a) or {"name": args.a},
-        "b": _identify(entry_b) or {"name": args.b},
+    return {
+        **names,
         "ratio_a": _value_payload(result.ratio_a, width),
         "ratio_b": _value_payload(result.ratio_b, width),
         "equal": result.equal,
-    }
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if result.equal else 1
+    }, 0 if result.equal else 1
 
 
-def _cmd_deligne(args: SimpleNamespace) -> int:
-    entry_a = _load(args.a)
-    entry_b = _load(args.b)
+def _cmd_deligne(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
+    entry_a, entry_b, names = _pair(args)
     for arg, entry in ((args.a, entry_a), (args.b, entry_b)):
         if entry.desc is None:
             raise SchemaError(
@@ -359,9 +358,8 @@ def _cmd_deligne(args: SimpleNamespace) -> int:
                 "section to use it in products"
             )
     simples = deligne_product(entry_a.desc, entry_b.desc)
-    payload = {
-        "a": _identify(entry_a) or {"name": args.a},
-        "b": _identify(entry_b) or {"name": args.b},
+    return {
+        **names,
         "count": len(simples),
         "simples": [
             {
@@ -371,26 +369,18 @@ def _cmd_deligne(args: SimpleNamespace) -> int:
             }
             for s in simples
         ],
-    }
-    sys.stdout.write(_render(payload, args.format))
-    return 0
+    }, 0
 
 
-def _cmd_catalog(args: SimpleNamespace) -> int:
+def _cmd_catalog(args: SimpleNamespace) -> tuple[dict[str, Any] | str, int]:
     if args.action == "list":
         if args.name is not None:
             raise SchemaError(f"catalog list takes no name, got {args.name!r}")
-        payload = {"builtins": list(list_builtins())}
-        sys.stdout.write(_render(payload, args.format))
-        return 0
+        return {"builtins": list(list_builtins())}, 0
     if args.name is None:
         raise SchemaError("catalog emit needs a fixture name")
-    try:
-        entry = get_builtin(args.name)
-    except KeyError as exc:
-        raise SchemaError(exc.args[0]) from None
-    sys.stdout.write(emit_entry(entry))
-    return 0
+    # an unknown name raises KeyError, which run_command reports with exit 2
+    return emit_entry(get_builtin(args.name)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +500,9 @@ def run_command(argv: list[str]) -> int:
         gc.freeze()
     try:
         args = parse_args(argv)
-        return COMMANDS[args.command].handler(args)
+        payload, code = COMMANDS[args.command].handler(args)
+        sys.stdout.write(payload if isinstance(payload, str) else _render(payload, args.format))
+        return code
     except ParseExit as exc:
         (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
         return exc.code

@@ -87,7 +87,7 @@ class Command:
 
     def __init__(
         self,
-        handler: Callable[[SimpleNamespace], int],
+        handler: Callable[[SimpleNamespace], tuple[Any, int]],
         help: str,
         positionals: tuple[Positional, ...],
         options: tuple[Option, ...] = (),

@@ -49,6 +49,9 @@ class FusionData(Record):
     Construction enforces shapes and nonnegativity only.  The semiring axioms
     (associativity, unit laws, duality) are checked by validate.check_structural,
     which must be able to receive broken data and report on it.
+    `FusionData._certified` skips even those checks, for fields in the
+    stored form, checked as they were built (the fusion-file parser, the
+    Galois-trivial subring).
     """
 
     labels: tuple[str, ...]
@@ -137,14 +140,6 @@ class FusionData(Record):
         if not self.unit or any(not (is_int(u) and 0 <= u < r) for u in self.unit):
             raise ValueError("unit summand indices must be a nonempty subset of the basis")
 
-    @classmethod
-    def _certified(cls, *fields) -> "FusionData":
-        """The data with `fields` in declaration order, unchecked: for tuples in
-        the stored form, checked as they were built (the fusion-file parser)."""
-        data = object.__new__(cls)
-        vars(data).update(zip(cls._fields, fields, strict=True))
-        return data
-
     def _fact(self, name: str, build: Callable[["FusionData"], T]) -> T:
         """build(self), such as the check_structural report or the Perron data,
         made on first use and kept on the instance as n_tensor is; equality,
@@ -225,7 +220,12 @@ class FusionData(Record):
 
 
 class MultisetElement(Record):
-    """A finite multisubset of the basis of `data`."""
+    """A finite multisubset of the basis of `data`.
+
+    `MultisetElement._certified(data, coeffs)` skips the checks, for a tuple
+    of data.rank nonnegative ints computed from inputs already checked (a
+    product, dual, meet or sum of elements, a morphism image, a basis
+    vector, the unit, zero)."""
 
     data: FusionData
     coeffs: tuple[int, ...]
@@ -236,17 +236,6 @@ class MultisetElement(Record):
             raise ValueError("coefficient vector does not match the basis")
         if any(not is_int(c) or c < 0 for c in self.coeffs):
             raise ValueError("multiset coefficients must be nonnegative integers")
-
-    @classmethod
-    def _certified(cls, data: FusionData, coeffs: tuple[int, ...]) -> "MultisetElement":
-        """The element with `coeffs` over `data`, unchecked: for a tuple of
-        data.rank nonnegative ints computed from inputs already checked (a
-        product, dual, meet or sum of elements, a morphism image, a basis
-        vector, the unit, zero).  Equal to, and hashing as,
-        MultisetElement(data, coeffs), which checks every coefficient."""
-        element = object.__new__(cls)
-        vars(element).update(data=data, coeffs=coeffs)
-        return element
 
     @property
     def is_zero(self) -> bool:

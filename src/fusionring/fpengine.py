@@ -194,7 +194,10 @@ class AlgebraicNumber(Record):
     """A real algebraic number: monic defining polynomial plus a rational
     interval certified to contain exactly one of its real roots (Sturm count
     1, and a sign change of the polynomial across it).  Point intervals
-    (lo == hi) are exact rationals."""
+    (lo == hi) are exact rationals.  `AlgebraicNumber._certified` skips the
+    check, for Fraction ends certified where they were made: by the Sturm
+    count that found them, as a subcell of a certified interval or its
+    image under x -> c x or x -> 1/x, or as the point of t - c."""
 
     poly: RationalPolynomial
     lo: Fraction
@@ -217,14 +220,6 @@ class AlgebraicNumber(Record):
             raise ValueError("defining polynomial does not change sign across the interval")
         elif count_real_roots(chain, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate exactly one real root")
-
-    @classmethod
-    def _certified(cls, poly: RationalPolynomial, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        """Skips the check, for an interval certified by construction: a
-        subcell of a certified one, or its image under x -> c x or x -> 1/x."""
-        alpha = object.__new__(cls)
-        vars(alpha).update(poly=poly, lo=lo, hi=hi)
-        return alpha
 
     @property
     def is_point(self) -> bool:
@@ -552,7 +547,12 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
         x, y = refine(x, x.width / 2), refine(y, y.width / 2)
         if x.is_point or y.is_point:
             return exact_mul(x, y)
-    roots = rational_roots_between(chain[0], lo, hi)
+    # a rational product is sought, as in isolate_max_real_root, in a copy
+    # of the cell narrowed to 16 over the leading coefficient, where
+    # rational_roots_between tries every numerator (and finds the point the
+    # narrowing may stop at); an irrational product keeps the product interval
+    root_lo, root_hi = _refine_on_grid(chain[0], lo, hi, Fraction(16, chain[0][-1]))
+    roots = rational_roots_between(chain[0], root_lo, root_hi)
     if roots:
         return roots[0]
     return AlgebraicNumber._certified(prod_poly, lo, hi)

@@ -75,6 +75,8 @@ class FiniteGroup(Record):
         return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(n))
 
     def subgroup_generated(self, generators: Sequence[int]) -> frozenset[int]:
+        """The closure under products of the identity and generators; in a
+        finite group it holds each g's inverse, a power of g."""
         closure = {self.identity, *generators}
         frontier = list(closure)
         while frontier:
@@ -84,10 +86,6 @@ class FiniteGroup(Record):
                     if product not in closure:
                         closure.add(product)
                         frontier.append(product)
-            inv = self.inverse(g)
-            if inv not in closure:
-                closure.add(inv)
-                frontier.append(inv)
         return frozenset(closure)
 
 
@@ -172,35 +170,41 @@ def from_galois_group(
     full group order.  Each simple is annotated with its group element.
     """
     indices = [group.index(label) for label in subset]
-    if len(set(indices)) != len(indices):
+    members = set(indices)
+    if len(members) != len(indices):
         raise ValueError("subset labels must be distinct")
-    if group.identity not in indices:
+    if group.identity not in members:
         raise ValueError("subset must contain the identity")
-    position = {g: i for i, g in enumerate(indices)}
     for g in indices:
-        if group.inverse(g) not in position:
+        if group.inverse(g) not in members:
             raise ValueError(f"subset is not closed under inverse at {group.labels[g]}")
         for h in indices:
-            if group.table[g][h] not in position:
+            if group.table[g][h] not in members:
                 raise ValueError(
                     f"subset is not closed under multiplication at "
                     f"{group.labels[g]}*{group.labels[h]}"
                 )
-    data = FusionData(
+    annotation = GaloisAnnotation(
+        marks=tuple(GaloisMark.of(group.labels[g]) for g in indices),
+        group=group,
+    )
+    return group_ring(group, indices, group.order), annotation
+
+
+def group_ring(group: FiniteGroup, indices: Sequence[int], endo_degree: int) -> FusionData:
+    """Group-ring fusion data on `indices`, a subgroup of group, one simple per
+    element in that order: product g * h = gh, duality the inverse, eps 1."""
+    position = {g: i for i, g in enumerate(indices)}
+    return FusionData(
         labels=tuple(group.labels[g] for g in indices),
         products=tuple(
             tuple(((position[group.table[g][h]], 1),) for h in indices) for g in indices
         ),
         dual=tuple(position[group.inverse(g)] for g in indices),
         eps=(1,) * len(indices),
-        endo_degree=group.order,
+        endo_degree=endo_degree,
         unit=(position[group.identity],),
     )
-    annotation = GaloisAnnotation(
-        marks=tuple(GaloisMark.of(group.labels[g]) for g in indices),
-        group=group,
-    )
-    return data, annotation
 
 
 def galois_trivial_subring(data: FusionData, annotation: GaloisAnnotation) -> FusionData:

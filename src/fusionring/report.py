@@ -7,7 +7,9 @@ front end can print the whole list for hand-entered data.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
+from typing import Any, Iterable, TypeVar
+
+_R = TypeVar("_R", bound="Record")
 
 
 class Record:
@@ -49,6 +51,15 @@ class Record:
             return hash(key(self))
 
         cls.__eq__, cls.__hash__, cls.__match_args__ = __eq__, __hash__, cls._fields
+
+    @classmethod
+    def _certified(cls: type[_R], *fields: Any) -> _R:
+        """The instance with `fields` in declaration order, unchecked: for
+        values the caller built to pass `__init__`'s checks, in the form
+        `__init__` stores.  Equal to, and hashing as, the checked instance."""
+        record = object.__new__(cls)
+        vars(record).update(zip(cls._fields, fields, strict=True))
+        return record
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

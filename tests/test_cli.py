@@ -615,7 +615,7 @@ def test_cycles_made_during_a_command_are_collected(capsys, monkeypatch):
             if name == "inside":
                 gc.collect()
                 refs["dead inside"] = refs["inside"]() is None
-        return 0
+        return {}, 0
 
     monkeypatch.setitem(cli.COMMANDS, "validate", Command(make_cycles, "", (cli._FILE,)))
     assert run(capsys, "validate", "fib")[0] == 0
@@ -633,3 +633,13 @@ def test_library_calls_leave_the_collector_alone(monkeypatch):
     entry = fr.parse_fusion_file(fr.emit_entry(fr.get_builtin("rep_f2_z3")))
     assert fr.fpdim_category(entry.data).value == 3
     assert fr.check_structural(entry.data).passed
+
+
+@pytest.mark.parametrize("bits", [0, 64])
+def test_value_payload_prints_a_rational_root_as_its_point(bits):
+    # an isolated interval whose defining polynomial is linear prints the
+    # point, as an exact rational would
+    value = fr.AlgebraicNumber(RationalPolynomial((-5, 1)), 4, 6)
+    payload = cli._value_payload(value, Fraction(1, 2**bits))
+    assert payload == {"value": "5", "approx": "5", "min_poly": [-5, 1], "interval": ["5", "5"]}
+    assert payload == cli._value_payload(Fraction(5), Fraction(1, 2**bits))

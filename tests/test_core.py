@@ -308,3 +308,24 @@ def test_negative_coefficients_rejected():
     data = fusion_data("fib")
     with pytest.raises(ValueError):
         fr.MultisetElement(data, (1, -1))
+
+
+def test_scaled_elements():
+    data = fusion_data("fib")
+    x = data.element({"1": 1, "x": 2})
+    assert x.scaled(3) == fr.MultisetElement(data, (3, 6))
+    assert x.scaled(1) == x
+    assert x.scaled(0).is_zero
+    with pytest.raises(ValueError, match="nonnegative"):
+        x.scaled(-1)
+
+
+def test_partial_order_and_zero():
+    data = fusion_data("fib")
+    x, one = data.basis("x"), data.one()
+    assert x <= x and x <= x + one and not x + one <= x
+    assert not x <= one and not one <= x
+    assert data.zero() <= x
+    assert data.zero().is_zero and not x.is_zero and not one.is_zero
+    with pytest.raises(fr.ContextMismatchError):
+        x <= fusion_data("vec_z2").basis(1)

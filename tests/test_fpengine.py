@@ -650,3 +650,75 @@ def test_algebraic_number_invariants_enforced():
         fr.AlgebraicNumber(P((-2, 1)), Fraction(3), Fraction(3))  # point off the root
     with pytest.raises(ValueError):
         fr.AlgebraicNumber(P((-2, 2)), Fraction(1), Fraction(1))  # not monic
+
+
+def _sqrt(n):
+    return fr.isolate_max_real_root(P((-n, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "a, b, product", [(200, 200, 200), (2, 8, 4), (3, 12, 6), (200, 2, 20), (5, 80, 20)]
+)
+def test_rational_products_are_exact_points(a, b, product):
+    # the product interval of the isolated roots holds more than 17
+    # numerators of the root's denominator; the search runs on a narrower cell
+    for value in (fr.exact_mul(_sqrt(a), _sqrt(b)), fr.mul_algebraic(_sqrt(a), _sqrt(b))):
+        assert isinstance(value, Fraction)
+        assert value == product
+
+
+@pytest.mark.parametrize(
+    "a, b, poly, lo, hi",
+    [
+        (_sqrt(2), _sqrt(3), (-6, 0, 1), Fraction(5, 4), Fraction(5)),
+        (_sqrt(200), _sqrt(3), (-600, 0, 1), Fraction(505, 32), Fraction(505, 8)),
+        (_sqrt(200), _sqrt(201), (-40200, 0, 1), Fraction(20503, 128), Fraction(20503, 32)),
+        (
+            fr.isolate_max_real_root(P((-1, -1, 1))),
+            _sqrt(2),
+            (4, 0, -6, 0, 1),
+            Fraction(3, 2),
+            Fraction(6),
+        ),
+    ],
+    ids=["sqrt2*sqrt3", "sqrt200*sqrt3", "sqrt200*sqrt201", "phi*sqrt2"],
+)
+def test_irrational_products_keep_the_product_interval(a, b, poly, lo, hi):
+    assert fr.exact_mul(a, b) == fr.AlgebraicNumber(P(poly), lo, hi)
+
+
+def test_algebraic_number_text_and_rational_comparison():
+    root2 = fr.AlgebraicNumber(P((-2, 0, 1)), 1, 2)
+    assert str(root2) == "root of t^2 - 2 in [1, 2]"
+    assert str(fr.AlgebraicNumber(P((-3, 1)), 3, 3)) == "3"
+    assert root2.cmp_rational(3) == -1  # above the interval
+    assert root2.cmp_rational(2) == -1
+    assert root2.cmp_rational(Fraction(3, 2)) == -1
+    assert root2.cmp_rational(Fraction(7, 5)) == 1
+    assert root2.cmp_rational(0) == 1  # below the interval
+
+
+def test_equality_and_comparison_with_points():
+    two = fr.AlgebraicNumber(P((-2, 1)), 2, 2)
+    three = fr.AlgebraicNumber(P((-3, 1)), 3, 3)
+    # 2 as a root of (t - 2)(t - 5), isolated by an interval
+    two_isolated = fr.AlgebraicNumber(P((10, -7, 1)), 1, 3)
+    root2 = _sqrt(2)
+    # one point operand, on either side
+    assert fr.algebraic_equal(two, two_isolated) and fr.algebraic_equal(two_isolated, two)
+    assert not fr.algebraic_equal(two, root2) and not fr.algebraic_equal(root2, two)
+    assert fr.exact_cmp(Fraction(1), root2) == -1 and fr.exact_cmp(root2, 1) == 1
+    assert fr.exact_cmp(2, root2) == 1 and fr.exact_cmp(root2, 2) == -1
+    assert fr.exact_cmp(2, two_isolated) == 0 and fr.exact_cmp(two_isolated, 2) == 0
+    # both operands points
+    assert fr.algebraic_equal(two, fr.AlgebraicNumber(P((-2, 1)), 2, 2))
+    assert not fr.algebraic_equal(two, three)
+    assert fr.exact_cmp(two, three) == -1 and fr.exact_cmp(three, two) == 1
+    assert fr.exact_cmp(two, fr.AlgebraicNumber(P((-2, 1)), 2, 2)) == 0
+
+
+def test_reciprocal_of_rationals():
+    assert fr.reciprocal(Fraction(2, 3)) == Fraction(3, 2)
+    assert fr.reciprocal(fr.AlgebraicNumber(P((-4, 1)), 4, 4)) == Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        fr.reciprocal(0)

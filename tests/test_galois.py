@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,52 @@ def test_center_prediction_matches_square_formula(data, annotation, dz):
     assert fr.exact_cmp(pred.predicted, predicted) == 0
     flags = (pred.bound_ok, pred.strict, pred.equality, pred.consistent)
     assert flags == (bound_ok, strict, equality, consistent)
+
+
+def _closure_oracle(group, generators):
+    """The subgroup generated, by closing under products and inverses until
+    nothing new appears."""
+    closure = {group.identity, *generators}
+    while True:
+        grown = closure | {group.table[g][h] for g in closure for h in closure}
+        grown |= {group.inverse(g) for g in closure}
+        if grown == closure:
+            return frozenset(closure)
+        closure = grown
+
+
+@pytest.mark.parametrize("name", ["s3", "z6"])
+def test_subgroup_generated_matches_brute_force_on_every_subset(name):
+    from fusionring.catalog import _s3_group
+
+    group = _s3_group() if name == "s3" else z6_group()
+    for size in range(group.order + 1):
+        for subset in itertools.combinations(range(group.order), size):
+            assert group.subgroup_generated(subset) == _closure_oracle(group, subset)
+
+
+def test_group_ring_builders_agree():
+    group = z6_group()
+    n_tensor = tuple(
+        tuple(tuple(int(k == (i + j) % 6) for k in range(6)) for j in range(6))
+        for i in range(6)
+    )
+    fields = dict(
+        labels=group.labels,
+        n_tensor=n_tensor,
+        dual=tuple(-i % 6 for i in range(6)),
+        eps=(1,) * 6,
+        unit=(0,),
+    )
+    assert fr.vec_group(group.labels, group.table) == fr.FusionData(**fields, endo_degree=1)
+    data, _ = fr.from_galois_group(group, group.labels)
+    assert data == fr.FusionData(**fields, endo_degree=6)
+    sub, _ = fr.from_galois_group(group, ("1", "s3"))
+    assert sub == fr.FusionData(
+        labels=("1", "s3"),
+        n_tensor=(((1, 0), (0, 1)), ((0, 1), (1, 0))),
+        dual=(0, 1),
+        eps=(1, 1),
+        endo_degree=6,
+        unit=(0,),
+    )

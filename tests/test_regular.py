@@ -263,3 +263,20 @@ def test_category_coeffs_see_eps_above_one():
 )
 def test_category_coeffs_match_multiply_oracle_on_generated_rings(make):
     _assert_category_coeffs_match_oracle(make())
+
+
+def test_is_invertible_on_non_transitive_data():
+    # e*e = e: no product with e reaches the unit, so FPdim is refused and
+    # invertibility is read from x * dual(x) alone
+    data = fr.FusionData(
+        labels=("1", "e"),
+        n_tensor=(((1, 0), (0, 1)), ((0, 1), (0, 1))),
+        dual=(0, 1),
+        eps=(1, 1),
+        endo_degree=1,
+        unit=(0,),
+    )
+    with pytest.raises(fr.NonTransitiveError):
+        fr.fpdim_element(data.basis("e"))
+    assert fr.is_invertible(data, "1") and fr.is_invertible(data, 0)
+    assert not fr.is_invertible(data, "e")

@@ -324,3 +324,10 @@ def test_reports_collect_multiple_violations():
     data = mutate_tensor(fusion_data("vec_z3"), 1, 1, 2, -1)  # g*g = 0
     report = fr.check_structural(data)
     assert len(report.violations) >= 2  # duality and associativity both break
+
+
+def test_report_truth_is_whether_it_passed():
+    assert fr.ValidationReport(True)
+    assert fr.check_structural(fusion_data("fib"))
+    failed = fr.ValidationReport.from_violations([fr.Violation("unit", (0,), "broken")])
+    assert not failed and not fr.ValidationReport(False)
