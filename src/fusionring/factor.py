@@ -357,9 +357,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     for p in _primes():
         if f[-1] % p == 0:
             continue
-        fbar = _poly_mod(f, p)
-        if len(fbar) - 1 != n:
-            continue
+        fbar = _poly_mod(f, p)  # of degree n: p does not divide lc(f)
         if len(_gcd_mod(fbar, _derivative_int(fbar), p)) - 1 != 0:
             continue
         break

@@ -143,15 +143,15 @@ def _decode(source: str | bytes) -> str:
 
 
 def _loads(source: str | bytes) -> Any:
-    """json.loads with the decoder's two limits as SchemaError: nesting
-    deeper than the recursion limit, and integers longer than Python's
-    integer-string digit limit.  JSONDecodeError passes through."""
+    """json.loads with every decoding error as SchemaError: malformed JSON
+    at its line and column, nesting deeper than the recursion limit, and
+    integers longer than Python's integer-string digit limit."""
     try:
         return json.loads(_decode(source))
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError:  # the only other one: int() past sys.get_int_max_str_digits()
         raise SchemaError(
             f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
@@ -159,11 +159,7 @@ def _loads(source: str | bytes) -> Any:
 
 
 def parse_fusion_file(source: str | bytes) -> FixtureEntry:
-    try:
-        doc = _loads(source)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return _parse_fusion_doc(doc)
+    return _parse_fusion_doc(_loads(source))
 
 
 def _parse_fusion_doc(doc: Any) -> FixtureEntry:
@@ -456,10 +452,7 @@ def emit_morphism_file(f: SemiringMorphism, *, name: str = "") -> str:
 
 
 def parse_morphism_file(source: str | bytes) -> SemiringMorphism:
-    try:
-        doc = _loads(source)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
+    doc = _loads(source)
     _expect(isinstance(doc, dict), "top level must be a JSON object")
     _expect(doc.get("kind") == "morphism", 'morphism files carry "kind": "morphism"')
     for key in ("source", "target"):

@@ -10,7 +10,10 @@ algebraic numbers).
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
 root.  Rational roots collapse to point intervals, so statements like
-"FPdim(V) = 2 exactly" are plain equalities.  Sturm counts isolate a root;
+"FPdim(V) = 2 exactly" are plain equalities.  Each decision about an exact
+rational is made in one place: _point makes every point, defined by t - c,
+_collapse finds a rational root in an isolating cell, and _positive
+refuses a non-positive operand of a product or reciprocal.  Sturm counts isolate a root;
 quadratic interval refinement (J. Abbott, "Quadratic Interval Refinement for
 Real Roots", 2006) narrows it, with secant steps certified by the signs of
 the integer polynomial at grid points.  It returns the interval bisection
@@ -359,14 +362,10 @@ def isolate_max_real_root(p: RationalPolynomial) -> AlgebraicNumber:
     """Certified isolation of the largest real root of p.
 
     Works on the squarefree part, narrows by Sturm counts until one root
-    remains above, then refines on the sign of the polynomial
-    (_refine_on_grid) down to 16 over the leading coefficient of the
-    primitive integer form.  A cell that narrow holds at most 17 numerators
-    of each denominator the rational root theorem allows, so
-    rational_roots_between tries them all and a rational root collapses to
-    an exact point; refine narrows the result further.  The narrowing
-    carries the sign variations at its endpoints, so each halving evaluates
-    the chain once.
+    remains above, then _collapse narrows the cell on the sign of the
+    polynomial and a rational root becomes an exact point; refine narrows
+    the result further.  The narrowing carries the sign variations at its
+    endpoints, so each halving evaluates the chain once.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
@@ -389,22 +388,47 @@ def isolate_max_real_root(p: RationalPolynomial) -> AlgebraicNumber:
         else:
             hi = mid
     if _sign(chain[0], hi) == 0:
-        return AlgebraicNumber(q, hi, hi)
+        return _point(hi)
     # clear a smaller root stranded exactly on the lower endpoint
     while _sign(chain[0], lo) == 0:
         mid = (lo + hi) / 2
         if _sign(chain[0], mid) == 0:
-            return AlgebraicNumber(q, mid, mid)
+            return _point(mid)
         if sign_variations(chain, mid) - v_hi == 1:
             lo = mid
         else:
             hi = mid
-    lo, hi = _refine_on_grid(chain[0], lo, hi, Fraction(16, chain[0][-1]))
-    if lo < hi:
-        roots = rational_roots_between(chain[0], lo, hi)
-        if roots:
-            return AlgebraicNumber(q, roots[0], roots[0])
-    return AlgebraicNumber._certified(q, lo, hi)
+    lo, hi, root = _collapse(chain[0], lo, hi)
+    return AlgebraicNumber._certified(q, lo, hi) if root is None else _point(root)
+
+
+def _point(c: Fraction) -> AlgebraicNumber:
+    """The rational c as an exact point, defined by t - c: every point the
+    package makes, so equal rationals are equal records."""
+    return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
+
+
+def _collapse(
+    f: tuple[int, ...], lo: Fraction, hi: Fraction
+) -> tuple[Fraction, Fraction, Optional[Fraction]]:
+    """(lo', hi', root): the integer polynomial f's one sign change in
+    (lo, hi) narrowed on the grid to 16 over lc(f), a cell where
+    rational_roots_between tries all of the at most 17 numerators per
+    denominator the rational root theorem allows, and the rational root
+    there or None; a point the grid lands on is the root."""
+    lo, hi = _refine_on_grid(f, lo, hi, Fraction(16, f[-1]))
+    roots = [lo] if lo == hi else rational_roots_between(f, lo, hi)
+    return lo, hi, roots[0] if roots else None
+
+
+def _positive(v: AlgebraicNumber, refusal: str) -> AlgebraicNumber:
+    """v, refined until its interval lies above 0; UnrepresentableError
+    with the message `refusal` unless v > 0."""
+    if v.cmp_rational(0) <= 0:
+        raise UnrepresentableError(refusal)
+    while v.lo <= 0:
+        v = refine(v, v.width / 2)
+    return v
 
 
 def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
@@ -415,7 +439,7 @@ def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     if alpha.is_point or alpha.width <= width:
         return alpha
     lo, hi = _refine_on_grid(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
-    return AlgebraicNumber._certified(alpha.poly, lo, hi)
+    return _point(lo) if lo == hi else AlgebraicNumber._certified(alpha.poly, lo, hi)
 
 
 @lru_cache(maxsize=512)
@@ -435,10 +459,7 @@ def algebraic_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     """Exact equality: equal minimal polynomials and a common isolating
     interval containing a root."""
     if a.is_point or b.is_point:
-        if a.is_point and b.is_point:
-            return a.value == b.value
-        point, other = (a, b) if a.is_point else (b, a)
-        return other.cmp_rational(point.value) == 0
+        return exact_cmp(a, b) == 0
     ma = min_poly(a)
     if ma != min_poly(b):
         return False
@@ -487,9 +508,8 @@ def exact_cmp(a: Union[Rat, AlgebraicNumber], b: Union[Rat, AlgebraicNumber]) ->
         return 0
     x, y = a, b
     while not (x.hi < y.lo or y.hi < x.lo):
+        # never both points: two overlapping points are equal, answered above
         w = max(x.width, y.width) / 2
-        if w == 0:  # both collapsed to (distinct) points
-            return (x.value > y.value) - (x.value < y.value)
         x, y = refine(x, w), refine(y, w)
     return -1 if x.hi < y.lo else 1
 
@@ -531,15 +551,10 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
     """
     if a.is_point or b.is_point:
         return exact_mul(a, b)
-    if a.cmp_rational(0) <= 0 or b.cmp_rational(0) <= 0:
-        raise UnrepresentableError("products are only formed for positive values")
+    refusal = "products are only formed for positive values"
+    x, y = _positive(a, refusal), _positive(b, refusal)
     prod_poly = _composed_product(min_poly(a), min_poly(b)).squarefree_part()
     chain = sturm_chain(prod_poly)
-    x, y = a, b
-    while x.lo <= 0:
-        x = refine(x, x.width / 2)
-    while y.lo <= 0:
-        y = refine(y, y.width / 2)
     while True:
         lo, hi = x.lo * y.lo, x.hi * y.hi
         if _sign(chain[0], lo) and _sign(chain[0], hi) and count_real_roots(chain, lo, hi) == 1:
@@ -547,15 +562,9 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
         x, y = refine(x, x.width / 2), refine(y, y.width / 2)
         if x.is_point or y.is_point:
             return exact_mul(x, y)
-    # a rational product is sought, as in isolate_max_real_root, in a copy
-    # of the cell narrowed to 16 over the leading coefficient, where
-    # rational_roots_between tries every numerator (and finds the point the
-    # narrowing may stop at); an irrational product keeps the product interval
-    root_lo, root_hi = _refine_on_grid(chain[0], lo, hi, Fraction(16, chain[0][-1]))
-    roots = rational_roots_between(chain[0], root_lo, root_hi)
-    if roots:
-        return roots[0]
-    return AlgebraicNumber._certified(prod_poly, lo, hi)
+    # an irrational product keeps the product interval, not the narrowed cell
+    root = _collapse(chain[0], lo, hi)[2]
+    return AlgebraicNumber._certified(prod_poly, lo, hi) if root is None else root
 
 
 def exact_square(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
@@ -571,10 +580,7 @@ def reciprocal(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
         if v == 0:
             raise ZeroDivisionError("reciprocal of zero")
         return 1 / v
-    if v.cmp_rational(0) <= 0:
-        raise UnrepresentableError("reciprocal is only formed for positive values")
-    while v.lo <= 0:
-        v = refine(v, v.width / 2)
+    v = _positive(v, "reciprocal is only formed for positive values")
     p = min_poly(v)
     q = RationalPolynomial(tuple(reversed(p.coeffs))).monic()
     return AlgebraicNumber._certified(q, 1 / v.hi, 1 / v.lo)
@@ -631,7 +637,7 @@ def perron_root(matrix: RationalMatrix) -> AlgebraicNumber:
     """
     c = _line_sum_root(matrix)
     if c is not None:
-        return AlgebraicNumber._certified(RationalPolynomial((-c, 1)), c, c)
+        return _point(c)
     return isolate_max_real_root(char_poly(matrix))
 
 

@@ -281,10 +281,7 @@ def center_endo_degree(
         generated = group.subgroup_generated(
             [group.index(mark.element) for mark in annotation.marks if mark.kind == "element"]
         )
-        degree, remainder = divmod(data.endo_degree, len(generated))
-        if remainder:
-            raise InconsistentAnnotationError("subgroup order must divide the degree")
-        return degree
+        return data.endo_degree // len(generated)  # Lagrange: |H| divides |group| = d
     raise InsufficientDataError(
         "cannot determine the center's endomorphism degree; supply it explicitly"
     )

@@ -256,11 +256,7 @@ def _require_positive(name: str, v: ValueLike) -> ExactValue:
 def exact_div(a: ValueLike, b: ValueLike) -> ExactValue:
     """Exact quotient a / b for positive exact values."""
     a, b = normalize_value(a), normalize_value(b)
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return exact_mul(a, 1 / b)
-    if isinstance(a, AlgebraicNumber) and algebraic_equal(a, b):
+    if isinstance(a, AlgebraicNumber) and isinstance(b, AlgebraicNumber) and algebraic_equal(a, b):
         return Fraction(1)
     return exact_mul(a, reciprocal(b))
 

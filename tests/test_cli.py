@@ -281,6 +281,10 @@ def test_catalog_emit_round_trip(capsys):
     assert parsed.annotation == fr.get_builtin("jj_bim").annotation
 
 
+def test_catalog_emit_needs_a_name(capsys):
+    assert run(capsys, "catalog", "emit") == (2, "", "error: catalog emit needs a fixture name\n")
+
+
 def test_catalog_emit_unknown(capsys):
     code, _, err = run(capsys, "catalog", "emit", "nope")
     assert code == 2

@@ -105,6 +105,13 @@ def test_schema_error_invalid_json():
     assert "line" in str(info.value)
 
 
+@pytest.mark.parametrize("parse", [fr.parse_fusion_file, fr.parse_morphism_file])
+def test_invalid_json_reports_line_and_column_in_both_formats(parse):
+    with pytest.raises(fr.SchemaError) as info:
+        parse('{\n  "kind": }')
+    assert str(info.value) == "invalid JSON at line 2, column 11: Expecting value"
+
+
 DEEP_JSON = "[" * 200_000
 HUGE_INT_JSON = '{"endo_degree": ' + "9" * 5000 + ', "simples": []}'
 

@@ -722,3 +722,39 @@ def test_reciprocal_of_rationals():
     assert fr.reciprocal(fr.AlgebraicNumber(P((-4, 1)), 4, 4)) == Fraction(1, 4)
     with pytest.raises(ZeroDivisionError):
         fr.reciprocal(0)
+
+
+def test_equal_rational_fpdims_are_equal_records():
+    # TY(Z/4)'s char poly of m isolates 2 as a root of t^3 - 4t; the point
+    # is still defined by t - 2, as vec_z2's category FPdim is
+    fpdim_m = fr.fpdim_element(tambara_yamagami(4).basis("m"))
+    fpdim_vec_z2 = fr.fpdim_category(fusion_data("vec_z2"))
+    assert fpdim_m == fpdim_vec_z2 == fr.AlgebraicNumber(P((-2, 1)), 2, 2)
+    assert hash(fpdim_m) == hash(fpdim_vec_z2)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RINGS))
+def test_every_returned_point_is_defined_by_a_linear_poly(name):
+    data = SMALL_RINGS[name]
+    values = [fr.fpdim_element(x) for x in data.simples()] + [fr.fpdim_category(data)]
+    for value in values:
+        if value.is_point:
+            assert value.poly == P((-value.value, 1)), (name, value)
+
+
+@pytest.mark.parametrize(
+    "coeffs, root",
+    [((3, -4, 1), 3), ((0, -2, 1), 2), ((0, 1, 0, 64), 0), ((0, -4, 0, 1), 2), ((-9, 0, 4), 1.5)],
+    ids=["sturm-endpoint", "stranded-endpoint", "grid", "rational-search", "non-monic"],
+)
+def test_isolated_rational_roots_are_defined_by_t_minus_c(coeffs, root):
+    # the ways isolate_max_real_root finds a rational root: on the upper end
+    # of the Sturm bisection, at a midpoint while clearing a root off the
+    # lower end, on the grid of the narrowing, and by the rational root search
+    root = Fraction(root)
+    assert fr.isolate_max_real_root(P(coeffs)) == fr.AlgebraicNumber(P((-root, 1)), root, root)
+
+
+def test_refinement_landing_on_a_root_returns_t_minus_c():
+    two = fr.refine(fr.AlgebraicNumber(P((0, -4, 0, 1)), 1, 3), Fraction(1, 4))
+    assert two == fr.AlgebraicNumber(P((-2, 1)), 2, 2)
