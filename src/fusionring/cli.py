@@ -83,20 +83,18 @@ def _poly_json(p: RationalPolynomial) -> list:
 
 
 def _value_payload(value: ExactValue | AlgebraicNumber, width: Fraction) -> dict[str, Any]:
-    """The exact value, its decimal approximation, min poly and interval; a
-    rational prints as its point even when isolated by a wider interval."""
+    """The exact value, its decimal approximation, min poly and interval.  A
+    rational prints as its point; any other AlgebraicNumber is irrational
+    and prints as its interval refined to `width`."""
     value = normalize_value(value)
     if isinstance(value, AlgebraicNumber):
-        poly = min_poly(value)
-        if poly.degree > 1:
-            refined = refine(value, width)
-            return {
-                "value": None,
-                "approx": _decimal_str(refined.midpoint()),
-                "min_poly": _poly_json(poly),
-                "interval": [str(refined.lo), str(refined.hi)],
-            }
-        value = -poly.coeffs[0]
+        refined = refine(value, width)
+        return {
+            "value": None,
+            "approx": _decimal_str(refined.midpoint()),
+            "min_poly": _poly_json(min_poly(value)),
+            "interval": [str(refined.lo), str(refined.hi)],
+        }
     return {
         "value": str(value),
         "approx": _decimal_str(value),

@@ -70,10 +70,6 @@ class Option:
         self.choices = choices
 
     @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-    @property
     def spelling(self) -> str:
         return f"--{self.name}" if self.metavar is None else f"--{self.name} {self.metavar}"
 
@@ -253,7 +249,7 @@ class CommandLine:
         names = ["help", *options]
         args = SimpleNamespace(command=command)
         for opt in options.values():
-            setattr(args, opt.dest, opt.default)
+            setattr(args, opt.name, opt.default)
         pending = list(cmd.positionals)
 
         def take(arg: str) -> None:
@@ -297,7 +293,7 @@ class CommandLine:
                 if chosen not in (None, name):
                     raise UsageError(f"argument --{name}: not allowed with argument --{chosen}")
                 chosen = name
-            setattr(args, opt.dest, value)
+            setattr(args, opt.name, value)
         for arg in words:
             take(arg)
 

@@ -426,7 +426,8 @@ def emit_morphism_file(f: SemiringMorphism, *, name: str = "") -> str:
     """Canonical JSON form of a semiring morphism.  The image of each source
     simple is keyed by labels, so it survives the label-sorted canonical
     ordering of the embedded fusion documents."""
-    assert isinstance(f, SemiringMorphism)
+    if not isinstance(f, SemiringMorphism):
+        raise TypeError(f"expected a SemiringMorphism, not {type(f).__name__}")
     images: dict[str, dict[str, int]] = {}
     for s in range(f.source.rank):
         column = {

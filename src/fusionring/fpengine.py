@@ -9,10 +9,10 @@ algebraic numbers).
 
 Every FPdim produced here is an AlgebraicNumber: a monic defining polynomial
 plus a rational isolating interval certified to contain exactly one real
-root.  Rational roots collapse to point intervals, so statements like
-"FPdim(V) = 2 exactly" are plain equalities.  Each decision about an exact
-rational is made in one place: _point makes every point, defined by t - c,
-_collapse finds a rational root in an isolating cell, and _positive
+root.  A rational is the point of t - c that _point makes, any other value
+an interval around an irrational root, so "FPdim(V) = 2 exactly" is a plain
+equality and no caller asks again.  _collapse, the one rational-root search
+in an isolating cell, decides it where values are made, and _positive
 refuses a non-positive operand of a product or reciprocal.  Sturm counts isolate a root;
 quadratic interval refinement (J. Abbott, "Quadratic Interval Refinement for
 Real Roots", 2006) narrows it, with secant steps certified by the signs of
@@ -196,11 +196,13 @@ def char_poly(m: RationalMatrix) -> RationalPolynomial:
 class AlgebraicNumber(Record):
     """A real algebraic number: monic defining polynomial plus a rational
     interval certified to contain exactly one of its real roots (Sturm count
-    1, and a sign change of the polynomial across it).  Point intervals
-    (lo == hi) are exact rationals.  `AlgebraicNumber._certified` skips the
-    check, for Fraction ends certified where they were made: by the Sturm
-    count that found them, as a subcell of a certified interval or its
-    image under x -> c x or x -> 1/x, or as the point of t - c."""
+    1, and a sign change of the polynomial across it).  A rational is the
+    point (lo == hi) of t - c, and any other interval holds an irrational
+    root: the constructor checks its arguments, then stores a rational root
+    as that point.  `AlgebraicNumber._certified` skips the check, for
+    Fraction ends certified where they were made: by the Sturm count that
+    found them, as a subcell of a certified interval or its image under
+    x -> c x or x -> 1/x, or as the point of t - c."""
 
     poly: RationalPolynomial
     lo: Fraction
@@ -223,6 +225,9 @@ class AlgebraicNumber(Record):
             raise ValueError("defining polynomial does not change sign across the interval")
         elif count_real_roots(chain, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate exactly one real root")
+        root = self.lo if self.is_point else _collapse(chain[0], self.lo, self.hi)[2]
+        if root is not None:
+            vars(self).update(vars(_point(root)))
 
     @property
     def is_point(self) -> bool:
@@ -243,7 +248,7 @@ class AlgebraicNumber(Record):
 
     def __float__(self) -> float:
         """The double nearest the root: the interval is refined until both
-        ends round to the same double (a dyadic root becomes a point)."""
+        ends round to the same double."""
         x = self
         while float(x.lo) != float(x.hi):
             x = refine(x, x.width / 2**64)
@@ -269,8 +274,7 @@ class AlgebraicNumber(Record):
         if c > self.hi:
             return -1
         f = sturm_chain(self.poly)[0]  # the root is where f changes sign
-        s = _sign(f, c)
-        return s and (1 if s == _sign(f, self.lo) else -1)
+        return 1 if _sign(f, c) == _sign(f, self.lo) else -1
 
     def __str__(self) -> str:
         if self.is_point:
@@ -362,10 +366,10 @@ def isolate_max_real_root(p: RationalPolynomial) -> AlgebraicNumber:
     """Certified isolation of the largest real root of p.
 
     Works on the squarefree part, narrows by Sturm counts until one root
-    remains above, then _collapse narrows the cell on the sign of the
-    polynomial and a rational root becomes an exact point; refine narrows
-    the result further.  The narrowing carries the sign variations at its
-    endpoints, so each halving evaluates the chain once.
+    remains in (lo, hi], then _collapse narrows the cell on the sign of the
+    polynomial and makes a rational root, on hi or inside, an exact point;
+    refine narrows the result further.  The narrowing carries the sign
+    variations at its endpoints, so each halving evaluates the chain once.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
@@ -387,13 +391,9 @@ def isolate_max_real_root(p: RationalPolynomial) -> AlgebraicNumber:
             lo, v_lo = mid, v_mid
         else:
             hi = mid
-    if _sign(chain[0], hi) == 0:
-        return _point(hi)
-    # clear a smaller root stranded exactly on the lower endpoint
+    # clear a smaller root stranded exactly on lo (the one kept may sit on hi)
     while _sign(chain[0], lo) == 0:
         mid = (lo + hi) / 2
-        if _sign(chain[0], mid) == 0:
-            return _point(mid)
         if sign_variations(chain, mid) - v_hi == 1:
             lo = mid
         else:
@@ -432,14 +432,15 @@ def _positive(v: AlgebraicNumber, refusal: str) -> AlgebraicNumber:
 
 
 def refine(alpha: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
-    """Same root, interval width at most `width`; idempotent on points."""
+    """Same root, interval width at most `width`; idempotent on points.  An
+    interval holds an irrational root, which no grid point hits."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("target width must be positive")
     if alpha.is_point or alpha.width <= width:
         return alpha
     lo, hi = _refine_on_grid(sturm_chain(alpha.poly)[0], alpha.lo, alpha.hi, width)
-    return _point(lo) if lo == hi else AlgebraicNumber._certified(alpha.poly, lo, hi)
+    return AlgebraicNumber._certified(alpha.poly, lo, hi)
 
 
 @lru_cache(maxsize=512)
@@ -447,7 +448,7 @@ def min_poly(alpha: AlgebraicNumber) -> RationalPolynomial:
     """Monic irreducible rational polynomial with alpha as a root; t - v for
     a rational point v."""
     if alpha.is_point:
-        return RationalPolynomial((-alpha.value, 1))
+        return alpha.poly
     for g in factor_squarefree_rational(alpha.poly):
         f = g.to_integer_coeffs()  # only the factor with the root changes sign
         if _sign(f, alpha.lo) != _sign(f, alpha.hi):
@@ -459,7 +460,7 @@ def algebraic_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     """Exact equality: equal minimal polynomials and a common isolating
     interval containing a root."""
     if a.is_point or b.is_point:
-        return exact_cmp(a, b) == 0
+        return a == b
     ma = min_poly(a)
     if ma != min_poly(b):
         return False
@@ -560,8 +561,6 @@ def mul_algebraic(a: AlgebraicNumber, b: AlgebraicNumber) -> ExactValue:
         if _sign(chain[0], lo) and _sign(chain[0], hi) and count_real_roots(chain, lo, hi) == 1:
             break
         x, y = refine(x, x.width / 2), refine(y, y.width / 2)
-        if x.is_point or y.is_point:
-            return exact_mul(x, y)
     # an irrational product keeps the product interval, not the narrowed cell
     root = _collapse(chain[0], lo, hi)[2]
     return AlgebraicNumber._certified(prod_poly, lo, hi) if root is None else root
@@ -573,16 +572,16 @@ def exact_square(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
 
 def reciprocal(v: Union[Rat, AlgebraicNumber]) -> ExactValue:
     """Exact 1/v for a positive exact value.  For an algebraic number the
-    reversed minimal polynomial defines the reciprocal, and the reciprocal
-    interval still isolates it."""
+    reversed defining polynomial t^d p(1/t), made monic, defines the
+    reciprocal: x -> 1/x maps its one root in (lo, hi), lo > 0, to the one
+    in (1/hi, 1/lo), with the sign change kept."""
     v = normalize_value(v)
     if isinstance(v, Fraction):
         if v == 0:
             raise ZeroDivisionError("reciprocal of zero")
         return 1 / v
     v = _positive(v, "reciprocal is only formed for positive values")
-    p = min_poly(v)
-    q = RationalPolynomial(tuple(reversed(p.coeffs))).monic()
+    q = RationalPolynomial(reversed(v.poly.coeffs)).monic()
     return AlgebraicNumber._certified(q, 1 / v.hi, 1 / v.lo)
 
 

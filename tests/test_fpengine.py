@@ -466,24 +466,37 @@ def test_refinement_matches_bisection_when_the_secant_misses():
         _assert_refines_like_bisection(alpha, BISECTION_WIDTHS)
 
 
+def _assert_grid_refines_like_bisection(q: P, widths) -> dict:
+    """_refine_on_grid on q's one sign change in [0, 1] against bisection;
+    the cells by width."""
+    f = fpengine.sturm_chain(q)[0]
+    cells = {}
+    for width in widths:
+        cells[width] = fpengine._refine_on_grid(f, Fraction(0), Fraction(1), width)
+        assert cells[width] == _reference_bisect(q, Fraction(0), Fraction(1), width), (q, width)
+    return cells
+
+
 def test_refinement_returns_a_deep_dyadic_root_as_a_point():
     # 12345/2^40 lies on the grid of [0, 1] at level 40, inside a quadratic
-    # jump: coarser widths give bisection's cell, finer ones the point
+    # jump: coarser widths give bisection's cell, finer ones the point.  The
+    # constructor stores a rational root as a point, so the grid is driven
+    # directly
     root = Fraction(12345, 2**40)
-    alpha = fr.AlgebraicNumber(P((-root, 1)) * P((-2, 0, 1)), Fraction(0), Fraction(1))
+    q = P((-root, 1)) * P((-2, 0, 1))
     widths = [Fraction(1, 2**e) for e in (8, 39, 40, 41, 64, 1024)]
-    _assert_refines_like_bisection(alpha, widths)
-    assert not fr.refine(alpha, Fraction(1, 2**39)).is_point
-    assert fr.refine(alpha, Fraction(1, 2**40)).value == root
+    cells = _assert_grid_refines_like_bisection(q, widths)
+    assert cells[Fraction(1, 2**39)][0] != cells[Fraction(1, 2**39)][1]
+    assert cells[Fraction(1, 2**40)] == (root, root)
+    assert fr.AlgebraicNumber(q, Fraction(0), Fraction(1)) == fpengine._point(root)
     below = fr.refine(fr.isolate_max_real_root(P((-root, 1)) * P((3, 1))), Fraction(1, 2**64))
     assert below.is_point and below.value == root
     # on [0, 1] the secant picks the grid point 1, and the point that
     # certifies the subcell next to it is the root 1/2
     half = Fraction(1, 2)
     curved = P((-half, 1)) * P((-Fraction(3, 2), 1)) * P((-27, 1))
-    alpha = fr.AlgebraicNumber(curved, Fraction(0), Fraction(1))
-    _assert_refines_like_bisection(alpha, [Fraction(1, 2), Fraction(1, 2**64)])
-    assert fr.refine(alpha, half).value == half
+    cells = _assert_grid_refines_like_bisection(curved, [Fraction(1, 2), Fraction(1, 2**64)])
+    assert cells[half] == (half, half)
 
 
 def test_refinement_stops_at_bisections_level_for_any_width():
@@ -731,6 +744,59 @@ def test_equal_rational_fpdims_are_equal_records():
     fpdim_vec_z2 = fr.fpdim_category(fusion_data("vec_z2"))
     assert fpdim_m == fpdim_vec_z2 == fr.AlgebraicNumber(P((-2, 1)), 2, 2)
     assert hash(fpdim_m) == hash(fpdim_vec_z2)
+
+
+def test_the_constructor_stores_a_rational_root_as_t_minus_c():
+    # 2 as a root of t^3 - 4t and of t - 2: one record, one hash
+    cubic = fr.AlgebraicNumber(P((0, -4, 0, 1)), 2, 2)
+    linear = fr.AlgebraicNumber(P((-2, 1)), 2, 2)
+    assert cubic == linear and hash(cubic) == hash(linear)
+    assert cubic.poly == P((-2, 1))
+    # an isolating interval around a rational root collapses to its point
+    isolated = fr.AlgebraicNumber(P((-4, 0, 1)), 1, 3)
+    assert isolated.is_point and isolated.value == 2 and isolated.poly == P((-2, 1))
+    assert isolated == linear
+
+
+def test_equal_rationals_share_one_min_poly_cache_entry():
+    fr.min_poly.cache_clear()
+    fr.min_poly(fr.AlgebraicNumber(P((0, -4, 0, 1)), 2, 2))
+    fr.min_poly(fr.AlgebraicNumber(P((-2, 1)), 2, 2))
+    info = fr.min_poly.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_conjugates_are_unequal_and_ordered():
+    # phi and its conjugate (1 - sqrt 5)/2: one min poly, disjoint intervals
+    t2_t_1 = P((-1, -1, 1))
+    phi, conjugate = fr.AlgebraicNumber(t2_t_1, 1, 2), fr.AlgebraicNumber(t2_t_1, -1, 0)
+    assert fr.min_poly(phi) == fr.min_poly(conjugate)
+    assert not fr.algebraic_equal(phi, conjugate) and not fr.algebraic_equal(conjugate, phi)
+    assert fr.exact_cmp(phi, conjugate) == 1 and fr.exact_cmp(conjugate, phi) == -1
+
+
+INVARIANT_RINGS = {**{name: fusion_data(name) for name in ALL_NAMES}, **SMALL_RINGS}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_RINGS))
+def test_every_non_point_holds_an_irrational_root(name):
+    # whatever makes a value, a rational comes back as a point, so every
+    # interval holds a root whose min poly has degree at least 2
+    data = INVARIANT_RINGS[name]
+    polys = {fr.char_poly(fr.left_mult_matrix(x)) for x in data.simples()}
+    polys.add(fr.char_poly(left_mult_matrix_from_coeffs(data, [1] * data.rank)))
+    isolated = [fr.isolate_max_real_root(p) for p in sorted(polys, key=lambda p: p.coeffs)]
+    irrational = [v for v in isolated if not v.is_point]
+    made = list(isolated)
+    for v in irrational:
+        made += [fr.refine(v, Fraction(1, 2**e)) for e in (1, 8, 64)]
+        made += [v.scaled(Fraction(-3, 7)), v.scaled(2)]
+        if v.cmp_rational(0) > 0:
+            made.append(fr.reciprocal(v))
+            made += [fr.mul_algebraic(v, w) for w in irrational if w.cmp_rational(0) > 0]
+    for value in made:
+        if isinstance(value, fr.AlgebraicNumber) and not value.is_point:
+            assert fr.min_poly(value).degree >= 2, (name, value)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_RINGS))

@@ -354,3 +354,24 @@ def test_rational_roots_between():
     assert rational_roots_between(p, Fraction(-2), Fraction(3)) == [Fraction(-1), Fraction(2)]
     assert rational_roots_between([3, -2], Fraction(0), Fraction(2)) == [Fraction(3, 2)]
     assert rational_roots_between([1, 0, 1], Fraction(-5), Fraction(5)) == []
+
+
+def test_zero_and_constant_polynomials_at_the_edges():
+    zero = P(())
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        zero.leading
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(poly(1, 1), zero)
+    with pytest.raises(ValueError, match="root scaling factor must be nonzero"):
+        poly(-2, 1).scale_root(0)
+    assert str(zero) == "0"
+    assert cauchy_root_bound(poly(5)) == 1
+    with pytest.raises(ValueError, match="constant polynomials have no factorization here"):
+        factor_integer_squarefree([7])
+    assert rational_roots_between([7], Fraction(-1), Fraction(1)) == []
+
+
+def test_integer_coefficients_lead_with_a_positive_coefficient():
+    assert poly(1, -2).to_integer_coeffs() == [-1, 2]
+    assert poly(Fraction(1, 2), Fraction(-3, 4)).to_integer_coeffs() == [-2, 3]
+    assert poly(Fraction(-1, 2), Fraction(3, 4)).to_integer_coeffs() == [-2, 3]

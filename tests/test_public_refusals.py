@@ -184,6 +184,11 @@ REFUSALS = {
         ValueError,
         "element is not in the source",
     ),
+    "emit-morphism-of-a-ring": (
+        lambda: fr.emit_morphism_file(fusion_data("fib")),
+        TypeError,
+        "expected a SemiringMorphism, not FusionData",
+    ),
 }
 
 
